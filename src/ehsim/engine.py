@@ -219,7 +219,9 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
     ledger.storage_residual = res
     err = ledger.closure_error()
     scale = max(ledger.total_input(), 1e-12)
-    if abs(err) > tolerance * scale + 1e-9:
+    # Written so that NaN fails it, and an infinite input, against which any
+    # error would fit, fails too.
+    if not (abs(err) <= tolerance * scale + 1e-9 and math.isfinite(scale)):
         raise ClosureError(
             f"energy ledger closure error {err:.3e} J exceeds "
             f"{tolerance:.1e} of input {scale:.3e} J")

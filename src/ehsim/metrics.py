@@ -7,18 +7,28 @@ warping under a Sakoe-Chiba band ("window"): mismatches that a monotone
 alignment within the window can absorb are filtered out, leaving the
 fundamental activity differences.
 
-The banded DTW here runs row-by-row with a vectorized recurrence (the
-within-row dependency is resolved with a prefix-minimum over cost-adjusted
-entries) and reconstructs the optimal path from periodic row checkpoints,
-so memory stays O(n * band / checkpoint) even on multi-day 0.2 s profiles.
-Costs are unit per on/off mismatch and zero per match, held in int32, so
-all arithmetic is exact.
+The banded DTW is an exact run-length block DP. On/off profiles are long
+constant runs, so the grid splits into (a-run x b-run) blocks of constant
+0/1 cost. Within a stripe (the rows of one a-run) the cost depends on the
+column only, and the cheapest path from a cell of the row above the stripe
+to any stripe cell has a closed form: the columns crossed cost their prefix
+sum, and extra rows are free in a zero-cost column and cost one each
+otherwise. A stripe cell's value is thus a prefix minimum over the entry row
+plus a window minimum, and the window minimum is a single lookup because the
+row above has the complementary cost. The forward pass keeps one band row
+per a-run, so time and memory are O(n + a-runs x band width): a few runs
+per day cost almost nothing, whatever the window. The traceback answers
+each in-stripe value query in O(1) from those rows and takes long straight
+or diagonal segments in one vectorized stride, so its cost follows the
+path's segments rather than its length. Costs are unit per on/off mismatch
+and zero per match, held in integers, so all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +44,18 @@ __all__ = [
     "mismatch_spans",
 ]
 
-_INF = np.int32(1 << 28)
-_CHECKPOINT_ROWS = 2048
+_INF = 1 << 28  # above any path cost; stays in int32 after adding n
+_DIAG, _UP, _LEFT = (1, 1), (1, 0), (0, 1)  # backward (row, col) steps
+# A traceback move repeated this often is checked ahead in one vectorized
+# stride of at least _MIN_STRIDE cells; short segments are cheaper to walk
+# cell by cell.
+_STRIDE_AFTER = 8
+_MIN_STRIDE = 64
+# On rows that are positive multiples of this, ties resolve left-first. That
+# is the tie-break of the checkpointed traceback that first defined this
+# metric (2048 was its checkpoint interval); keeping it keeps every reported
+# path length, the APE denominator, unchanged.
+_LEFT_FIRST_ROWS = 2048
 
 
 class MetricError(ValueError):
@@ -91,62 +111,187 @@ def _pad_equal(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _band_limits(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(n)
-    lo = np.maximum(rows - r, 0)
-    hi = np.minimum(rows + r, n - 1)
-    return lo, hi
+def _radius(window: float, step: float, n: int, error: str) -> int:
+    """Band radius in steps for a DTW window in seconds (``inf``: whole grid)."""
+    if window != math.inf and window < step:
+        raise MetricError(error)
+    return n if window == math.inf else int(round(window / step))
 
 
-def _forward_rows(a8: np.ndarray, b8: np.ndarray, r: int, lo: np.ndarray,
-                  hi: np.ndarray, start_row: int, end_row: int,
-                  d_prev: np.ndarray | None, keep_all: bool):
-    """Run the DP over rows [start_row, end_row); returns kept rows or checkpoints.
+class _Stripe(NamedTuple):
+    """One a-run's rows [r0, ...] of value ``v``, and its entry band row.
 
-    ``d_prev`` is the band row for ``start_row - 1`` (None at the top). Each
-    band row is stored left-aligned at its own window offset ``lo[i]``. The
-    within-row left dependency is folded into a prefix minimum over
-    cost-adjusted entry values, keeping every row fully vectorized.
+    ``top`` holds D over columns [tlo, thi] of row r0 - 1, padded with one
+    INF on each side; for the first stripe it is the virtual corner
+    D(-1, -1) = 0.
     """
-    kept: list[np.ndarray] = []
-    checkpoints: dict[int, np.ndarray] = {}
-    width_max = 2 * r + 1
-    ext = np.empty(width_max + 2, dtype=np.int32)  # d_prev padded with INF
-    scratch = np.empty(width_max, dtype=np.int32)
-    for i in range(start_row, end_row):
-        w_lo = lo[i]
-        width = hi[i] - w_lo + 1
-        cost = (b8[w_lo:w_lo + width] != a8[i]).astype(np.int32)
+
+    r0: int
+    v: int
+    tlo: int
+    thi: int
+    top: np.ndarray
+
+
+def _entry_prefix(st: _Stripe, S) -> np.ndarray:
+    """pre[x - tlo + 1] = min over columns j' <= x of D(r0-1, j') - S(j')."""
+    pre = np.empty(len(st.top) - 1, dtype=np.int32)
+    pre[0] = _INF
+    np.minimum.accumulate(st.top[1:-1] - S[st.v][st.tlo + 1:st.thi + 2],
+                          out=pre[1:])
+    return pre
+
+
+def _stripe_d(st: _Stripe, pre: np.ndarray, i, j, s_j, z_j):
+    """D at cells (i, j) of stripe ``st``, i >= r0 (vectorized).
+
+    ``s_j``/``z_j`` are S and Z of the stripe's value at j + 1. A path from
+    entry column j' to (i, j) costs S(j) - S(j') while it can descend
+    diagonally or in a zero-cost column, which covers every
+    j' <= x = max(j - di, z(j)). Past x all columns cost one, the path costs
+    di, and the row above is zero-cost there, so D(r0 - 1, .) is
+    non-increasing on (x, thi]: its minimum is at min(j, thi).
+    """
+    di = i - st.r0 + 1
+    x = np.maximum(j - di, z_j)
+    p = s_j + pre[np.clip(x - st.tlo + 1, 0, len(pre) - 1)]
+    y = np.minimum(j, st.thi)
+    q = np.where(y > x, st.top[y - st.tlo + 1] + di, _INF)
+    return np.minimum(p, q)
+
+
+def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
+    """All stripes with their entry rows, and the optimal cost D(n-1, n-1)."""
+    n = len(a)
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    top = np.array([_INF, 0, _INF], dtype=np.int32)
+    tlo = thi = -1
+    stripes = []
+    for r0, r1 in zip(starts.tolist(), ends.tolist()):
+        v = int(a[r0])
+        st = _Stripe(r0, v, tlo, thi, top)
+        stripes.append(st)
+        tlo, thi = max(r1 - r, 0), min(r1 + r, n - 1)
+        top = np.empty(thi - tlo + 3, dtype=np.int32)
+        top[0] = top[-1] = _INF
+        top[1:-1] = _stripe_d(st, _entry_prefix(st, S), r1,
+                              np.arange(tlo, thi + 1), S[v][tlo + 1:thi + 2],
+                              Z[v][tlo + 1:thi + 2])
+    return stripes, int(top[-2])
+
+
+def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
+               cost: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal path (0,0) -> (n-1,n-1) under the tie-break of ``dtw_path``."""
+    n = len(a)
+    am, bm = memoryview(a.view(np.uint8)), memoryview(b.view(np.uint8))
+    steps: list[list] = []  # [(di, dj), count] walking back from (n-1, n-1)
+    i = j = n - 1
+    d = cost
+    k = len(stripes)
+    st = None
+    r0 = n
+    run, stride = 0, _MIN_STRIDE
+
+    def at(ii: int, jj: int) -> int:
+        # Scalar D(ii, jj) for ii >= r0 - 1 inside the band (see _stripe_d).
+        di = ii - r0 + 1
+        if di == 0:
+            return topm[jj - tlo + 1]
+        x = jj - di
+        z = Zm[jj + 1]
+        if z > x:
+            x = z
+        p = x - tlo + 1
+        p = Sm[jj + 1] + prem[0 if p < 0 else (p if p < last else last)]
+        y = jj if jj < thi else thi
+        if y > x:
+            q = topm[y - tlo + 1] + di
+            if q < p:
+                p = q
+        return p
+
+    def at_vec(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        jp = jj + 1
+        out = _stripe_d(st, pre, ii, jj, S[st.v][jp], Z[st.v][jp])
+        edge = ii == r0 - 1
+        if edge.any():
+            out = np.where(edge, st.top[np.clip(jj - tlo + 1, 0, thi - tlo + 2)],
+                           out)
+        return out
+
+    while i or j:
         if i == 0:
-            row = np.cumsum(cost, dtype=np.int32)
-        else:
-            shift = w_lo - lo[i - 1]
-            prev_width = hi[i - 1] - lo[i - 1] + 1
-            # ext holds [INF, d_prev...]: diag/up become plain slices of it
-            ext[0] = _INF
-            ext[1:prev_width + 1] = d_prev
-            avail = prev_width + 1 - shift  # entries covering this window
-            if avail >= width + 1:
-                diag = ext[shift:shift + width]
-                up = ext[shift + 1:shift + 1 + width]
+            steps.append([_LEFT, j])
+            break
+        if i < r0:
+            k -= 1
+            st = stripes[k]
+            r0, tlo, thi = st.r0, st.tlo, st.thi
+            pre = _entry_prefix(st, S)
+            topm, prem = memoryview(st.top), memoryview(pre)
+            last = len(pre) - 1
+            Sm, Zm = memoryview(S[st.v]), memoryview(Z[st.v])
+        if run >= _STRIDE_AFTER:
+            mv = steps[-1][0]
+            left_first = i % _LEFT_FIRST_ROWS == 0
+            # vertical strides stop above the next left-first row
+            floor = max(r0, 1, i // _LEFT_FIRST_ROWS * _LEFT_FIRST_ROWS + 1)
+            if mv is _DIAG:
+                cap = min(i - floor, j) + 1
+            elif mv is _UP:
+                cap = min(i - floor, r - j + i) + 1
             else:
-                ext[prev_width + 1:width + shift + 1] = _INF
-                diag = ext[shift:shift + width]
-                up = ext[shift + 1:shift + 1 + width]
-            entry = np.minimum(up, diag, out=scratch[:width])
-            entry += cost
-            s = np.cumsum(cost, dtype=np.int32)
-            entry -= s
-            np.minimum.accumulate(entry, out=entry)
-            row = entry + s
-        if keep_all:
-            kept.append(row)
-        elif i % _CHECKPOINT_ROWS == 0:
-            checkpoints[i] = row.copy()
-        d_prev = row
-    if keep_all:
-        return kept, d_prev
-    return checkpoints, d_prev
+                cap = j - max(0, i - r) + 1
+            m = min(stride, cap)
+            if m >= _MIN_STRIDE:
+                ks = np.arange(m)
+                ii, jj = i - mv[0] * ks, j - mv[1] * ks
+                dd = at_vec(ii, jj)
+                cc = (b[jj] != st.v).astype(np.int32)
+                if left_first:  # then mv is _LEFT: the cells share row i
+                    good = ((jj > max(i - r, 0))
+                            & (at_vec(ii, jj - 1) + cc == dd))
+                else:
+                    good = (jj > 0) & (at_vec(ii - 1, jj - 1) + cc == dd)
+                    if mv is not _DIAG:
+                        up = (jj - ii < r) & (at_vec(ii - 1, jj) + cc == dd)
+                        good = ~good & (up if mv is _UP else ~up)
+                taken = m if good.all() else int(np.argmin(good))
+                if taken:
+                    steps[-1][1] += taken
+                    i, j = i - mv[0] * taken, j - mv[1] * taken
+                    d = int(dd[taken - 1] - cc[taken - 1])
+                stride = stride * 2 if taken == m else _MIN_STRIDE
+                run = 0
+                continue
+        c = am[i] ^ bm[j]
+        if (i % _LEFT_FIRST_ROWS == 0 and j > 0 and j > i - r
+                and (p := at(i, j - 1)) + c == d):
+            mv, d = _LEFT, p
+        elif j and (p := at(i - 1, j - 1)) + c == d:
+            mv, d = _DIAG, p
+        elif j - i < r and (p := at(i - 1, j)) + c == d:
+            mv, d = _UP, p
+        else:
+            mv, d = _LEFT, d - c
+        i, j = i - mv[0], j - mv[1]
+        if steps and steps[-1][0] is mv:
+            steps[-1][1] += 1
+            run += 1
+        else:
+            steps.append([mv, 1])
+            run = 1
+
+    counts = [c for _, c in steps]
+    path = []
+    for axis in (0, 1):
+        moves = np.repeat([mv[axis] for mv, _ in steps], counts)[::-1]
+        out = np.zeros(len(moves) + 1, dtype=np.intp)
+        np.cumsum(moves, out=out[1:])
+        path.append(out)
+    return path[0], path[1]
 
 
 def dtw_path(a: np.ndarray, b: np.ndarray, r: int
@@ -155,68 +300,31 @@ def dtw_path(a: np.ndarray, b: np.ndarray, r: int
 
     Returns (path_i, path_j, cost) with the path running (0,0) -> (n-1,n-1)
     monotonically inside the band |i - j| <= r; cost is the minimal mismatch
-    count. Ties resolve diagonal-first, then up, then left, so results are
-    deterministic.
+    count. Ties resolve diagonal-first, then up, then left, except on rows
+    that are positive multiples of 2048, where a tied left move comes first;
+    results are deterministic.
     """
-    a8 = np.asarray(a, dtype=np.uint8)
-    b8 = np.asarray(b, dtype=np.uint8)
-    n = len(a8)
-    if len(b8) != n:
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    n = len(a)
+    if len(b) != n:
         raise MetricError("dtw_path needs equal lengths (pad first)")
     if n == 0:
         raise MetricError("empty sequences")
     r = min(max(int(r), 0), n - 1) if n > 1 else 0
-    lo, hi = _band_limits(n, r)
 
-    checkpoints, last = _forward_rows(a8, b8, r, lo, hi, 0, n, None, False)
-    cost = int(last[hi[n - 1] - lo[n - 1]])
+    # Column-cost prefix sums S[v][j+1] = #{k <= j: b[k] != v} and the last
+    # zero-cost column Z[v][j+1] = max{k <= j: b[k] == v} (-2: none), v = 0/1.
+    ones = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(b, out=ones[1:])
+    S = (ones, np.arange(n + 1, dtype=np.int32) - ones)
+    cols = np.arange(n, dtype=np.int32)
+    Z = tuple(np.concatenate(([np.int32(-2)], np.maximum.accumulate(
+        np.where(b == v, cols, np.int32(-2))))) for v in (False, True))
 
-    # Traceback through recomputed blocks.
-    path_i: list[int] = []
-    path_j: list[int] = []
-    i, j = n - 1, n - 1
-    block_hi = n
-    block_lo = (n - 1) // _CHECKPOINT_ROWS * _CHECKPOINT_ROWS
-    rows: list[np.ndarray] | None = None
-    while True:
-        if rows is None:
-            if block_lo == 0:
-                rows, _ = _forward_rows(a8, b8, r, lo, hi, 0, block_hi, None, True)
-            else:
-                prev = checkpoints[block_lo]
-                rows, _ = _forward_rows(a8, b8, r, lo, hi, block_lo + 1,
-                                        block_hi, prev, True)
-                rows.insert(0, prev)
-        while True:
-            path_i.append(i)
-            path_j.append(j)
-            if i == 0 and j == 0:
-                return (np.asarray(path_i[::-1]), np.asarray(path_j[::-1]), cost)
-            row = rows[i - block_lo]
-            here = int(row[j - lo[i]])
-            c_here = int(a8[i] != b8[j])
-            if i > 0:
-                prow = rows[i - 1 - block_lo] if i - 1 >= block_lo else None
-                if (prow is not None and j > 0 and lo[i - 1] <= j - 1 <= hi[i - 1]
-                        and int(prow[j - 1 - lo[i - 1]]) + c_here == here):
-                    i, j = i - 1, j - 1
-                elif (prow is not None and lo[i - 1] <= j <= hi[i - 1]
-                      and int(prow[j - lo[i - 1]]) + c_here == here):
-                    i = i - 1
-                elif j > 0 and j - 1 >= lo[i] and int(row[j - 1 - lo[i]]) + c_here == here:
-                    j = j - 1
-                else:
-                    # predecessor lies in the previous block
-                    break
-            else:
-                j = j - 1  # row 0: only left moves remain
-        # Predecessor lives below this block: recompute [block_lo', i] and
-        # re-enter at the same cell (drop its duplicate append).
-        block_hi = i + 1
-        block_lo = (i - 1) // _CHECKPOINT_ROWS * _CHECKPOINT_ROWS
-        path_i.pop()
-        path_j.pop()
-        rows = None
+    stripes, cost = _forward(a, r, S, Z)
+    path_i, path_j = _traceback(a, b, r, stripes, S, Z, cost)
+    return path_i, path_j, cost
 
 
 def dtw_align(a, b, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +336,8 @@ def dtw_align(a, b, window: float) -> tuple[np.ndarray, np.ndarray]:
     Returns the two warped boolean sequences of equal (path) length.
     """
     x, y, step = _as_bool_pair(a, b)
-    if window != math.inf and window < step:
-        raise MetricError("window must be >= one step (or inf)")
     x, y = _pad_equal(x, y)
-    r = len(x) if window == math.inf else int(round(window / step))
+    r = _radius(window, step, len(x), "window must be >= one step (or inf)")
     pi, pj, _ = dtw_path(x, y, r)
     return x[pi], y[pj]
 
@@ -249,13 +355,12 @@ def compute_ape(a, b, window: float = 0.0) -> ApeReport:
         n_diff = int(np.count_nonzero(x != y))
         n_total = len(x)
     else:
-        if window != math.inf and window < step:
-            raise MetricError("window must be 0, >= one step, or inf")
+        r = _radius(window, step, len(x),
+                    "window must be 0, >= one step, or inf")
         if np.array_equal(x, y):
             # identical profiles align on the diagonal with zero cost
             n_diff, n_total = 0, len(x)
         else:
-            r = len(x) if window == math.inf else int(round(window / step))
             pi, pj, cost = dtw_path(x, y, r)
             n_diff = cost
             n_total = len(pi)
@@ -267,15 +372,7 @@ def mismatch_spans(a, b) -> list[tuple[float, float]]:
     """Contiguous [t_start, t_end) spans where the raw profiles disagree."""
     x, y, step = _as_bool_pair(a, b)
     x, y = _pad_equal(x, y)
-    diff = x != y
-    spans: list[tuple[float, float]] = []
-    start = None
-    for k, d in enumerate(diff):
-        if d and start is None:
-            start = k
-        elif not d and start is not None:
-            spans.append((start * step, k * step))
-            start = None
-    if start is not None:
-        spans.append((start * step, len(diff) * step))
-    return spans
+    diff = np.concatenate(([False], x != y, [False]))
+    edges = np.flatnonzero(diff[1:] != diff[:-1])
+    return list(zip((edges[0::2] * step).tolist(),
+                    (edges[1::2] * step).tolist()))

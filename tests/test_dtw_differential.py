@@ -1,0 +1,133 @@
+"""Differential tests: the run-length block DTW against the cell-level oracle.
+
+``dtw_path`` must return the oracle's exact ``(path_i, path_j, cost)``,
+tie-break included, because the path length is the APE denominator.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import dtw_oracle
+from ehsim import metrics
+from ehsim.app import ActivityProfile
+from ehsim.metrics import compute_ape, dtw_path, mismatch_spans
+
+
+def mismatch_spans_loop(a, b):
+    """The per-element loop that ``mismatch_spans`` replaced."""
+    x, y, step = metrics._as_bool_pair(a, b)
+    x, y = metrics._pad_equal(x, y)
+    diff = x != y
+    spans = []
+    start = None
+    for k, d in enumerate(diff):
+        if d and start is None:
+            start = k
+        elif not d and start is not None:
+            spans.append((start * step, k * step))
+            start = None
+    if start is not None:
+        spans.append((start * step, len(diff) * step))
+    return spans
+
+
+def _from_runs(lengths, first, n):
+    """Alternating on/off runs of the given lengths, cut or padded to n."""
+    values = np.arange(len(lengths)) % 2 == (0 if first else 1)
+    x = np.repeat(values, lengths)[:n]
+    return np.concatenate([x, np.full(n - len(x), x[-1] if len(x) else False)])
+
+
+@st.composite
+def sequence_pairs(draw, max_n=3000):
+    """(a, b): few long runs, a jittered copy, i.i.d. bits or toggling."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["runs", "jitter", "iid", "toggle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("runs", "jitter"):
+        runs = st.lists(st.integers(1, max(1, n // 2)), min_size=1,
+                        max_size=12)
+        a = _from_runs(draw(runs), draw(st.booleans()), n)
+        if kind == "runs":
+            b = _from_runs(draw(runs), draw(st.booleans()), n)
+        else:
+            b = np.roll(a, draw(st.integers(-40, 40)))
+            b ^= rng.random(n) < draw(st.sampled_from([0.0, 0.001, 0.01]))
+    elif kind == "iid":
+        a = rng.random(n) < 0.5
+        b = rng.random(n) < draw(st.floats(0.05, 0.95))
+    else:
+        a = np.arange(n) % 2 == draw(st.integers(0, 1))
+        b = np.arange(n) % 2 == draw(st.integers(0, 1))
+        b ^= rng.random(n) < 0.05
+    return a, b
+
+
+def radii(n):
+    return st.one_of(st.just(0), st.just(1), st.integers(2, 40),
+                     st.integers(n, n + 5))
+
+
+def assert_same_path(a, b, r):
+    want = dtw_oracle.dtw_path(a, b, r)
+    got = dtw_path(a, b, r)
+    assert got[2] == want[2]
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_dtw_path_matches_oracle(data):
+    a, b = data.draw(sequence_pairs())
+    assert_same_path(a, b, data.draw(radii(len(a))))
+
+
+def test_dtw_path_matches_oracle_on_long_run_profiles():
+    # several 2048-row boundaries, long diagonal and straight strides, and
+    # bands from one step to the whole grid: the shape of real day profiles
+    rng = np.random.default_rng(7)
+    for n, r in ((9000, 300), (5000, 5000), (6145, 64), (4097, 1)):
+        a = _from_runs(rng.integers(200, 3000, size=12), True, n)
+        b = np.roll(a, int(rng.integers(-250, 250)))
+        b[rng.integers(0, n, size=3)] ^= True
+        assert_same_path(a, b, r)
+        assert_same_path(a, ~a, r)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compute_ape_matches_oracle(data):
+    a, b = data.draw(sequence_pairs(max_n=1500))
+    step = data.draw(st.sampled_from([1.0, 0.2]))
+    cut = data.draw(st.integers(0, len(b) - 1))
+    pa = ActivityProfile(step_len=step, on_off=a,
+                         labels=np.zeros(len(a), dtype=np.int8))
+    pb = ActivityProfile(step_len=step, on_off=b[:len(b) - cut],
+                         labels=np.zeros(len(b) - cut, dtype=np.int8))
+    steps = data.draw(st.sampled_from([1, 2, 7, 40]))
+    for window in (steps * step, math.inf):
+        with mock.patch.object(metrics, "dtw_path", dtw_oracle.dtw_path):
+            want = compute_ape(pa, pb, window)
+        assert compute_ape(pa, pb, window) == want
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_mismatch_spans_match_loop(data):
+    a, b = data.draw(sequence_pairs(max_n=400))
+    b = b[:data.draw(st.integers(0, len(b)))]
+    step = data.draw(st.sampled_from([1.0, 0.2, 0.1, 1 / 3]))
+    pa = ActivityProfile(step_len=step, on_off=a,
+                         labels=np.zeros(len(a), dtype=np.int8))
+    pb = ActivityProfile(step_len=step, on_off=b,
+                         labels=np.zeros(len(b), dtype=np.int8))
+    want = mismatch_spans_loop(pa, pb)
+    got = mismatch_spans(pa, pb)
+    assert got == want
+    assert ([f"{lo:.10g},{hi:.10g}" for lo, hi in got]
+            == [f"{lo:.10g},{hi:.10g}" for lo, hi in want])

@@ -215,6 +215,18 @@ def test_finalize_residual_values_and_closure_guard():
         finalize_stack(bad, 0.5, False, sto)
 
 
+@pytest.mark.parametrize("ledger", [
+    EnergyLedger(harvest_input=math.nan),
+    EnergyLedger(harvest_input=1.0, converter_loss=math.nan),
+    EnergyLedger(harvest_input=math.inf),
+    EnergyLedger(harvest_input=math.inf, mppt_loss=math.inf),
+], ids=["nan_input", "nan_sink", "inf_input", "inf_input_and_sink"])
+def test_closure_guard_rejects_non_finite_ledger(ledger):
+    sto = StorageModel(capacitance=2.2, buffer_capacitance=0.0)
+    with pytest.raises(ClosureError):
+        finalize_stack(ledger, 0.0, False, sto)
+
+
 def test_resolution_guard_rejects_coarse_active_step():
     tr = flat_trace(100.0, 10.0)
     app = small_app(t_sample=0.01, t_comm=0.3)
