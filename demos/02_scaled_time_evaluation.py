@@ -6,7 +6,8 @@ The four-step workflow on the TMP1 benchmark:
   2. solve for the largest feasible time/power factor and the matching
      sampling-frequency factor,
   3. run the accelerated experiment (trace compressed and amplified,
-     sampling frequency raised),
+     sampling frequency raised; the plan also sets the engine options, so
+     st_sp_sn runs with skip-nights on),
   4. map the result back to the real-time axis and predict throughput.
 
 The same speed-up with unscaled power (st_up) keeps the charge/discharge
@@ -16,9 +17,9 @@ accuracy.
 """
 
 from ehsim import (EssConfig, ScalingPlan, SimConfig, StorageModel,
-                   build_experiment, compute_ape, preset, predict_throughput,
-                   profile_application, max_speedup, rescale_timeline,
-                   run_with_skip_nights, simulate, synthetic_solar_trace,
+                   build_experiment, compute_ape, preset, plan_sim_config,
+                   predict_throughput, profile_application, max_speedup,
+                   rescale_timeline, simulate, synthetic_solar_trace,
                    throughput_error)
 from ehsim.app import PRESETS
 
@@ -44,10 +45,7 @@ for mode in ("realtime", "st_up", "st_sp", "st_sp_sn"):
         s_f=1.0 if mode in ("realtime", "st_up") else s_f,
         s_i=s_i)
     tr_x, _, app_x = build_experiment(plan, trace, None, app)
-    if mode == "st_sp_sn":
-        res = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
-    else:
-        res = simulate(tr_x, None, ess, app_x, cfg)
+    res = simulate(tr_x, None, ess, app_x, plan_sim_config(plan, cfg))
     runs[mode] = (plan, res)
     print(f"step 3: ran {mode:9s} wall={res.wall_time_s:6.1f} s  "
           f"measured={res.throughput_bytes} B")

@@ -20,7 +20,8 @@ from .engine import (SimConfig, EnergyLedger, EnergyStack, EnergyStackProfile,
                      SimResult, simulate, run_with_skip_nights, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
-                      build_experiment, predict_throughput, rescale_timeline)
+                      build_experiment, plan_sim_config, predict_throughput,
+                      rescale_timeline)
 from .metrics import (ApeReport, throughput_error, dtw_align, compute_ape,
                       mismatch_spans)
 

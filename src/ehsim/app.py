@@ -316,9 +316,6 @@ class ActivityProfile:
     def duration(self) -> float:
         return len(self.on_off) * self.step_len
 
-    def label_names(self) -> list[str]:
-        return [PHASES[i] for i in self.labels]
-
 
 def sample_activity(timeline, duration: float | None = None,
                     step_len: float = 0.2) -> ActivityProfile:
@@ -413,7 +410,3 @@ def preset(name: str) -> AppSpec:
 
 def preset_irradiance_scale(name: str) -> float:
     return PRESETS[name.upper()][1]
-
-
-def preset_time_scale(name: str) -> int:
-    return PRESETS[name.upper()][2]

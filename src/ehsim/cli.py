@@ -26,8 +26,9 @@ from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
 from .scaling import (PlanError, PowerProfile, ScalingPlan, build_experiment,
-                      compute_sf, max_speedup, predict_throughput,
-                      profile_application, rescale_timeline)
+                      compute_sf, max_speedup, plan_sim_config,
+                      predict_throughput, profile_application,
+                      rescale_timeline)
 from .traces import TraceError
 
 _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
@@ -59,41 +60,54 @@ def _profile_from_dict(d: dict) -> PowerProfile:
 
 
 def _resolve_plan(cfg: HarnessConfig, app: AppSpec, s_i: float,
-                  mode_override: str | None,
-                  profile: PowerProfile | None = None
+                  mode_override: str | None, *, s_tp: str | None = None,
+                  profile_path: str | None = None, accelerate: bool = False
                   ) -> tuple[ScalingPlan, PowerProfile | None]:
-    """Build the scaling plan from the config block plus CLI override."""
-    block = dict(cfg.raw.get("plan", {}))
+    """Build the scaling plan from the config's plan block and CLI flags.
+
+    ``s_tp`` (``--s-tp``) overrides the block's target, a number or
+    ``"max"``; ``profile_path`` (``--profile``) replaces profiling the app.
+    With ``accelerate`` a realtime mode plans ``st_sp``. An explicit target
+    is checked against the schedulability bound and bound as "requested";
+    ``"max"`` takes the largest feasible scaled-power factor, which ``st_up``
+    runs with unscaled power.
+    """
+    block = cfg.raw.get("plan", {})
     mode = (mode_override or block.get("mode", "realtime")).replace("-", "_")
-    s_i = float(block.get("s_i", s_i))
+    if mode == "realtime" and accelerate:
+        mode = "st_sp"
     if mode == "realtime":
-        return ScalingPlan(mode="realtime", s_i=s_i), profile
-    target = block.get("s_tp", "max")
-    if mode == "st_up":
-        if target == "max":
-            raise PlanError("st_up needs an explicit s_tp")
-        return ScalingPlan(mode="st_up", s_tp=float(target), s_i=s_i), profile
-    if profile is None:
+        return ScalingPlan(mode="realtime", s_i=s_i), None
+    target = s_tp or block.get("s_tp", "max")
+    if mode == "st_up" and target != "max":
+        return ScalingPlan(mode="st_up", s_tp=float(target), s_i=s_i,
+                           binding="requested"), None
+    if profile_path:
+        with open(profile_path, "r", encoding="utf-8") as fh:
+            profile = _profile_from_dict(json.load(fh))
+    else:
         profile = _profile_from_config(cfg, app)
     if target == "max":
         s_tp, s_f, binding = max_speedup(profile, app)
-        return (ScalingPlan(mode=mode, s_tp=s_tp, s_f=s_f, s_i=s_i,
-                            binding=binding), profile)
-    s_f = block.get("s_f")
-    if s_f is None:
-        s_f = compute_sf(profile, float(target))
-    return (ScalingPlan(mode=mode, s_tp=float(target), s_f=float(s_f),
-                        s_i=s_i), profile)
+    else:
+        s_tp, binding = float(target), "requested"
+        s_f = compute_sf(profile, s_tp)
+        bound = app.t_sample_period / app.min_sample_period
+        if s_f > bound * (1 + 1e-12):
+            raise PlanError(
+                f"s_tp={s_tp:g} needs s_f={s_f:.4g} which exceeds the "
+                f"schedulability bound {bound:.4g}")
+    if mode == "st_up":
+        s_f = 1.0
+    return (ScalingPlan(mode=mode, s_tp=s_tp, s_f=s_f, s_i=s_i,
+                        binding=binding), profile)
 
 
 def _run_experiment(trace, events, ess, app, sim_cfg, plan: ScalingPlan,
                     config_hash: str) -> SimResult:
     trace_x, events_x, app_x = build_experiment(plan, trace, events, app)
-    cfg = sim_cfg
-    if plan.mode == "st_sp_sn":
-        cfg = replace(cfg, skip_nights=True)
-    return simulate(trace_x, events_x, ess, app_x, cfg,
-                    config_hash=config_hash)
+    return simulate(trace_x, events_x, ess, app_x,
+                    plan_sim_config(plan, sim_cfg), config_hash=config_hash)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -101,6 +115,13 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_plan(out: str, plan: ScalingPlan, profile: PowerProfile | None,
+                config_hash: str) -> None:
+    _write_json(os.path.join(out, "plan.json"),
+                {**plan.as_dict(), "config_hash": config_hash,
+                 **({"profile": _profile_to_dict(profile)} if profile else {})})
 
 
 def cmd_simulate(args) -> int:
@@ -114,9 +135,7 @@ def cmd_simulate(args) -> int:
     result = _run_experiment(trace, events, ess, app, sim_cfg, plan, cfg.hash)
     out = args.out or "out"
     save_result(result, out)
-    _write_json(os.path.join(out, "plan.json"),
-                {**plan.as_dict(), "config_hash": cfg.hash,
-                 **({"profile": _profile_to_dict(profile)} if profile else {})})
+    _write_plan(out, plan, profile, cfg.hash)
     led = result.stack.ledger
     print(f"simulate[{plan.mode}] throughput={result.throughput_bytes}B "
           f"harvest={led.harvest_input:.3f}J sss={led.sss_total:.3f}J "
@@ -143,34 +162,10 @@ def cmd_profile(args) -> int:
 def cmd_plan(args) -> int:
     cfg = load_config(args.config)
     app, s_i = build_app(cfg)
-    if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            profile = _profile_from_dict(json.load(fh))
-    else:
-        profile = _profile_from_config(cfg, app)
-    target = args.s_tp or cfg.raw.get("plan", {}).get("s_tp", "max")
-    mode = (args.mode or cfg.raw.get("plan", {}).get("mode", "st_sp"))
-    mode = mode.replace("-", "_")
-    if mode == "realtime":
-        mode = "st_sp"  # planning is about acceleration
-    if target == "max":
-        s_tp, s_f, binding = max_speedup(profile, app)
-    else:
-        s_tp = float(target)
-        s_f = compute_sf(profile, s_tp)
-        bound = app.t_sample_period / app.min_sample_period
-        if s_f > bound * (1 + 1e-12):
-            raise PlanError(
-                f"s_tp={s_tp:g} needs s_f={s_f:.4g} which exceeds the "
-                f"schedulability bound {bound:.4g}")
-        binding = "requested"
-    if mode == "st_up":
-        s_f = 1.0
-    plan = ScalingPlan(mode=mode, s_tp=s_tp, s_f=s_f, s_i=s_i, binding=binding)
+    plan, profile = _resolve_plan(cfg, app, s_i, args.mode, s_tp=args.s_tp,
+                                  profile_path=args.profile, accelerate=True)
     out = args.out or "out"
-    _write_json(os.path.join(out, "plan.json"),
-                {**plan.as_dict(), "config_hash": cfg.hash,
-                 "profile": _profile_to_dict(profile)})
+    _write_plan(out, plan, profile, cfg.hash)
     print(f"plan mode={plan.mode} s_tp={plan.s_tp:g} s_f={plan.s_f:.4g} "
           f"s_i={plan.s_i:g} binding={plan.binding} -> {out}/plan.json")
     return 0

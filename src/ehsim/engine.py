@@ -11,6 +11,14 @@ dips, boot edges) and a coarse step covers quiescent spans, with every step
 clipped to the next application transition, trace sample, event, or
 aggregation boundary. Runs are deterministic: identical inputs produce
 identical results.
+
+Profiling runs (``SimConfig.supply_override``) take the same step loop with
+an ideal source as the supply model: the source pins the bus at the given
+voltage and delivers exactly what the load draws, through a lossless
+converter that never switches off. Harvester, MPPT and storage are skipped,
+so there are no fine or crossing-clipped steps, and the run stops at the
+trace end. The source's energy is booked as the run's input
+(``harvest_input``), so a profiling ledger closes like any other.
 """
 
 from __future__ import annotations
@@ -26,9 +34,10 @@ from .app import (
     AppSpec, AppState, ActivityProfile, app_step, time_to_transition,
 )
 from .ess import (
-    EssConfig, EssState, MODE_SATURATED, converter_next_state,
-    harvester_mpp_power, harvester_power, mppt_next_mode, mppt_step,
-    residual_energy, solve_load_current, storage_step,
+    ConverterModel, EfficiencyCurve, EssConfig, EssState, MODE_SATURATED,
+    converter_next_state, harvester_mpp_power, harvester_power,
+    mppt_next_mode, mppt_step, residual_energy, solve_load_current,
+    storage_step,
 )
 from .traces import EventTrace, IrradianceTrace, find_dark_segments
 
@@ -94,6 +103,9 @@ class SimConfig:
                               "of dt_quiescent")
         if self.end_policy not in ("hard_stop", "drain_until_converter_off"):
             raise ConfigError(f"unknown end_policy {self.end_policy!r}")
+        if self.supply_override is not None and not (
+                math.isfinite(self.supply_override) and self.supply_override > 0):
+            raise ConfigError("supply_override must be a finite voltage > 0")
 
 
 @dataclass
@@ -232,36 +244,27 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
 class _Bins:
     """Growable per-aggregation-step accumulators."""
 
-    __slots__ = ("step", "n", "cap", "harvest", "mppt", "conv", "soc", "sensor",
-                 "sdelta", "on_s", "labels", "volt_t", "volt_v")
+    _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
+                "volt_t", "volt_v", "labels")
+    __slots__ = _COLUMNS + ("n", "cap")
 
-    def __init__(self, step: float, n_nominal: int):
-        self.step = step
+    def __init__(self, n_nominal: int):
         self.n = 0
         self.cap = max(n_nominal + 8, 16)
-        self._alloc(self.cap)
-
-    def _alloc(self, cap: int) -> None:
-        for name in ("harvest", "mppt", "conv", "soc", "sensor", "sdelta",
-                     "on_s", "volt_t", "volt_v"):
-            setattr(self, name, np.zeros(cap))
-        self.labels = np.zeros(cap, dtype=np.int8)
+        for name in self._COLUMNS:
+            dtype = np.int8 if name == "labels" else np.float64
+            setattr(self, name, np.zeros(self.cap, dtype=dtype))
 
     def ensure(self, need: int) -> bool:
         """Grow to hold ``need`` rows; True if arrays were reallocated."""
         if need <= self.cap:
             return False
-        new_cap = max(need, self.cap * 2)
-        for name in ("harvest", "mppt", "conv", "soc", "sensor", "sdelta",
-                     "on_s", "volt_t", "volt_v"):
+        self.cap = max(need, self.cap * 2)
+        for name in self._COLUMNS:
             arr = getattr(self, name)
-            out = np.zeros(new_cap, dtype=arr.dtype)
+            out = np.zeros(self.cap, dtype=arr.dtype)
             out[:self.n] = arr[:self.n]
             setattr(self, name, out)
-        lab = np.zeros(new_cap, dtype=np.int8)
-        lab[:self.n] = self.labels[:self.n]
-        self.labels = lab
-        self.cap = new_cap
         return True
 
 
@@ -274,25 +277,25 @@ def _resolution_guard(app: AppSpec, cfg: SimConfig) -> None:
 
 
 def simulate(trace: IrradianceTrace, events: EventTrace | None,
-             ess: EssConfig, app: AppSpec, cfg: SimConfig,
+             ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
              *, run_id: str = "", config_hash: str = "") -> SimResult:
     """Run one deterministic simulation over the trace.
 
-    With ``cfg.supply_override`` set, the supply chain is bypassed and the
-    application runs from that constant voltage (profiling mode). With
-    ``end_policy == 'drain_until_converter_off'`` the run extends past the
-    trace end, on zero input, until the converter switches off; the stored
-    remainder is then booked as storage residual.
+    With ``cfg.supply_override`` set, an ideal source at that voltage
+    replaces the supply chain (profiling mode; ``ess`` may then be None):
+    the application runs powered from the trace start to the trace end, the
+    source delivers exactly the load's draw, and the ledger books that
+    energy as ``harvest_input`` and closes on the application's consumption.
+    Otherwise, with ``end_policy == 'drain_until_converter_off'`` the run
+    extends past the trace end, on zero input, until the converter switches
+    off; the stored remainder is then booked as storage residual.
     """
     _resolution_guard(app, cfg)
     if events is not None and len(events.t) and (
             events.t[0] < trace.t[0] - 1e-9 or events.t[-1] > trace.t[-1] + 1e-9):
         raise ConfigError("event times must lie within the trace span")
     t_wall0 = time.perf_counter()
-    if cfg.supply_override is not None:
-        result = _run_constant_supply(trace, events, app, cfg, run_id, config_hash)
-    else:
-        result = _run_full(trace, events, ess, app, cfg, run_id, config_hash)
+    result = _run_full(trace, events, ess, app, cfg, run_id, config_hash)
     return replace(result, wall_time_s=time.perf_counter() - t_wall0)
 
 
@@ -311,8 +314,15 @@ def run_with_skip_nights(trace: IrradianceTrace, events: EventTrace | None,
 
 
 def _run_full(trace: IrradianceTrace, events: EventTrace | None,
-              ess: EssConfig, app: AppSpec, cfg: SimConfig,
+              ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
               run_id: str, config_hash: str) -> SimResult:
+    # Profiling: an ideal source pins the bus at the supply voltage and
+    # feeds the load through a lossless converter that never switches off.
+    ideal = cfg.supply_override is not None
+    if ideal:
+        v_supply = float(cfg.supply_override)
+        ess = replace(ess or EssConfig(), converter=ConverterModel(
+            v_on=v_supply, v_off=0.0, efficiency=EfficiencyCurve.flat(1.0)))
     harv, mppt, sto, conv = ess.harvester, ess.mppt, ess.storage, ess.converter
     agg = cfg.aggregation_step
     dt_fine = cfg.dt_active
@@ -320,7 +330,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     t0 = float(trace.t[0])
     t_end = float(trace.t[-1])
     duration = t_end - t0
-    bins = _Bins(agg, int(math.ceil(duration / agg - 1e-9)))
+    bins = _Bins(int(math.ceil(duration / agg - 1e-9)))
 
     linear_harvester = harv.model_kind == "linear_mpp"
     k_mpp = harv.k_mpp if linear_harvester else 0.0
@@ -336,11 +346,26 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     # coarse step, which stays well under the aggregation cadence.
     fine_window = max(8.0 * dt_fine, 6.0 * R * Cb)
     quadratic_bus = Cb == 0.0 and R > 0.0
+    stop_at_end = cfg.end_policy == "hard_stop"
 
     state = EssState.initial(ess)
     v_cap = state.v_cap
     v_bus = state.v_bus
     conv_on = state.converter_on
+    tr_t = trace.t
+    tr_g = trace.g
+    tr_idx = 0
+    n_tr = len(tr_t)
+    if ideal:
+        # Nothing is stored behind the source: no transients to resolve
+        # finely, no threshold crossings to clip onto, nothing to strand.
+        # The trace only sets the run's span, so its samples clip no step.
+        v_cap = v_bus = v_supply
+        conv_on = True
+        C = Cb = R = 0.0
+        fine_window = 0.0
+        n_tr = 1
+        stop_at_end = True
     app_state = AppState()
     ledger = EnergyLedger()
     ledger.initial_storage = 0.5 * C * v_cap * v_cap + 0.5 * Cb * v_bus * v_bus
@@ -359,11 +384,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     observed_total = 0
     detected_at_event = 0
     event_log: list[tuple[float, int]] = []
-
-    tr_t = trace.t
-    tr_g = trace.g
-    tr_idx = 0
-    n_tr = len(tr_t)
 
     t = t0
     bin_idx = 0
@@ -393,7 +413,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     while True:
         draining = t >= t_end - 1e-9
-        if draining and (cfg.end_policy == "hard_stop" or not conv_on
+        if draining and (stop_at_end or not conv_on
                          or t >= extension_deadline):
             break
 
@@ -420,11 +440,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     stop = min(seg_hi, nxt, t_end)
                     stop_b = t0 + math.floor((stop - t0) / agg + 1e-9) * agg
                     if stop_b > t + agg - 1e-9:
-                        if bins.ensure(bin_idx + int(round((stop_b - t) / agg)) + 1):
-                            b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
-                            b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-                            b_on, b_labels = bins.on_s, bins.labels
-                            b_vt, b_vv = bins.volt_t, bins.volt_v
+                        # A skip ends by the trace end, so its rows fit in
+                        # the bins allocated up front.
                         ledger.storage_loss_leak = e_leak_tot
                         v_cap, v_bus, t, bin_idx = _skip_span(
                             t, stop_b, v_cap, v_bus, sto, app, ledger, sss,
@@ -477,24 +494,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         if dt < 1e-9:
             dt = 1e-9
 
-        # Harvest through the MPPT.
-        g = 0.0 if draining else tr_g[tr_idx]
-        state.v_cap = v_cap
-        if g > 0.0:
-            if linear_harvester:
-                p_mpp = k_mpp * g
-            else:
-                nm = mppt_next_mode(mppt, state.mppt_mode, v_cap)
-                if nm == "bypass":
-                    p_mpp = harvester_power(harv, g, v_cap)
-                else:
-                    p_mpp = harvester_mpp_power(harv, g)
-            p_sto, p_mloss, mode = mppt_step(mppt, state, p_mpp, dt)
-            state.mppt_mode = mode
-        else:
-            p_mpp = p_sto = p_mloss = 0.0
-            state.mppt_mode = mppt_next_mode(mppt, state.mppt_mode, v_cap)
-
         # Application under the converter's power-good signal.
         app_state, p_load, label, bytes_out = app_step(
             app, app_state, conv_on, v_cap, pending, dt)
@@ -514,28 +513,53 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             p_load = p_off if v_bus > _V_DEAD else 0.0
             p_drawn = p_load
 
-        bus_collapse = False
-        if quadratic_bus:
-            i_out = solve_load_current(v_cap, R, p_drawn)
-            if p_drawn * dt - (v_cap - R * i_out) * i_out * dt > 1e-15:
-                # Demand exceeds the maximum power the ESR lets through:
-                # no stable operating point, the bus loses regulation.
-                bus_collapse = True
+        if ideal:
+            # The source delivers exactly the draw and holds the bus.
+            p_mpp = p_sto = p_drawn
+            p_mloss = e_leak = e_esr = i_out = 0.0
+            v_cap_new = v_cap
+            v_bus_new = v_bus
         else:
-            i_out = p_drawn / v_bus if v_bus > 1e-9 else 0.0
+            # Harvest through the MPPT.
+            g = 0.0 if draining else tr_g[tr_idx]
+            state.v_cap = v_cap
+            if g > 0.0:
+                if linear_harvester:
+                    p_mpp = k_mpp * g
+                else:
+                    nm = mppt_next_mode(mppt, state.mppt_mode, v_cap)
+                    if nm == "bypass":
+                        p_mpp = harvester_power(harv, g, v_cap)
+                    else:
+                        p_mpp = harvester_mpp_power(harv, g)
+                p_sto, p_mloss, mode = mppt_step(mppt, state, p_mpp, dt)
+                state.mppt_mode = mode
+            else:
+                p_mpp = p_sto = p_mloss = 0.0
+                state.mppt_mode = mppt_next_mode(mppt, state.mppt_mode, v_cap)
 
-        v_cap_new, e_leak, e_esr, v_bus_new = storage_step(
-            sto, v_cap, p_sto, i_out, dt, v_bus_prev=v_bus)
-        if bus_collapse:
-            v_bus_new = 0.0
+            bus_collapse = False
+            if quadratic_bus:
+                i_out = solve_load_current(v_cap, R, p_drawn)
+                if p_drawn * dt - (v_cap - R * i_out) * i_out * dt > 1e-15:
+                    # Demand exceeds the maximum power the ESR lets through:
+                    # no stable operating point, the bus loses regulation.
+                    bus_collapse = True
+            else:
+                i_out = p_drawn / v_bus if v_bus > 1e-9 else 0.0
 
-        # Saturation: curtail whatever would push the storage past v_max.
-        if v_cap_new > v_max:
-            excess = 0.5 * C * (v_cap_new * v_cap_new - v_max * v_max)
-            v_cap_new = v_max
-            p_mloss += excess / dt
-            p_sto -= excess / dt
-            state.mppt_mode = MODE_SATURATED
+            v_cap_new, e_leak, e_esr, v_bus_new = storage_step(
+                sto, v_cap, p_sto, i_out, dt, v_bus_prev=v_bus)
+            if bus_collapse:
+                v_bus_new = 0.0
+
+            # Saturation: curtail whatever would push the storage past v_max.
+            if v_cap_new > v_max:
+                excess = 0.5 * C * (v_cap_new * v_cap_new - v_max * v_max)
+                v_cap_new = v_max
+                p_mloss += excess / dt
+                p_sto -= excess / dt
+                state.mppt_mode = MODE_SATURATED
 
         # Energy bookings. What the storage node actually supplied closes
         # the balance exactly; any gap versus the nominal draw (bus sag,
@@ -616,7 +640,9 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     ledger.storage_loss_esr = e_esr_tot
     ledger.converter_loss = e_conv_tot
 
-    stack = finalize_stack(ledger, v_cap, conv_on, sto, v_bus_final=v_bus,
+    # An ideal source stores nothing, so it strands nothing.
+    v_left, v_bus_left = (0.0, 0.0) if ideal else (v_cap, v_bus)
+    stack = finalize_stack(ledger, v_left, conv_on, sto, v_bus_final=v_bus_left,
                            duration_s=t - t0, run_id=run_id,
                            config_hash=config_hash)
     return _package(stack, bins, app_state, total_bytes, observed_total,
@@ -685,95 +711,6 @@ def _skip_span(t: float, stop: float, v_cap: float, v_bus: float,
 
     v_end = math.sqrt(2.0 * e_end / c_eff)
     return v_end, v_end, stop, bin_idx + n_span
-
-
-def _run_constant_supply(trace: IrradianceTrace, events: EventTrace | None,
-                         app: AppSpec, cfg: SimConfig, run_id: str,
-                         config_hash: str) -> SimResult:
-    """Profiling mode: the application runs from a constant supply."""
-    agg = cfg.aggregation_step
-    v_const = float(cfg.supply_override)
-    t0 = float(trace.t[0])
-    t_end = float(trace.t[-1])
-    bins = _Bins(agg, int(math.ceil((t_end - t0) / agg - 1e-9)))
-    ledger = EnergyLedger()
-    sss = ledger.sss_by_activity
-    app_state = AppState()
-    ev_t = events.t if events is not None else np.empty(0)
-    n_events = len(ev_t)
-    ev_idx = 0
-    pending = False
-    pending_count = 0
-    observed_total = 0
-    detected_at_event = 0
-    event_log: list[tuple[float, int]] = []
-    bin_label_s = [0.0] * len(PHASES)
-    t = t0
-    bin_idx = 0
-    total_bytes = 0
-    on_time = 0.0
-    sensor_frac = app.sensor_fraction_sampling
-
-    while t < t_end - 1e-9:
-        while ev_idx < n_events and ev_t[ev_idx] <= t + 1e-9:
-            pending = True
-            pending_count += 1
-            app_state.events_offered += 1
-            event_log.append((float(ev_t[ev_idx]), 1))
-            detected_at_event += 1
-            ev_idx += 1
-        t_next = t0 + (bin_idx + 1) * agg
-        if t_end < t_next:
-            t_next = t_end
-        if ev_idx < n_events and ev_t[ev_idx] < t_next:
-            t_next = ev_t[ev_idx]
-        ttt = time_to_transition(app, app_state, True)
-        dt = min(cfg.dt_quiescent, t_next - t, ttt)
-        if dt < 1e-9:
-            dt = 1e-9
-        app_state, p_load, label, bytes_out = app_step(
-            app, app_state, True, v_const, pending, dt)
-        total_bytes += bytes_out
-        if app_state.event_observed:
-            observed_total += pending_count
-            pending = False
-            pending_count = 0
-        e_load = p_load * dt
-        sss[_PHASE_TO_ACTIVITY[label]] += e_load
-        if label == PHASE_SAMPLING:
-            e_sens = e_load * sensor_frac
-            bins.sensor[bin_idx] += e_sens
-            bins.soc[bin_idx] += e_load - e_sens
-        else:
-            bins.soc[bin_idx] += e_load
-        bin_label_s[PHASE_INDEX[label]] += dt
-        bins.on_s[bin_idx] += dt
-        on_time += dt
-        t += dt
-        if t >= t0 + (bin_idx + 1) * agg - 1e-9:
-            mx = max(bin_label_s)
-            bins.labels[bin_idx] = bin_label_s.index(mx) if mx > 0.0 else 0
-            bins.volt_t[bin_idx] = (bin_idx + 1) * agg
-            bins.volt_v[bin_idx] = v_const
-            for k in range(len(bin_label_s)):
-                bin_label_s[k] = 0.0
-            bin_idx += 1
-            bins.n = bin_idx
-            bins.ensure(bin_idx + 1)
-
-    if max(bin_label_s) > 0.0:
-        mx = max(bin_label_s)
-        bins.labels[bin_idx] = bin_label_s.index(mx)
-        bins.volt_t[bin_idx] = (bin_idx + 1) * agg
-        bins.volt_v[bin_idx] = v_const
-        bins.n = bin_idx + 1
-
-    # Constant-supply runs have no harvest: the ledger holds SSS energy only.
-    stack = EnergyStack(ledger=ledger, duration_s=t - t0, run_id=run_id,
-                        config_hash=config_hash)
-    return _package(stack, bins, app_state, total_bytes, observed_total,
-                    detected_at_event, on_time, t - t0, v_const, True,
-                    event_log, agg)
 
 
 def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,

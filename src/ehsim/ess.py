@@ -150,11 +150,6 @@ def _clamp_grid_voltage(model: HarvesterModel, v: float) -> float:
     return v
 
 
-def _iv_current(model: HarvesterModel, g: float, v: float) -> float:
-    v = _clamp_grid_voltage(model, v)
-    return float(np.interp(v, model.iv_voltage, _iv_row(model, g)))
-
-
 def harvester_power(model: HarvesterModel, g: float, v_operating: float = 0.0) -> float:
     """Extracted power at the given irradiance and operating voltage."""
     if g < 0:

@@ -14,8 +14,9 @@ active time ``ta``. The scaled-time/unscaled-power scheme (``st_up``) keeps
 power untouched and instead multiplies measured throughput by ``s_tp``.
 
 The workflow: profile the app at a constant supply, compute ``s_f`` (or the
-largest feasible ``s_tp``), build the scaled experiment, run it, then map
-results back to the real-time axis and predict real-time throughput.
+largest feasible ``s_tp``), build the scaled experiment and its engine
+settings (:func:`build_experiment`, :func:`plan_sim_config`), run it, then
+map results back to the real-time axis and predict real-time throughput.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "scaled_average_power",
     "max_speedup",
     "build_experiment",
+    "plan_sim_config",
     "predict_throughput",
     "rescale_timeline",
 ]
@@ -116,9 +118,10 @@ def profile_application(app: AppSpec, duration: float = 3600.0, *,
                         aggregation_step: float = 0.2) -> PowerProfile:
     """Profile the application at a constant supply voltage.
 
-    Runs the engine with the supply chain bypassed and extracts the average
-    active and idle power, the timing parameters, and the produced
-    throughput. ``duration`` must cover at least one application period.
+    Runs the engine on an ideal source at ``supply_v`` in place of the
+    supply chain and extracts the average active and idle power, the timing
+    parameters, and the produced throughput. ``duration`` must cover at
+    least one application period.
     """
     if duration < app.t_app_period:
         raise PlanError(
@@ -226,10 +229,20 @@ def build_experiment(plan: ScalingPlan, trace: IrradianceTrace,
         ev = transform_events(events, plan.s_tp) if events is not None else None
         return apply_transform(trace, tf), ev, app
     tf = TraceTransform(time_scale=plan.s_tp,
-                        amplitude_scale=plan.s_i * plan.s_tp,
-                        skip_nights=plan.mode == "st_sp_sn")
+                        amplitude_scale=plan.s_i * plan.s_tp)
     ev = transform_events(events, plan.s_tp) if events is not None else None
     return apply_transform(trace, tf), ev, apply_frequency_scaling(app, plan.s_f)
+
+
+def plan_sim_config(plan: ScalingPlan, cfg: SimConfig) -> SimConfig:
+    """Engine settings a plan runs with: ``st_sp_sn`` turns skip-nights on.
+
+    Every other mode runs with ``cfg`` unchanged. It pairs with
+    :func:`build_experiment`, which scales the trace, events and app.
+    """
+    if plan.mode == "st_sp_sn":
+        return replace(cfg, skip_nights=True)
+    return cfg
 
 
 def predict_throughput(plan: ScalingPlan, result: SimResult,

@@ -69,6 +69,8 @@ class IrradianceTrace:
             raise TraceError("t and g must be 1-D arrays of equal length")
         if len(t) < 2:
             raise TraceError("trace needs at least two samples (duration > 0)")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
+            raise TraceError("timestamps and irradiance must be finite")
         if not np.all(np.diff(t) > 0):
             raise TraceError("timestamps must be strictly increasing")
         if np.any(g < 0):
@@ -124,13 +126,11 @@ class TraceTransform:
     ``time_scale`` compresses the time axis (replay at time_scale x real
     speed); ``amplitude_scale`` multiplies irradiance. For an energy-neutral
     accelerated replay the two are equal; an additional panel-size scaler
-    folds into ``amplitude_scale``. ``skip_nights`` marks that zero-input
-    spans may be fast-forwarded by the engine while the load is off.
+    folds into ``amplitude_scale``.
     """
 
     time_scale: float = 1.0
     amplitude_scale: float = 1.0
-    skip_nights: bool = False
 
     def __post_init__(self):
         if self.time_scale < 1.0:
@@ -170,6 +170,8 @@ def parse_irradiance(source, *, delimiter: str | None = None,
             g_val = float(parts[1])
         except ValueError:
             raise TraceParseError(f"non-numeric value in {line!r}", lineno) from None
+        if not (math.isfinite(t_val) and math.isfinite(g_val)):
+            raise TraceParseError(f"non-finite value in {line!r}", lineno)
         if g_val < 0:
             raise TraceParseError(f"negative irradiance {g_val}", lineno)
         if ts and t_val <= ts[-1]:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -228,3 +229,64 @@ def test_cli_mode_flag_overrides_config(tmp_path):
     plan = json.loads((out / "plan.json").read_text())
     assert plan["mode"] == "st_up"
     assert plan["s_f"] == 1.0
+
+
+PLAN_KEYS = ("mode", "s_tp", "s_f", "s_i", "binding")
+
+
+def _plan_fields(path):
+    plan = json.loads(path.read_text())
+    return {k: plan[k] for k in PLAN_KEYS}
+
+
+@pytest.mark.parametrize("mode, target, binding", [
+    ("st_sp", "max", "schedulability"),
+    ("st_sp", 2, "requested"),
+    ("st_up", "max", "schedulability"),
+    ("st_up", 2, "requested"),
+])
+def test_cmd_plan_and_simulate_resolve_the_same_plan(tmp_path, mode, target,
+                                                     binding):
+    cfg = write_fixture_config(tmp_path, extra={
+        "plan": {"mode": mode, "s_tp": target, "s_i": 1.0}})
+    assert main(["plan", "--config", str(cfg), "--out",
+                 str(tmp_path / "plan")]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "sim")]) == 0
+    planned = _plan_fields(tmp_path / "plan" / "plan.json")
+    assert planned == _plan_fields(tmp_path / "sim" / "plan.json")
+    assert planned["mode"] == mode
+    assert planned["s_tp"] == (3 if target == "max" else 2)
+    assert planned["binding"] == binding
+    if mode == "st_up":
+        assert planned["s_f"] == 1.0
+
+
+def test_infeasible_explicit_s_tp_exits_2_from_plan_and_simulate(tmp_path,
+                                                                 capsys):
+    cfg = write_fixture_config(tmp_path, extra={
+        "plan": {"mode": "st_sp", "s_tp": 50, "s_i": 1.0}})
+    capsys.readouterr()
+    for command in ("plan", "simulate"):
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / command)]) == 2
+        assert "schedulability" in capsys.readouterr().err
+    assert not (tmp_path / "simulate" / "result.json").exists()
+
+
+@pytest.mark.parametrize("row", ["60,nan", "60,inf", "inf,1"])
+def test_cmd_simulate_rejects_non_finite_trace(tmp_path, row):
+    cfg = write_fixture_config(tmp_path)
+    (tmp_path / "trace.csv").write_text(f"0,0\n30,1\n{row}\n")
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("volts", [math.nan, math.inf, -1.0, 0.0])
+def test_cmd_simulate_rejects_bad_supply_override(tmp_path, volts):
+    cfg = write_fixture_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["sim"]["supply_override"] = volts
+    cfg.write_text(json.dumps(raw))  # NaN and Infinity as Python's json spells them
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2

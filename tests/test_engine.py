@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehsim.app import AppSpec, preset
+from ehsim.app import PHASE_INDEX, AppSpec, preset
 from ehsim.engine import (
     ClosureError, ConfigError, EnergyLedger, SimConfig, finalize_stack,
     run_with_skip_nights, simulate,
@@ -49,6 +49,61 @@ def test_constant_supply_profiling_byte_count():
     res = simulate(tr, None, None, preset("TMP1"), cfg)
     assert res.throughput_bytes == 2160
     assert res.activity.on_off.all()
+
+
+@pytest.mark.parametrize("end_policy", ["hard_stop", "drain_until_converter_off"])
+def test_constant_supply_reactive_run_matches_recorded(end_policy):
+    # Figures recorded from the dedicated constant-supply loop that the
+    # ideal-source supply model replaced; they must hold bit for bit. The
+    # irradiance changes every minute: the source ignores it, so its samples
+    # clip no step, and the run stops at the trace end under either policy.
+    t = np.arange(31) * 60.0
+    t[1:-1] += 7.77  # samples off the aggregation grid
+    tr = IrradianceTrace(t=t, g=(np.arange(31) * 37 % 11) * 50.0)
+    ev = EventTrace(t=np.array([0.0, 100.05, 130.0, 359.93, 1000.0, 1700.01,
+                                1800.0]))
+    cfg = SimConfig(supply_override=3.3, dt_quiescent=0.2,
+                    end_policy=end_policy)
+    res = simulate(tr, ev, None, preset("PARKING"), cfg)
+    assert res.throughput_bytes == 60
+    assert res.duration_s == 1800.0
+    # every delivered event finds the node powered; the one at the trace
+    # end is never delivered
+    np.testing.assert_array_equal(res.event_log, [
+        [0.0, 1], [100.05, 1], [130.0, 1], [359.93, 1], [1000.0, 1],
+        [1700.01, 1]])
+    assert len(res.activity) == 9000
+    assert res.activity.on_off.all()
+    labels = np.full(9000, PHASE_INDEX["idle"])
+    labels[0] = PHASE_INDEX["communicating"]  # boot, sample, event report
+    np.testing.assert_array_equal(res.activity.labels, labels)
+    assert res.stack.ledger.sss_by_activity == {
+        "off": 0.0, "boot": 0.0004, "sampling_processing": 0.019200000000000002,
+        "communicating": 0.005999999999999999, "backup_restore": 0.0,
+        "idle": 0.009501847046999608}
+
+
+def test_constant_supply_ledger_closes_on_the_source_energy():
+    tr = flat_trace(3600.0, 0.0)
+    cfg = SimConfig(supply_override=3.3, dt_quiescent=0.2,
+                    end_policy="hard_stop")
+    res = simulate(tr, None, None, preset("TMP1"), cfg)
+    led = res.stack.ledger
+    # the source delivers exactly what the application consumes
+    assert led.sss_total > 9.0
+    assert abs(led.closure_error()) <= 1e-12 * led.sss_total
+    assert led.initial_storage == led.storage_residual == 0.0
+    assert led.mppt_loss == led.storage_loss == led.converter_loss == 0.0
+    prof = res.profile
+    np.testing.assert_array_equal(prof.storage_delta, 0.0)
+    np.testing.assert_allclose(prof.harvest, prof.soc_energy + prof.sensor_energy,
+                               rtol=1e-12, atol=0)
+    # the source replaces the chain: a lossy one changes nothing
+    lossy = EssConfig(storage=StorageModel(capacitance=0.1, esr=3.0,
+                                           leak_resistance=1e3, v_init=0.0))
+    again = simulate(tr, None, lossy, preset("TMP1"), cfg)
+    assert again.stack.as_dict() == res.stack.as_dict()
+    np.testing.assert_array_equal(again.profile.harvest, prof.harvest)
 
 
 def test_ideal_configuration_conserves_energy():
@@ -249,6 +304,12 @@ def test_sim_config_validation():
         SimConfig(aggregation_step=0.25, dt_quiescent=0.1)
     with pytest.raises(ConfigError):
         SimConfig(end_policy="whenever")
+
+
+@pytest.mark.parametrize("volts", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_sim_config_rejects_bad_supply_override(volts):
+    with pytest.raises(ConfigError, match="supply_override"):
+        SimConfig(supply_override=volts)
 
 
 def test_reactive_detection_counts():

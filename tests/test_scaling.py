@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehsim.app import AppSpec, preset
-from ehsim.engine import SimConfig, simulate
+from ehsim.app import PRESETS, AppSpec, preset
+from ehsim.engine import SimConfig, run_with_skip_nights, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
-    max_speedup, predict_throughput, profile_application, rescale_timeline,
-    scaled_average_power,
+    max_speedup, plan_sim_config, predict_throughput, profile_application,
+    rescale_timeline, scaled_average_power,
 )
-from ehsim.ess import EssConfig
+from ehsim.ess import EssConfig, StorageModel
 from ehsim.traces import EventTrace, synthetic_solar_trace
 
 
@@ -39,6 +39,30 @@ def test_profile_deterministic():
     a = profile_application(app, 1800.0)
     b = profile_application(app, 1800.0)
     assert a == b
+
+
+# (p_active_avg, p_idle_avg, theta_profiling) of a one-hour profile at 3.3 V,
+# recorded from the dedicated constant-supply loop that the engine's
+# ideal-source supply model replaced.
+RECORDED_PROFILES = {
+    "TMP1": (0.00234999999999991, 0.00033569378333338224, 2160),
+    "TMP2": (0.0016749999999999103, 0.0007114330708335541, 72),
+    "IMU": (0.0009000000000000135, 0.000517424378055586, 2160),
+    "PMS": (0.00059500000000001, 0.0004908726686111878, 720),
+    "TOF": (2.0666666666666673e-05, 5.276530452503609e-06, 360),
+    "BIO": (0.0002620000000000002, 1.7435948593055154e-05, 5760),
+    "PARKING": (1.066666666666667e-05, 5.280050652503607e-06, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_profile_presets_match_recorded_bit_for_bit(name):
+    app = preset(name)
+    p_active, p_idle, theta = RECORDED_PROFILES[name]
+    assert profile_application(app) == PowerProfile(
+        p_active_avg=p_active, p_idle_avg=p_idle, t_active=app.t_active,
+        t_app_period=app.t_app_period, theta_profiling=theta,
+        t_profiling=3600.0)
 
 
 def test_profile_requires_one_period():
@@ -237,3 +261,39 @@ def test_fractional_rescale_binning():
     assert len(out.activity) == int(round(len(res.activity) * 2.5))
     assert out.profile.soc_energy.sum() == pytest.approx(
         res.profile.soc_energy.sum(), rel=1e-9)
+
+
+def test_plan_sim_config_turns_skip_nights_on_for_st_sp_sn_only():
+    cfg = SimConfig(dt_quiescent=0.2)
+    assert plan_sim_config(ScalingPlan(mode="st_sp_sn", s_tp=2.0, s_f=2.0),
+                           cfg) == SimConfig(dt_quiescent=0.2, skip_nights=True)
+    for plan in (ScalingPlan(), ScalingPlan(mode="st_sp", s_tp=2.0, s_f=2.0),
+                 ScalingPlan(mode="st_up", s_tp=2.0)):
+        assert plan_sim_config(plan, cfg) is cfg
+
+
+def test_st_sp_sn_plan_equals_run_with_skip_nights():
+    trace = synthetic_solar_trace(days=1, peak=800.0, cadence_s=600)
+    app = preset("TMP1")
+    ess = EssConfig(storage=StorageModel(capacitance=2.2, esr=0.5,
+                                         leak_resistance=1e6))
+    cfg = SimConfig(dt_quiescent=0.2)
+    plan = ScalingPlan(mode="st_sp_sn", s_tp=3.0, s_f=3.4, s_i=0.02)
+    tr_x, _, app_x = build_experiment(plan, trace, None, app)
+    via_plan = simulate(tr_x, None, ess, app_x, plan_sim_config(plan, cfg))
+    direct = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
+    assert via_plan.stack.as_dict() == direct.stack.as_dict()
+    for name in ("throughput_bytes", "boots", "on_time_s", "duration_s",
+                 "v_cap_final", "converter_on_final"):
+        assert getattr(via_plan, name) == getattr(direct, name), name
+    for name in ("voltage_t", "voltage_v", "event_log"):
+        np.testing.assert_array_equal(getattr(via_plan, name),
+                                      getattr(direct, name))
+    np.testing.assert_array_equal(via_plan.activity.on_off,
+                                  direct.activity.on_off)
+    np.testing.assert_array_equal(via_plan.activity.labels,
+                                  direct.activity.labels)
+    for name in ("harvest", "mppt_loss", "converter_loss", "soc_energy",
+                 "sensor_energy", "storage_delta"):
+        np.testing.assert_array_equal(getattr(via_plan.profile, name),
+                                      getattr(direct.profile, name))

@@ -84,6 +84,28 @@ def test_trace_invariants():
         IrradianceTrace(t=np.array([0.0, 1.0]), g=np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("t, g", [
+    ([0.0, 60.0, 120.0], [0.0, math.nan, 1.0]),
+    ([0.0, 60.0, 120.0], [0.0, math.inf, 1.0]),
+    ([0.0, math.nan, 120.0], [0.0, 1.0, 1.0]),
+    ([0.0, 60.0, math.inf], [0.0, 1.0, 1.0]),
+], ids=["nan_g", "inf_g", "nan_t", "inf_t"])
+def test_trace_rejects_non_finite_samples(t, g):
+    with pytest.raises(TraceError, match="finite"):
+        IrradianceTrace(t=np.array(t), g=np.array(g))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0,nan\n60,inf\n120,1\n", 1),
+    ("0,0\n60,inf\n120,1\n", 2),
+    ("0,0\n60,1\ninf,1\n", 3),
+], ids=["nan_g", "inf_g", "inf_t"])
+def test_parse_rejects_non_finite_value_with_line_number(text, line):
+    with pytest.raises(TraceParseError) as err:
+        parse_irradiance(text)
+    assert err.value.line == line
+
+
 def test_apply_transform_definition():
     tr = IrradianceTrace(t=np.array([0.0, 100.0]), g=np.array([0.0, 200.0]))
     out = apply_transform(tr, TraceTransform(time_scale=2.0, amplitude_scale=2.0))
