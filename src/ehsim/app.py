@@ -88,18 +88,21 @@ class AppSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.t_sample + self.t_comm > self.t_sample_period:
+        # Every check is written so that a NaN fails it.
+        if not self.t_sample + self.t_comm <= self.t_sample_period:
             raise AppError("t_sample + t_comm must fit in t_sample_period")
         if self.n_per_comm is None:
             if not self.reactive:
                 raise AppError("periodic apps need n_per_comm >= 1")
-        elif self.n_per_comm < 1:
+        elif not self.n_per_comm >= 1:
             raise AppError("n_per_comm must be >= 1")
-        for name in ("p_sample", "p_comm", "p_idle", "p_off_residual", "p_boot"):
-            if getattr(self, name) < 0:
+        for name in ("p_sample", "p_comm", "p_idle", "p_off_residual", "p_boot",
+                     "e_backup", "checkpoint_v", "bytes_per_comm",
+                     "event_bytes"):
+            if not getattr(self, name) >= 0:
                 raise AppError(f"{name} must be >= 0")
         for name in ("t_sample", "t_comm", "t_boot", "t_backup"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise AppError(f"{name} must be > 0")
         if not 0.0 <= self.sensor_fraction_sampling <= 1.0:
             raise AppError("sensor_fraction_sampling must be in [0, 1]")

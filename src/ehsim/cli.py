@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .app import AppError, AppSpec
-from .config import (HarnessConfig, build_app, build_ess, build_sim,
-                     load_config, load_events, load_trace, save_result,
-                     load_result)
+from .config import (HarnessConfig, _write_csv, build_app, build_ess,
+                     build_sim, load_config, load_events, load_trace,
+                     save_result, load_result)
 from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
@@ -207,12 +207,9 @@ def cmd_compare(args) -> int:
         "baseline_residual_j": baseline.stack.ledger.storage_residual,
         "scaled_residual_j": scaled.stack.ledger.storage_residual,
     })
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "mismatch_spans.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("t_start_s,t_end_s\n")
-        for lo, hi in spans:
-            fh.write(f"{lo:.10g},{hi:.10g}\n")
+    spans = np.asarray(spans, dtype=float).reshape(-1, 2)
+    _write_csv(os.path.join(out, "mismatch_spans.csv"),
+               ("t_start_s", "t_end_s"), (spans[:, 0], spans[:, 1]))
     print(f"compare mode={plan.mode} throughput_error={thr_err:.4f} "
           f"ape_raw={ape_raw.epsilon:.4f} ape_dtw={ape_dtw.epsilon:.4f} "
           f"-> {out}/report.json")

@@ -184,8 +184,37 @@ def load_events(cfg: HarnessConfig, seed_override: int | None = None
     raise ConfigError("events block needs a path or a parking generator")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+# Rows per formatted block: large enough that the per-block cost vanishes,
+# small enough that a block's Python objects (about 1.7 MB for the seven
+# profile columns) stay far below the result arrays' own memory.
+_BLOCK_ROWS = 4096
+
+# Result-CSV field format by numpy dtype kind.
+_CSV_FORMATS = {"f": "%.10g", "i": "%d", "b": "%d", "O": "%s"}
+
+
+def _write_csv(path: str, header: tuple[str, ...], columns) -> None:
+    """Write a result CSV: the ``header`` line, then one row per index.
+
+    ``columns`` are equal-length arrays; floats are written ``%.10g``
+    (10 significant digits), integers and booleans ``%d`` and strings as
+    they are. Rows go out a block at a time, each formatted by one ``%``
+    call over the block's interleaved values. ``%``-formatting and
+    ``format`` share one float formatter, so the bytes are those of a
+    per-row ``f"{x:.10g}"`` loop.
+    """
+    cols = [np.asarray(c) for c in columns]
+    width = len(cols)
+    row_fmt = ",".join(_CSV_FORMATS[c.dtype.kind] for c in cols) + "\n"
+    n = len(cols[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            flat = [None] * ((hi - lo) * width)
+            for j, col in enumerate(cols):
+                flat[j::width] = col[lo:hi].tolist()
+            fh.write(row_fmt * (hi - lo) % tuple(flat))
 
 
 def save_result(result: SimResult, out_dir: str) -> None:
@@ -221,33 +250,21 @@ def save_result(result: SimResult, out_dir: str) -> None:
         fh.write("\n")
 
     prof = result.profile
-    with open(os.path.join(out_dir, "profile.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t_start_s,harvest_j,mppt_loss_j,converter_loss_j,"
-                 "soc_j,sensor_j,storage_delta_j\n")
-        for k in range(len(prof)):
-            fh.write(",".join((
-                _fmt(prof.t_start[k]), _fmt(prof.harvest[k]),
-                _fmt(prof.mppt_loss[k]), _fmt(prof.converter_loss[k]),
-                _fmt(prof.soc_energy[k]), _fmt(prof.sensor_energy[k]),
-                _fmt(prof.storage_delta[k]))) + "\n")
-
+    _write_csv(os.path.join(out_dir, "profile.csv"),
+               ("t_start_s", "harvest_j", "mppt_loss_j", "converter_loss_j",
+                "soc_j", "sensor_j", "storage_delta_j"),
+               (prof.t_start, prof.harvest, prof.mppt_loss,
+                prof.converter_loss, prof.soc_energy, prof.sensor_energy,
+                prof.storage_delta))
     act = result.activity
-    with open(os.path.join(out_dir, "activity.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t_start_s,on,label\n")
-        step = act.step_len
-        for k in range(len(act)):
-            fh.write(f"{_fmt(k * step)},{int(act.on_off[k])},"
-                     f"{PHASES[act.labels[k]]}\n")
-
-    with open(os.path.join(out_dir, "voltage.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t_s,v_cap\n")
-        for k in range(len(result.voltage_t)):
-            fh.write(f"{_fmt(result.voltage_t[k])},{_fmt(result.voltage_v[k])}\n")
-
-    with open(os.path.join(out_dir, "events.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t_s,powered_at_event\n")
-        for row in result.event_log:
-            fh.write(f"{_fmt(row[0])},{int(row[1])}\n")
+    _write_csv(os.path.join(out_dir, "activity.csv"), ("t_start_s", "on", "label"),
+               (np.arange(len(act)) * act.step_len, act.on_off,
+                np.array(PHASES, dtype=object)[act.labels]))
+    _write_csv(os.path.join(out_dir, "voltage.csv"), ("t_s", "v_cap"),
+               (result.voltage_t, result.voltage_v))
+    ev = np.asarray(result.event_log, dtype=float).reshape(-1, 2)
+    _write_csv(os.path.join(out_dir, "events.csv"), ("t_s", "powered_at_event"),
+               (ev[:, 0], ev[:, 1].astype(np.int64)))
 
 
 def load_result(out_dir: str) -> SimResult:
@@ -274,7 +291,13 @@ def load_result(out_dir: str) -> SimResult:
                            delimiter=",", skiprows=1, ndmin=2)
     if prof_rows.size == 0:
         prof_rows = prof_rows.reshape(0, 7)
-    step = (prof_rows[1, 0] - prof_rows[0, 0]) if len(prof_rows) > 1 else 0.2
+    volt = np.loadtxt(os.path.join(out_dir, "voltage.csv"),
+                      delimiter=",", skiprows=1, ndmin=2)
+    if volt.size == 0:
+        volt = volt.reshape(0, 2)
+    # Bin k's voltage is stamped at its end, (k + 1) * step, so the first
+    # time stamp is the step even for a one-row result.
+    step = volt[0, 0] if len(volt) else 0.2
     profile = EnergyStackProfile(
         step_len=float(step), t_start=prof_rows[:, 0], harvest=prof_rows[:, 1],
         mppt_loss=prof_rows[:, 2], converter_loss=prof_rows[:, 3],
@@ -294,10 +317,6 @@ def load_result(out_dir: str) -> SimResult:
                                on_off=np.asarray(ons, dtype=bool),
                                labels=np.asarray(labs, dtype=np.int8))
 
-    volt = np.loadtxt(os.path.join(out_dir, "voltage.csv"),
-                      delimiter=",", skiprows=1, ndmin=2)
-    if volt.size == 0:
-        volt = volt.reshape(0, 2)
     ev_path = os.path.join(out_dir, "events.csv")
     ev = np.empty((0, 2))
     if os.path.exists(ev_path):

@@ -4,7 +4,8 @@ The chain is harvester -> MPPT (with dynamic bypass and cold start) ->
 supercapacitor bank (with ESR, leakage, and an optional low-ESR buffer
 capacitor) -> output DC/DC converter with turn-on/turn-off hysteresis.
 All models are immutable configuration; :class:`EssState` is the mutable
-per-simulation electrical state.
+per-simulation electrical state. Their range checks are written as
+``not x > 0`` rather than ``x <= 0`` so that a NaN parameter fails them.
 
 Power accounting is exact by construction: every step partitions extracted
 harvest into delivered power plus explicitly booked losses, and the storage
@@ -75,9 +76,11 @@ class EfficiencyCurve:
     def __post_init__(self):
         if len(self.power_w) != len(self.eta) or not self.power_w:
             raise EssError("efficiency table needs matching, non-empty columns")
-        if any(e <= 0 or e > 1 for e in self.eta):
+        if not all(0 < e <= 1 for e in self.eta):
             raise EssError("efficiencies must be in (0, 1]")
-        if any(b <= a for a, b in zip(self.power_w, self.power_w[1:])):
+        if not all(math.isfinite(p) for p in self.power_w):
+            raise EssError("power breakpoints must be finite")
+        if not all(b > a for a, b in zip(self.power_w, self.power_w[1:])):
             raise EssError("power breakpoints must be strictly increasing")
 
     @classmethod
@@ -110,7 +113,7 @@ class HarvesterModel:
         if self.model_kind not in ("linear_mpp", "iv_surface"):
             raise EssError(f"unknown harvester kind {self.model_kind!r}")
         if self.model_kind == "linear_mpp":
-            if self.k_mpp <= 0:
+            if not self.k_mpp > 0:
                 raise EssError("k_mpp must be > 0")
         else:
             if self.iv_irradiance is None or self.iv_voltage is None or self.iv_current is None:
@@ -204,7 +207,9 @@ class MpptModel:
                 raise EssError(f"{name} must be in (0, 1]")
         if not self.bypass_engage_v < self.bypass_release_v:
             raise EssError("bypass_engage_v must be below bypass_release_v")
-        if self.storage_v_max <= self.bypass_release_v:
+        if not self.cold_start_below_v >= 0:
+            raise EssError("cold_start_below_v must be >= 0")
+        if not self.storage_v_max > self.bypass_release_v:
             raise EssError("storage_v_max must exceed bypass_release_v")
 
 
@@ -224,15 +229,15 @@ class StorageModel:
     buffer_capacitance: float = 400e-6
 
     def __post_init__(self):
-        if self.capacitance <= 0:
+        if not self.capacitance > 0:
             raise EssError("capacitance must be > 0")
-        if self.esr < 0:
+        if not self.esr >= 0:
             raise EssError("esr must be >= 0")
-        if self.leak_resistance <= 0:
+        if not self.leak_resistance > 0:
             raise EssError("leak_resistance must be > 0")
-        if self.v_init < 0:
+        if not self.v_init >= 0:
             raise EssError("v_init must be >= 0")
-        if self.buffer_capacitance < 0:
+        if not self.buffer_capacitance >= 0:
             raise EssError("buffer_capacitance must be >= 0")
 
 
@@ -253,7 +258,7 @@ class ConverterModel:
     def __post_init__(self):
         if not self.v_off < self.v_on:
             raise EssError("v_off must be below v_on")
-        if self.v_out <= 0:
+        if not self.v_out > 0:
             raise EssError("v_out must be > 0")
 
 

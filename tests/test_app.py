@@ -179,3 +179,13 @@ def test_presets_available():
         assert spec.t_active < spec.t_app_period
     with pytest.raises(AppError):
         preset("NOPE")
+
+
+@pytest.mark.parametrize("name", [
+    "t_sample_period", "t_sample", "t_comm", "n_per_comm", "bytes_per_comm",
+    "p_sample", "p_comm", "p_idle", "p_off_residual", "t_boot", "p_boot",
+    "t_backup", "e_backup", "checkpoint_v", "event_bytes",
+    "sensor_fraction_sampling"])
+def test_nan_app_parameters_are_rejected(name):
+    with pytest.raises(AppError):
+        simple_spec(**{name: math.nan})

@@ -11,7 +11,8 @@ from ehsim.config import (config_hash, load_config, load_result, save_result)
 from ehsim.engine import SimConfig, simulate
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
 from ehsim.app import preset
-from ehsim.traces import synthetic_solar_trace, write_irradiance
+from ehsim.traces import (IrradianceTrace, synthetic_solar_trace,
+                          write_irradiance)
 
 
 def write_fixture_config(tmp_path, *, days=1, peak=40.0, app_block=None,
@@ -62,6 +63,18 @@ def test_save_load_result_round_trip(tmp_path):
     assert back.stack.ledger.storage_residual == pytest.approx(
         res.stack.ledger.storage_residual, rel=1e-9)
     assert abs(back.profile.harvest.sum() - res.profile.harvest.sum()) < 1e-6
+
+
+def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path):
+    tr = IrradianceTrace(t=np.array([0.0, 0.5]), g=np.array([100.0, 100.0]))
+    res = simulate(tr, None, EssConfig(), preset("TMP1"),
+                   SimConfig(dt_quiescent=0.5, aggregation_step=0.5,
+                             end_policy="hard_stop"))
+    assert len(res.activity) == 1
+    save_result(res, str(tmp_path))
+    back = load_result(str(tmp_path))
+    assert back.profile.step_len == 0.5
+    assert back.activity.step_len == 0.5
 
 
 def test_cmd_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):
@@ -290,3 +303,21 @@ def test_cmd_simulate_rejects_bad_supply_override(tmp_path, volts):
     cfg.write_text(json.dumps(raw))  # NaN and Infinity as Python's json spells them
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("block,key", [("storage", "capacitance"),
+                                       ("harvester", "k_mpp"),
+                                       ("converter", "v_out")])
+def test_cmd_simulate_rejects_nan_model_parameter_before_simulating(
+        tmp_path, monkeypatch, block, key):
+    cfg = write_fixture_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["ess"].setdefault(block, {})[key] = math.nan
+    cfg.write_text(json.dumps(raw))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation started")
+    monkeypatch.setattr("ehsim.cli.simulate", no_simulation)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()

@@ -280,3 +280,32 @@ def test_model_validation():
         ConverterModel(v_on=0.5, v_off=0.7)
     with pytest.raises(EssError):
         EssConfig(storage=StorageModel(v_init=3.5))
+
+
+def _nan_case(cls, **kwargs):
+    field = next(k for k, v in kwargs.items() if np.isnan(v).any())
+    return pytest.param(cls, kwargs, id=f"{cls.__name__}.{field}")
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    _nan_case(EfficiencyCurve, power_w=(1.0,), eta=(math.nan,)),
+    _nan_case(EfficiencyCurve, power_w=(math.nan,), eta=(0.9,)),
+    _nan_case(EfficiencyCurve, power_w=(1e-3, math.nan), eta=(0.6, 0.9)),
+    _nan_case(HarvesterModel, k_mpp=math.nan),
+    *[_nan_case(MpptModel, **{name: math.nan}) for name in (
+        "bypass_engage_v", "bypass_release_v", "cold_start_below_v",
+        "storage_v_max", "tracking_efficiency", "cold_start_efficiency",
+        "bypass_efficiency")],
+    *[_nan_case(StorageModel, **{name: math.nan}) for name in (
+        "capacitance", "esr", "leak_resistance", "v_init",
+        "buffer_capacitance")],
+    *[_nan_case(ConverterModel, **{name: math.nan})
+      for name in ("v_on", "v_off", "v_out")],
+])
+def test_nan_model_parameters_are_rejected(cls, kwargs):
+    with pytest.raises(EssError):
+        cls(**kwargs)
+
+
+def test_infinite_leak_resistance_stays_valid():
+    assert StorageModel(leak_resistance=math.inf).leak_resistance == math.inf
