@@ -13,9 +13,9 @@ from .traces import (IrradianceTrace, EventTrace, TraceTransform,
                      find_dark_segments, synthetic_solar_trace)
 from .ess import (EfficiencyCurve, HarvesterModel, MpptModel, StorageModel,
                   ConverterModel, EssConfig, EssState, harvester_power,
-                  mppt_step, storage_step, converter_step, residual_energy)
+                  mppt_step, storage_step, residual_energy)
 from .app import (AppSpec, AppState, ActivityProfile, app_step,
-                  apply_frequency_scaling, sample_activity, preset, PRESETS)
+                  apply_frequency_scaling, preset, PRESETS)
 from .engine import (SimConfig, EnergyLedger, EnergyStack, EnergyStackProfile,
                      SimResult, simulate, run_with_skip_nights, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,

@@ -33,7 +33,6 @@ __all__ = [
     "app_step",
     "time_to_transition",
     "apply_frequency_scaling",
-    "sample_activity",
     "PRESETS",
     "preset",
 ]
@@ -318,40 +317,6 @@ class ActivityProfile:
     @property
     def duration(self) -> float:
         return len(self.on_off) * self.step_len
-
-
-def sample_activity(timeline, duration: float | None = None,
-                    step_len: float = 0.2) -> ActivityProfile:
-    """Bin a phase timeline into an activity profile.
-
-    ``timeline`` is an iterable of (t_start, t_end, phase_name) segments in
-    order. Each bin is on if powered (any phase but off) for at least half
-    the bin; the label is the phase holding the most time in the bin.
-    """
-    segs = list(timeline)
-    if duration is None:
-        duration = segs[-1][1] if segs else 0.0
-    n_bins = max(int(math.ceil(duration / step_len - 1e-9)), 0)
-    on_time = np.zeros(n_bins)
-    label_time = np.zeros((n_bins, len(PHASES)))
-    for t0, t1, phase in segs:
-        code = PHASE_INDEX[phase]
-        b0 = int(t0 / step_len + 1e-9)
-        b1 = min(int(math.ceil(t1 / step_len - 1e-9)), n_bins)
-        for b in range(b0, b1):
-            lo = max(t0, b * step_len)
-            hi = min(t1, (b + 1) * step_len)
-            if hi <= lo:
-                continue
-            label_time[b, code] += hi - lo
-            if phase != PHASE_OFF:
-                on_time[b] += hi - lo
-    labels = np.argmax(label_time, axis=1).astype(np.int8)
-    covered = label_time.sum(axis=1)
-    labels[covered == 0] = PHASE_INDEX[PHASE_OFF]
-    return ActivityProfile(step_len=step_len,
-                           on_off=on_time >= 0.5 * step_len,
-                           labels=labels)
 
 
 def _preset_specs() -> dict[str, tuple[AppSpec, float, int]]:

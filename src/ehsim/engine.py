@@ -7,10 +7,17 @@ joule extracted from the environment is booked to exactly one ledger
 category, so the run-level energy stack closes to numerical precision.
 
 Time stepping is multi-rate: a fine step resolves burst transients (ESR
-dips, boot edges) and a coarse step covers quiescent spans, with every step
-clipped to the next application transition, trace sample, event, or
-aggregation boundary. Runs are deterministic: identical inputs produce
-identical results.
+dips, boot edges) and a coarse step covers the rest of the active phases
+(boot, sampling, communicating, backup), with every step clipped to the
+next application transition, trace sample, event, or aggregation boundary.
+Quiescent spans, with the app off or idle, the converter state holding, a
+constant irradiance sample, no event due and no fine window open, are
+advanced in closed form over whole aggregation bins (see :class:`_Spans`).
+A plain run takes every lit span with the node off and every idle span;
+``skip_nights`` adds the dark spans with the node off. Compared with
+stepping those spans, this changes the energy figures of non-ideal runs in
+their last digits, by design. Runs are deterministic: identical inputs
+produce identical results.
 
 Profiling runs (``SimConfig.supply_override``) take the same step loop with
 an ideal source as the supply model: the source pins the bus at the given
@@ -18,7 +25,10 @@ voltage and delivers exactly what the load draws, through a lossless
 converter that never switches off. Harvester, MPPT and storage are skipped,
 so there are no fine or crossing-clipped steps, and the run stops at the
 trace end. The source's energy is booked as the run's input
-(``harvest_input``), so a profiling ledger closes like any other.
+(``harvest_input``), so a profiling ledger closes like any other. These
+runs take no closed-form spans, so the recorded profiles stay bit for bit;
+neither does an IV-surface harvester while its tracker is in bypass,
+because its power then depends on the storage voltage.
 """
 
 from __future__ import annotations
@@ -34,12 +44,12 @@ from .app import (
     AppSpec, AppState, ActivityProfile, app_step, time_to_transition,
 )
 from .ess import (
-    ConverterModel, EfficiencyCurve, EssConfig, EssState, MODE_SATURATED,
-    converter_next_state, harvester_mpp_power, harvester_power,
-    mppt_next_mode, mppt_step, residual_energy, solve_load_current,
-    storage_step,
+    ConverterModel, EfficiencyCurve, EssConfig, EssState, MODE_BYPASS,
+    MODE_COLD_START, MODE_SATURATED, converter_next_state,
+    harvester_mpp_power, harvester_power, mppt_next_mode, mppt_step,
+    residual_energy, solve_load_current, storage_step,
 )
-from .traces import EventTrace, IrradianceTrace, find_dark_segments
+from .traces import EventTrace, IrradianceTrace
 
 __all__ = [
     "SimConfig",
@@ -93,8 +103,13 @@ class SimConfig:
     max_extension_s: float = 14 * 86400.0
 
     def __post_init__(self):
-        if self.dt_active <= 0 or self.dt_quiescent <= 0:
-            raise ConfigError("time steps must be > 0")
+        # Every range check is written so that a NaN fails it.
+        for name in ("dt_active", "dt_quiescent", "aggregation_step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be a finite time > 0")
+        for name in ("dark_threshold", "max_extension_s"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.dt_active > self.dt_quiescent:
             raise ConfigError("dt_active must not exceed dt_quiescent")
         ratio = self.aggregation_step / self.dt_quiescent
@@ -304,10 +319,9 @@ def run_with_skip_nights(trace: IrradianceTrace, events: EventTrace | None,
                          **kwargs) -> SimResult:
     """Like :func:`simulate` with dark-interval fast-forwarding forced on.
 
-    Zero-input spans are only skipped while the converter (and hence the
-    load) is off; storage leakage across the skipped span is advanced with
-    the closed-form RC decay, and the reported timeline stays on the
-    unskipped axis.
+    Dark spans (irradiance at or below ``cfg.dark_threshold``) are then
+    also advanced in closed form while the converter, and hence the load,
+    is off; the reported timeline stays on the unskipped axis.
     """
     return simulate(trace, events, ess, app, replace(cfg, skip_nights=True),
                     **kwargs)
@@ -372,9 +386,12 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     sss = ledger.sss_by_activity
     e_harvest = e_mppt = e_leak_tot = e_esr_tot = e_conv_tot = 0.0
 
-    dark_segments = (find_dark_segments(trace, cfg.dark_threshold)
-                     if cfg.skip_nights else [])
-    dark_idx = 0
+    # Quiescent spans advance in closed form; dark ones with the node off
+    # only under skip_nights. Profiling runs keep the per-step path.
+    spans = None if ideal else _Spans(ess, app, t0, agg)
+    skip_dark = cfg.skip_nights
+    dark_thr = cfg.dark_threshold
+    g_until = _constant_until(trace)
 
     ev_t = events.t if events is not None else np.empty(0)
     n_events = len(ev_t)
@@ -387,6 +404,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     t = t0
     bin_idx = 0
+    bin_open_t = t0  # when the current bin opened; t equals it while it is empty
     bin_label_s = [0.0] * len(PHASES)
     on_time = 0.0
     total_bytes = 0
@@ -413,11 +431,9 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     while True:
         draining = t >= t_end - 1e-9
-        if draining and (stop_at_end or not conv_on
-                         or t >= extension_deadline):
-            break
 
-        # Deliver events due now (at-event detection uses the live state).
+        # Deliver events due now (at-event detection uses the live state),
+        # also those stamped at the trace end.
         while ev_idx < n_events and ev_t[ev_idx] <= t + 1e-9:
             pending = True
             pending_count += 1
@@ -427,37 +443,60 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 detected_at_event += 1
             ev_idx += 1
 
-        # Fast-forward dark spans while the whole system is off.
-        if (dark_segments and not conv_on and app_state.phase == PHASE_OFF
-                and abs((t - t0) / agg - round((t - t0) / agg)) < 1e-9):
-            while (dark_idx < len(dark_segments)
-                   and dark_segments[dark_idx][1] <= t + 1e-9):
-                dark_idx += 1
-            if dark_idx < len(dark_segments):
-                seg_lo, seg_hi = dark_segments[dark_idx]
-                if seg_lo <= t + 1e-9:
-                    nxt = ev_t[ev_idx] if ev_idx < n_events else math.inf
-                    stop = min(seg_hi, nxt, t_end)
-                    stop_b = t0 + math.floor((stop - t0) / agg + 1e-9) * agg
-                    if stop_b > t + agg - 1e-9:
-                        # A skip ends by the trace end, so its rows fit in
-                        # the bins allocated up front.
-                        ledger.storage_loss_leak = e_leak_tot
-                        v_cap, v_bus, t, bin_idx = _skip_span(
-                            t, stop_b, v_cap, v_bus, sto, app, ledger, sss,
-                            bins, bin_idx, t0, agg)
-                        e_leak_tot = ledger.storage_loss_leak
-                        state.mppt_mode = mppt_next_mode(mppt, state.mppt_mode,
-                                                         v_cap)
+        if draining and (stop_at_end or not conv_on
+                         or t >= extension_deadline):
+            break
+
+        phase = app_state.phase
+        # Closed-form span over whole bins while only the storage moves: the
+        # app off or idle, no fine window open, harvest and draw constant.
+        if spans is not None and t == bin_open_t and (
+                phase == PHASE_IDLE
+                and app_state.t_until_sample > _SPAN_MIN_BINS * agg
+                and not (R > 0.0 and v_cap - R * prev_i_out < v_off)
+                if conv_on else phase == PHASE_OFF):
+            g = 0.0 if draining else tr_g[tr_idx]
+            if conv_on or skip_dark or g > dark_thr:
+                if draining:
+                    stop = extension_deadline
+                else:
+                    stop = g_until[tr_idx]
+                    if t_end < stop:
+                        stop = t_end
+                if ev_idx < n_events and ev_t[ev_idx] < stop:
+                    stop = ev_t[ev_idx]
+                span = spans.advance(bins, bin_idx, t, stop, v_cap, v_bus, g,
+                                     state.mppt_mode, app_state)
+                if span is not None:
+                    (n, v_cap, v_bus, state.mppt_mode, prev_de_rate,
+                     prev_i_out, span_s, e_h, e_ml, e_leak, e_esr, e_conv,
+                     e_load) = span
+                    e_harvest += e_h
+                    e_mppt += e_ml
+                    e_leak_tot += e_leak
+                    e_esr_tot += e_esr
+                    e_conv_tot += e_conv
+                    sss[_PHASE_TO_ACTIVITY[phase]] += e_load
+                    if conv_on:
+                        on_time += span_s
+                        app_state.t_until_sample -= span_s
+                    if phase != last_phase:
+                        last_phase = phase
                         phase_entry_t = t
-                        while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
-                            tr_idx += 1
-                        continue
+                    bin_idx += n
+                    bins.n = bin_idx
+                    b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
+                    b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
+                    b_on, b_labels = bins.on_s, bins.labels
+                    b_vt, b_vv = bins.volt_t, bins.volt_v
+                    t = bin_open_t = t0 + bin_idx * agg
+                    while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
+                        tr_idx += 1
+                    continue
 
         # Step size: fine while resolving burst transients or an imminent
         # bus collapse (the demanded current would drag the bus below the
         # converter's hold voltage).
-        phase = app_state.phase
         burst = phase != PHASE_OFF and phase != PHASE_IDLE
         fine = (burst and (t - phase_entry_t) < fine_window) or (
             conv_on and R > 0.0 and v_cap - R * prev_i_out < v_off)
@@ -620,6 +659,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             for k in range(len(bin_label_s)):
                 bin_label_s[k] = 0.0
             bin_idx += 1
+            bin_open_t = t
             bins.n = bin_idx
             if bins.ensure(bin_idx + 1):
                 b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
@@ -650,67 +690,210 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     event_log, agg)
 
 
-def _skip_span(t: float, stop: float, v_cap: float, v_bus: float,
-               sto, app: AppSpec, ledger: EnergyLedger, sss: dict,
-               bins: _Bins, bin_idx: int, t0: float, agg: float
-               ) -> tuple[float, float, float, int]:
-    """Advance a dark, powered-off span analytically.
+# Shortest and longest closed-form span, in bins. A span costs about as
+# much as a few steps; the longest bounds its row temporaries and how long
+# the ESR loss stays frozen at its start-of-span value.
+_SPAN_MIN_BINS = 4
+_SPAN_MAX_BINS = 4096
 
-    Leakage follows the closed-form RC decay of the combined (main +
-    buffer) capacitance; the off-residual draw is folded in as a constant
-    sink, which keeps the whole span in closed form. Per-bin profile rows
-    are still emitted so the reported timeline stays on the unskipped axis.
+
+def _constant_until(trace: IrradianceTrace) -> list[float]:
+    """Per sample, when the irradiance next changes (the trace end if never)."""
+    g = trace.g
+    change = np.flatnonzero(g[1:] != g[:-1]) + 1
+    ends = np.append(trace.t[change], trace.t[-1])
+    return ends[np.searchsorted(change, np.arange(len(g)), side="right")].tolist()
+
+
+class _Spans:
+    """Closed-form advance of the storage over whole quiescent bins.
+
+    While the app is off or idle and the converter state holds, a constant
+    irradiance sample makes the storage input ``p_in``, the draw and its ESR
+    loss (frozen at the span's start voltage) constant. The stored energy
+    ``E = (C + Cb) v^2 / 2`` then follows ``dE/dt = p_in - p_out - a E``
+    with the leak rate ``a = 2 / (R_leak (C + Cb))``; at ``storage_v_max``
+    with a surplus, the storage holds and the tracker curtails the surplus.
+    A span ends at the last bin edge before the storage voltage reaches a
+    level at which the tracker mode, saturation, converter, checkpoint or
+    off-residual draw would change, and before the given stop time or the
+    next sampling launch. The leak is booked from the exact solution; the
+    last bin's draw takes up what the storage actually supplied, as the
+    per-step loop books it, so the ledger closes.
     """
-    span = stop - t
-    c_eff = sto.capacitance + sto.buffer_capacitance
-    e0 = 0.5 * sto.capacitance * v_cap * v_cap \
-        + 0.5 * sto.buffer_capacitance * v_bus * v_bus
-    a = (2.0 / (sto.leak_resistance * c_eff)
-         if math.isfinite(sto.leak_resistance) else 0.0)
-    b = app.p_off_residual if math.sqrt(2.0 * e0 / c_eff) > _V_DEAD else 0.0
-    e_cut = 0.5 * c_eff * _V_DEAD * _V_DEAD
 
-    # time at which the node goes dead and the residual draw stops
-    if b > 0.0 and e0 > e_cut:
-        if a == 0.0:
-            s_cut = (e0 - e_cut) / b
+    def __init__(self, ess: EssConfig, app: AppSpec, t0: float, agg: float):
+        mppt, sto = ess.mppt, ess.storage
+        self.ess = ess
+        self.app = app
+        self.t0 = t0
+        self.agg = agg
+        self.c_eff = sto.capacitance + sto.buffer_capacitance
+        self.a = 2.0 / (sto.leak_resistance * self.c_eff)
+        self.levels = (mppt.bypass_engage_v, mppt.bypass_release_v,
+                       mppt.cold_start_below_v, mppt.storage_v_max)
+
+    def advance(self, bins: _Bins, bin_idx: int, t: float, stop: float,
+                v_cap: float, v_bus: float, g: float, mode: str,
+                app_state: AppState) -> tuple | None:
+        """Advance from the empty bin ``bin_idx``, opened at ``t``, to at
+        most ``stop``.
+
+        Writes the span's rows and returns ``(n_bins, v_cap, v_bus, mode,
+        de_rate, i_out, seconds, harvest, mppt_loss, leak, esr,
+        converter_loss, load)``, or None when fewer than ``_SPAN_MIN_BINS``
+        whole bins qualify.
+        """
+        agg = self.agg
+        t_bin = self.t0 + bin_idx * agg
+        on = app_state.phase == PHASE_IDLE
+        room = (stop - t_bin) / agg + 1e-9
+        n = _SPAN_MAX_BINS if room >= _SPAN_MAX_BINS else math.floor(room)
+        if on:  # end before the next sampling launch
+            n = min(n, math.ceil((t + app_state.t_until_sample - t_bin) / agg
+                                 - 1e-9) - 1)
+        if n < _SPAN_MIN_BINS:
+            return None
+        ess, app = self.ess, self.app
+        harv, mppt, sto, conv = ess.harvester, ess.mppt, ess.storage, ess.converter
+
+        mode = mppt_next_mode(mppt, mode, v_cap)
+        p_mpp = p_in = 0.0
+        if g > 0.0:
+            if harv.model_kind == "linear_mpp":
+                p_mpp = harv.k_mpp * g
+            elif mode == MODE_BYPASS:
+                return None  # the IV surface's power depends on v_cap
+            else:
+                p_mpp = harvester_mpp_power(harv, g)
+            if mode == MODE_BYPASS:
+                eff = mppt.bypass_efficiency
+            elif mode == MODE_COLD_START:
+                eff = mppt.cold_start_efficiency
+            else:
+                eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
+                    p_mpp, v_cap)
+            p_in = p_mpp * eff
+
+        levels = list(self.levels)
+        if on:
+            if not (v_bus >= conv.v_off and (app_state.checkpointed
+                                             or v_cap >= app.checkpoint_v)):
+                return None
+            p_load = app.p_idle
+            p_drawn = p_load / conv.efficiency.at(p_load, v_bus)
+            bus_levels = (conv.v_off,)
+            if not app_state.checkpointed:
+                levels.append(app.checkpoint_v)
         else:
-            s_cut = math.log((e0 + b / a) / (e_cut + b / a)) / a
-        s_cut = min(s_cut, span)
-    else:
-        s_cut = 0.0
-        b = 0.0
+            if v_bus >= conv.v_on:
+                return None
+            p_load = p_drawn = app.p_off_residual if v_bus > _V_DEAD else 0.0
+            bus_levels = (conv.v_on, _V_DEAD)
+        R = sto.esr
+        if R > 0.0 and v_cap * v_cap <= 4.0 * R * p_drawn:
+            return None  # the bus cannot carry the draw
+        # The bus sits at x when v_cap = x + R * p_drawn / x. A bus that
+        # still lags v_cap across such a level is about to switch something.
+        for x in bus_levels:
+            if x > 0.0:
+                level = x + R * p_drawn / x
+                if (v_bus >= x) != (v_cap >= level):
+                    return None
+                levels.append(level)
+        i_out = solve_load_current(v_cap, R, p_drawn)
+        p_esr = i_out * i_out * R
 
-    n_span = int(round(span / agg))
-    edges = np.arange(n_span + 1) * agg
-    drawn = np.minimum(edges, s_cut)
-    if a == 0.0:
-        e_edges = e0 - b * drawn
-    else:
-        e_edges = (e0 + b / a) * np.exp(-a * drawn) - b / a
-        decay_only = edges > s_cut
-        if np.any(decay_only):
-            e_at_cut = (e0 + b / a) * math.exp(-a * s_cut) - b / a
-            e_edges[decay_only] = e_at_cut * np.exp(-a * (edges[decay_only] - s_cut))
-    e_edges = np.maximum(e_edges, 0.0)
+        C, Cb = sto.capacitance, sto.buffer_capacitance
+        c_eff, a = self.c_eff, self.a
+        e0 = 0.5 * c_eff * v_cap * v_cap
+        slope = p_in - p_drawn - p_esr - a * e0  # dE/dt at the start
+        if slope > 0.0 and v_cap >= mppt.storage_v_max:
+            # Saturated: the storage holds, the tracker curtails the surplus.
+            p_in -= slope
+            slope = 0.0
+            mode = MODE_SATURATED
+        # E moves monotonically, so the nearest level ahead is reached first.
+        if slope > 0.0:
+            ahead = [x for x in levels if x >= v_cap]
+            level = min(ahead) if ahead else None
+        elif slope < 0.0:
+            ahead = [x for x in levels if x <= v_cap]
+            level = max(ahead) if ahead else None
+        else:
+            level = None
+        if level is not None:
+            # Reached within the n bins when |gap| < |slope| * phi(n agg).
+            gap = 0.5 * c_eff * level * level - e0
+            horizon = n * agg
+            if abs(gap) < abs(slope) * (
+                    horizon if a == 0.0 else -math.expm1(-a * horizon) / a):
+                q = gap / slope
+                s_level = q if a == 0.0 else -math.log1p(-a * q) / a
+                n = min(n, math.floor((t + s_level - t_bin) / agg))
+                if n < _SPAN_MIN_BINS:
+                    return None
 
-    res_draw = b * np.diff(drawn)
-    e_end = float(e_edges[-1])
-    leak_total = e0 - e_end - float(res_draw.sum())
+        # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
+        # bin ends; the first bin may have opened a hair after its edge.
+        d0 = t_bin + agg - t
+        span = d0 + (n - 1) * agg
+        s = np.arange(n) * agg + d0
+        if a == 0.0:
+            phi, leak = s, 0.0
+        else:
+            phi = -np.expm1(-a * s) / a
+            leak = a * e0 * span + slope * (span - float(phi[-1]))
+        if slope == 0.0:
+            v = np.full(n, v_cap)
+        else:
+            v = np.sqrt(np.maximum((e0 + slope * phi) * (2.0 / c_eff), 0.0))
+        v_end = float(v[-1])
+        v_prev = float(v[-2])
+        # Leave the bus as a step over the last bin would: the load current
+        # set at its start voltage, and a buffered bus one step behind.
+        i_end = solve_load_current(v_prev, R, p_drawn)
+        v_bus_end = v_end if R == 0.0 else (
+            (v_prev if Cb > 0.0 else v_end) - R * i_end)
+        stored = (0.5 * C * (v_end * v_end - v_cap * v_cap)
+                  + 0.5 * Cb * (v_bus_end * v_bus_end - v_bus * v_bus))
+        esr = p_esr * span
 
-    sl = slice(bin_idx, bin_idx + n_span)
-    bins.soc[sl] += res_draw
-    bins.sdelta[sl] -= res_draw
-    bins.labels[sl] = PHASE_INDEX[PHASE_OFF]
-    bins.volt_t[sl] = (np.arange(bin_idx + 1, bin_idx + n_span + 1)) * agg
-    bins.volt_v[sl] = np.sqrt(2.0 * e_edges[1:] / c_eff)
-    bins.n = max(bins.n, bin_idx + n_span)
-
-    ledger.storage_loss_leak += leak_total
-    sss["off"] += float(res_draw.sum())
-
-    v_end = math.sqrt(2.0 * e_end / c_eff)
-    return v_end, v_end, stop, bin_idx + n_span
+        # Rows are rate x bin length. The last bin's draw takes up what the
+        # storage actually supplied; a shortfall below zero, which a settling
+        # buffer bus can leave when nothing is drawn, stays in the storage.
+        p_ml = p_mpp - p_in
+        p_conv = p_drawn - p_load
+        supplied = p_drawn * agg + (
+            p_in * span - leak - esr - stored - p_drawn * span)
+        if supplied < 0.0:
+            leak += supplied
+            supplied = 0.0
+        load_last = p_load * agg if on else supplied
+        conv_last = supplied - load_last
+        if conv_last < 0.0:
+            load_last = supplied
+            conv_last = 0.0
+        sl = slice(bin_idx, bin_idx + n)
+        last = bin_idx + n - 1
+        bins.ensure(bin_idx + n + 1)
+        for row, d, conv_e, load_e in ((sl, agg, p_conv * agg, p_load * agg),
+                                       (bin_idx, d0, p_conv * d0, p_load * d0),
+                                       (last, agg, conv_last, load_last)):
+            bins.harvest[row] = p_mpp * d
+            bins.mppt[row] = p_ml * d
+            bins.conv[row] = conv_e
+            bins.soc[row] = load_e
+            bins.sdelta[row] = p_mpp * d - p_ml * d - conv_e - load_e
+            bins.on_s[row] = d if on else 0.0
+        bins.labels[sl] = PHASE_INDEX[app_state.phase]
+        bins.volt_t[sl] = np.arange(bin_idx + 1, bin_idx + n + 1) * agg
+        bins.volt_v[sl] = v
+        de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
+        return (n, v_end, v_bus_end, mode, de_rate, i_end, span,
+                p_mpp * span, p_ml * span, leak, esr,
+                p_conv * (span - agg) + conv_last,
+                p_load * (span - agg) + load_last)
 
 
 def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,

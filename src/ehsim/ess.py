@@ -37,7 +37,6 @@ __all__ = [
     "mppt_step",
     "storage_step",
     "converter_next_state",
-    "converter_step",
     "solve_load_current",
     "residual_energy",
     "MODE_COLD_START",
@@ -462,18 +461,6 @@ def converter_next_state(conv: ConverterModel, converter_on: bool, v_bus: float)
     if converter_on:
         return v_bus >= conv.v_off
     return v_bus >= conv.v_on
-
-
-def converter_step(conv: ConverterModel, v_bus: float, converter_on: bool,
-                   p_load: float) -> tuple[bool, float, float]:
-    """Hysteresis update plus load draw: returns (on', p_drawn, p_loss)."""
-    if p_load < 0:
-        raise EssError("p_load must be >= 0")
-    on = converter_next_state(conv, converter_on, v_bus)
-    if not on or p_load == 0.0:
-        return on, 0.0, 0.0
-    p_drawn = p_load / conv.efficiency.at(p_load, v_bus)
-    return on, p_drawn, p_drawn - p_load
 
 
 def solve_load_current(v_cap: float, esr: float, p_drawn: float) -> float:

@@ -6,7 +6,7 @@ import pytest
 from ehsim.app import (
     AppError, AppSpec, AppState, PHASES, PHASE_BOOT, PHASE_COMM, PHASE_IDLE,
     PHASE_OFF, PHASE_SAMPLING, PHASE_BACKUP, app_step, apply_frequency_scaling,
-    preset, sample_activity, time_to_transition,
+    preset, time_to_transition,
 )
 
 
@@ -140,37 +140,6 @@ def test_throughput_proportional_to_runtime():
     expect2 = 1600.0 / spec.t_app_period * per_period
     assert abs(b1 - expect1) <= per_period
     assert abs(b2 - expect2) <= per_period
-
-
-def test_sample_activity_degenerate_off():
-    prof = sample_activity([(0.0, 10.0, PHASE_OFF)], duration=10.0)
-    assert not prof.on_off.any()
-    assert len(prof) == 50
-
-
-def test_sample_activity_square_wave():
-    segs = []
-    for k in range(5):
-        segs.append((2.0 * k, 2.0 * k + 1.0, PHASE_IDLE))
-        segs.append((2.0 * k + 1.0, 2.0 * k + 2.0, PHASE_OFF))
-    prof = sample_activity(segs, duration=10.0)
-    expect = np.tile(np.array([True] * 5 + [False] * 5), 5)
-    np.testing.assert_array_equal(prof.on_off, expect)
-
-
-def test_sample_activity_bin_count():
-    prof = sample_activity([(0.0, 1.01, PHASE_IDLE)], duration=1.01)
-    assert len(prof) == math.ceil(1.01 / 0.2)
-
-
-def test_sample_activity_majority_rule():
-    # on for 0.08 of a 0.2 s bin: bin is off; for 0.12: bin is on
-    p1 = sample_activity([(0.0, 0.08, PHASE_IDLE), (0.08, 0.2, PHASE_OFF)],
-                         duration=0.2)
-    p2 = sample_activity([(0.0, 0.12, PHASE_IDLE), (0.12, 0.2, PHASE_OFF)],
-                         duration=0.2)
-    assert not p1.on_off[0]
-    assert p2.on_off[0]
 
 
 def test_presets_available():

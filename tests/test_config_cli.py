@@ -321,3 +321,16 @@ def test_cmd_simulate_rejects_nan_model_parameter_before_simulating(
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["dt_active", "dt_quiescent", "aggregation_step",
+                                 "dark_threshold", "max_extension_s"])
+def test_cmd_simulate_rejects_nan_sim_parameter(tmp_path, capsys, key):
+    cfg = write_fixture_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["sim"][key] = math.nan
+    cfg.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert f"ConfigError: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

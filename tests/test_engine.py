@@ -39,7 +39,32 @@ def test_zero_irradiance_never_turns_on():
     sss = led.sss_by_activity
     assert sss["off"] > 0.0
     assert all(v == 0.0 for k, v in sss.items() if k != "off")
+    assert len(res.activity) == 18000
     assert not res.activity.on_off.any()
+    np.testing.assert_array_equal(res.activity.labels, PHASE_INDEX["off"])
+
+
+def _profiled(duration, **app_kw):
+    # ideal source: powered from t = 0, stopped at the trace end
+    tr = IrradianceTrace(t=np.array([0.0, duration]), g=np.zeros(2))
+    cfg = SimConfig(supply_override=3.3, dt_quiescent=0.2)
+    return simulate(tr, None, None, small_app(**app_kw), cfg)
+
+
+def test_bin_count_includes_partial_final_bin():
+    assert len(_profiled(1.01).activity) == math.ceil(1.01 / 0.2)
+
+
+def test_bin_on_off_follows_majority_rule():
+    # powered for 0.08 s of the last 0.2 s bin: off; for 0.12 s: on
+    assert _profiled(0.28).activity.on_off.tolist() == [True, False]
+    assert _profiled(0.32).activity.on_off.tolist() == [True, True]
+
+
+def test_bin_label_is_the_majority_phase():
+    # the first bin splits between the boot and the first sampling burst
+    assert _profiled(0.4, t_boot=0.12).activity.labels[0] == PHASE_INDEX["booting"]
+    assert _profiled(0.4, t_boot=0.08).activity.labels[0] == PHASE_INDEX["sampling"]
 
 
 def test_constant_supply_profiling_byte_count():
@@ -67,11 +92,11 @@ def test_constant_supply_reactive_run_matches_recorded(end_policy):
     res = simulate(tr, ev, None, preset("PARKING"), cfg)
     assert res.throughput_bytes == 60
     assert res.duration_s == 1800.0
-    # every delivered event finds the node powered; the one at the trace
-    # end is never delivered
+    # every event, the one stamped at the trace end included, is delivered
+    # and finds the node powered
     np.testing.assert_array_equal(res.event_log, [
         [0.0, 1], [100.05, 1], [130.0, 1], [359.93, 1], [1000.0, 1],
-        [1700.01, 1]])
+        [1700.01, 1], [1800.0, 1]])
     assert len(res.activity) == 9000
     assert res.activity.on_off.all()
     labels = np.full(9000, PHASE_INDEX["idle"])
@@ -295,6 +320,26 @@ def test_event_outside_trace_rejected():
     ev = EventTrace(t=np.array([150.0]))
     with pytest.raises(ConfigError):
         simulate(tr, ev, EssConfig(), small_app(), SimConfig())
+
+
+@pytest.mark.parametrize("field", ["dt_active", "dt_quiescent",
+                                   "aggregation_step", "dark_threshold",
+                                   "max_extension_s"])
+def test_sim_config_rejects_nan_naming_the_field(field):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**{field: math.nan})
+
+
+@pytest.mark.parametrize("end_policy", ["hard_stop", "drain_until_converter_off"])
+def test_event_at_trace_end_is_delivered(end_policy):
+    tr = flat_trace(600.0, 300.0)
+    ev = EventTrace(t=np.array([100.0, 600.0]))
+    ess = EssConfig(storage=StorageModel(capacitance=0.3, v_init=2.5,
+                                         leak_resistance=1e5))
+    res = simulate(tr, ev, ess, small_app(reactive=True),
+                   SimConfig(dt_quiescent=0.2, end_policy=end_policy))
+    assert res.events_offered == 2
+    np.testing.assert_array_equal(res.event_log, [[100.0, 1], [600.0, 1]])
 
 
 def test_sim_config_validation():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehsim.app import preset
+from ehsim.engine import SimConfig, simulate
 from ehsim.ess import (
     ConverterModel, EfficiencyCurve, EssConfig, EssError, EssState,
     HarvesterModel, MpptModel, StorageModel, IvGridWarning,
     MODE_BYPASS, MODE_COLD_START, MODE_SATURATED, MODE_TRACKING,
-    converter_next_state, converter_step, harvester_mpp_power,
+    converter_next_state, harvester_mpp_power,
     harvester_power, mppt_next_mode, mppt_step, residual_energy,
     solve_load_current, storage_step,
 )
+from ehsim.traces import IrradianceTrace
 
 
 def test_efficiency_flat_and_table():
@@ -235,16 +238,26 @@ def test_solve_load_current():
 
 
 def test_converter_stays_off_below_threshold():
-    on, p_drawn, p_loss = converter_step(ConverterModel(), 1.99, False, 1e-3)
-    assert not on and p_drawn == 0.0 and p_loss == 0.0
+    conv = ConverterModel()
+    assert not converter_next_state(conv, False, 1.99)
+    assert converter_next_state(conv, False, conv.v_on)
 
 
 def test_converter_draw_arithmetic():
-    conv = ConverterModel(efficiency=EfficiencyCurve.flat(0.8))
-    on, p_drawn, p_loss = converter_step(conv, 0.8, True, 10e-3)
-    assert on
-    assert p_drawn == pytest.approx(12.5e-3)
-    assert p_loss == pytest.approx(2.5e-3)
+    # the engine draws p_load / eta through the converter: with a lossless
+    # storage the converter books exactly the (1 - eta) share of the draw
+    ess = EssConfig(
+        storage=StorageModel(capacitance=1.0, esr=0.0, leak_resistance=math.inf,
+                             v_init=2.5, buffer_capacitance=0.0),
+        converter=ConverterModel(efficiency=EfficiencyCurve.flat(0.8)))
+    trace = IrradianceTrace(t=np.array([0.0, 600.0]), g=np.zeros(2))
+    app = preset("TMP1")
+    res = simulate(trace, None, ess, app,
+                   SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
+    led = res.stack.ledger
+    load = led.sss_total - led.sss_by_activity["off"]
+    assert res.boots == 1 and load > 0.1
+    assert led.converter_loss == pytest.approx(0.25 * load, rel=1e-9)
 
 
 def test_converter_hysteresis_walk_stays_on():
