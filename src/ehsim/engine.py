@@ -691,10 +691,13 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
-# much as a few steps; the longest bounds its row temporaries and how long
-# the ESR loss stays frozen at its start-of-span value.
+# much as a few steps; the longest bounds its row temporaries.
 _SPAN_MIN_BINS = 4
 _SPAN_MAX_BINS = 4096
+# A span's ESR loss is frozen at its start voltage, and i^2 R goes as
+# 1 / v^2: the span also ends where the voltage has moved by this share,
+# which keeps the frozen loss within 0.5% of the stepped one.
+_SPAN_ESR_DRIFT = 0.0025
 
 
 def _constant_until(trace: IrradianceTrace) -> list[float]:
@@ -716,8 +719,9 @@ class _Spans:
     with a surplus, the storage holds and the tracker curtails the surplus.
     A span ends at the last bin edge before the storage voltage reaches a
     level at which the tracker mode, saturation, converter, checkpoint or
-    off-residual draw would change, and before the given stop time or the
-    next sampling launch. The leak is booked from the exact solution; the
+    off-residual draw would change, or moves by ``_SPAN_ESR_DRIFT`` while
+    an ESR loss is frozen, and before the given stop time or the next
+    sampling launch. The leak is booked from the exact solution; the
     last bin's draw takes up what the storage actually supplied, as the
     per-step loop books it, so the ledger closes.
     """
@@ -803,6 +807,9 @@ class _Spans:
                 levels.append(level)
         i_out = solve_load_current(v_cap, R, p_drawn)
         p_esr = i_out * i_out * R
+        if p_esr > 0.0:
+            levels += (v_cap * (1.0 - _SPAN_ESR_DRIFT),
+                       v_cap * (1.0 + _SPAN_ESR_DRIFT))
 
         C, Cb = sto.capacitance, sto.buffer_capacitance
         c_eff, a = self.c_eff, self.a
