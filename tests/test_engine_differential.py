@@ -163,23 +163,27 @@ def test_acceptance_inputs_match_oracle(name):
 
 def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
     # Without the buffer the node reboots every fraction of a second, and
-    # the cycle is chaotic: the oracle itself, with v_init moved by 1e-12
-    # of itself, changes its boot count and its activity profile. So only
-    # the failure signature is exact here; the boot count and profile must
-    # agree to within a few times the oracle's own spread.
+    # the cycle is chaotic: the oracle itself, with v_init moved by 1e-12 to
+    # 1e-8 of itself, changes its boot count and its activity profile. So
+    # only the failure signature is exact here; the boot count and profile
+    # must agree to within twice the oracle's own spread over those nudges.
     trace, events, ess, app, cfg = acceptance_inputs("c8_no_buffer")
     new = simulate(trace, events, ess, app, cfg)
     old = engine_oracle.simulate(trace, events, ess, app, cfg)
-    nudged = engine_oracle.simulate(trace, events, replace(
-        ess, storage=replace(ess.storage, v_init=0.75 * (1 + 1e-12))), app, cfg)
-    spread_boots = abs(nudged.boots - old.boots)
-    spread_ape = compute_ape(nudged.activity, old.activity, 0.0).epsilon
+    spread_boots = spread_ape = 0.0
+    for nudge in (1e-12, 1e-10, 1e-8):
+        nudged = engine_oracle.simulate(trace, events, replace(
+            ess, storage=replace(ess.storage, v_init=0.75 * (1 + nudge))),
+            app, cfg)
+        spread_boots = max(spread_boots, abs(nudged.boots - old.boots))
+        spread_ape = max(spread_ape,
+                         compute_ape(nudged.activity, old.activity, 0.0).epsilon)
     assert spread_boots >= 1 and spread_ape > 1e-3
     assert new.throughput_bytes == old.throughput_bytes == 0
     assert new.stack.ledger.sss_by_activity["communicating"] == 0.0
-    assert abs(new.boots - old.boots) <= 5 * spread_boots
+    assert abs(new.boots - old.boots) <= 2 * spread_boots
     assert compute_ape(new.activity, old.activity, 0.0).epsilon \
-        <= 3 * spread_ape
+        <= 2 * spread_ape
     assert_ledger_close(new, old)
 
 
