@@ -413,8 +413,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     extension_deadline = t_end + cfg.max_extension_s
     prev_de_rate = 0.0  # last step's net storage power, for crossing clips
     prev_i_out = 0.0
+    prev_p_drawn = 0.0  # and its bus draw
     v_on_sq = conv.v_on * conv.v_on
-    v_off_sq = conv.v_off * conv.v_off
     v_off = conv.v_off
     ckpt_v = app.checkpoint_v
 
@@ -448,6 +448,11 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             break
 
         phase = app_state.phase
+        if phase != last_phase:
+            # Entered as the last step ended: the fine window opens now,
+            # not after the new phase's first (coarse) step.
+            last_phase = phase
+            phase_entry_t = t
         # Closed-form span over whole bins while only the storage moves: the
         # app off or idle, no fine window open, harvest and draw constant.
         if spans is not None and t == bin_open_t and (
@@ -471,6 +476,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     (n, v_cap, v_bus, state.mppt_mode, prev_de_rate,
                      prev_i_out, span_s, e_h, e_ml, e_leak, e_esr, e_conv,
                      e_load) = span
+                    prev_p_drawn = v_bus * prev_i_out  # the last bin's draw
                     e_harvest += e_h
                     e_mppt += e_ml
                     e_leak_tot += e_leak
@@ -480,9 +486,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     if conv_on:
                         on_time += span_s
                         app_state.t_until_sample -= span_s
-                    if phase != last_phase:
-                        last_phase = phase
-                        phase_entry_t = t
                     bin_idx += n
                     bins.n = bin_idx
                     b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
@@ -520,16 +523,33 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         # Clip onto predicted threshold crossings so hysteresis events
         # resolve at fine granularity even under coarse stepping.
         if not fine:
-            if not conv_on and prev_de_rate > 1e-15 and v_cap < conv.v_on:
-                t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
-                if t_cross < dt:
-                    dt = t_cross if t_cross > dt_fine else dt_fine
+            if not conv_on and prev_de_rate > 1e-15:
+                if v_cap < conv.v_on:
+                    t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
+                    if t_cross < dt:
+                        dt = t_cross if t_cross > dt_fine else dt_fine
+                elif dt_fine < dt:
+                    # On the level with the bus a hair behind it: step
+                    # finely until the converter switches on.
+                    dt = dt_fine
             elif conv_on and prev_de_rate < -1e-15:
-                thr_sq = ckpt_v * ckpt_v if v_cap > ckpt_v else v_off_sq
+                # Behind an ESR the bus reaches v_off, drawing p, while the
+                # storage still holds v_off + R p / v_off: clip onto that
+                # level, or onto the checkpoint level if it comes first.
+                # On or past the level with the converter still on (a clip
+                # lands on it, or the draw rose), step finely until the
+                # converter switches, not coarsely past the level.
+                v_sw = v_off
+                if R > 0.0 and v_off > 0.0:
+                    v_sw += R * prev_p_drawn / v_off
+                thr = ckpt_v if v_sw < ckpt_v < v_cap else v_sw
+                thr_sq = thr * thr
                 if v_cap * v_cap > thr_sq:
                     t_cross = 0.5 * C * (v_cap * v_cap - thr_sq) / -prev_de_rate
                     if t_cross < dt:
                         dt = t_cross if t_cross > dt_fine else dt_fine
+                elif v_cap <= thr and dt_fine < dt:
+                    dt = dt_fine
         if dt < 1e-9:
             dt = 1e-9
 
@@ -645,6 +665,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         prev_de_rate = 0.5 * C * (v_cap_new * v_cap_new - v_cap * v_cap) / dt
         prev_i_out = i_out
+        prev_p_drawn = p_drawn
         v_cap = v_cap_new
         v_bus = v_bus_new
         t += dt

@@ -44,6 +44,17 @@ def test_zero_irradiance_never_turns_on():
     np.testing.assert_array_equal(res.activity.labels, PHASE_INDEX["off"])
 
 
+def test_all_off_run_profile_is_off_in_every_bin():
+    # 10 s dark with an empty store: 50 bins of 0.2 s, each off
+    tr = IrradianceTrace(t=np.array([0.0, 10.0]), g=np.zeros(2))
+    ess = EssConfig(storage=StorageModel(v_init=0.0))
+    res = simulate(tr, None, ess, small_app(), SimConfig(dt_quiescent=0.2))
+    assert res.boots == 0
+    assert len(res.activity) == 50
+    assert not res.activity.on_off.any()
+    np.testing.assert_array_equal(res.activity.labels, PHASE_INDEX["off"])
+
+
 def _profiled(duration, **app_kw):
     # ideal source: powered from t = 0, stopped at the trace end
     tr = IrradianceTrace(t=np.array([0.0, duration]), g=np.zeros(2))
@@ -182,6 +193,22 @@ def test_multirate_matches_uniform_fine_stepping():
     for key in lf.sss_by_activity:
         vf, va = lf.sss_by_activity[key], la.sss_by_activity[key]
         assert abs(vf - va) <= max(0.01 * abs(vf), 2e-3 * scale), key
+
+
+@pytest.mark.parametrize("esr", [0.0, 2.0])
+def test_brownout_cut_off_does_not_depend_on_coarse_step(esr):
+    # A dark discharge to the converter cut-off: where the bus reaches v_off
+    # is resolved at the fine step, so the energy stranded in the storage
+    # must not move with dt_quiescent.
+    app = small_app(t_sample_period=3.0, t_sample=1.0, t_comm=0.5,
+                    p_sample=0.03, p_comm=0.015, p_idle=0.0)
+    ess = EssConfig(storage=StorageModel(capacitance=0.25, esr=esr,
+                                         leak_resistance=np.inf, v_init=2.2))
+    tr = IrradianceTrace(t=np.array([0.0, 600.0]), g=np.zeros(2))
+    left = [simulate(tr, None, ess, app,
+                     SimConfig(dt_quiescent=dq, end_policy="hard_stop")
+                     ).stack.ledger.storage_residual for dq in (0.1, 0.2)]
+    assert abs(left[0] - left[1]) <= 1e-3 * left[0]
 
 
 def test_aggregation_profile_matches_run_totals():

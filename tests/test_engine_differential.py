@@ -164,9 +164,11 @@ def test_acceptance_inputs_match_oracle(name):
 def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
     # Without the buffer the node reboots every fraction of a second, and
     # the cycle is chaotic: the oracle itself, with v_init moved by 1e-12 to
-    # 1e-8 of itself, changes its boot count and its activity profile. So
-    # only the failure signature is exact here; the boot count and profile
-    # must agree to within twice the oracle's own spread over those nudges.
+    # 1e-8 of itself, changes its boot count. So only the failure signature
+    # is exact here; the boot count and profile must agree to within twice
+    # the oracle's own spread over those nudges. Each sampling burst
+    # collapses the bus within its fine window, so no cycle holds the node
+    # on for half a bin: the profile is all off in every run.
     trace, events, ess, app, cfg = acceptance_inputs("c8_no_buffer")
     new = simulate(trace, events, ess, app, cfg)
     old = engine_oracle.simulate(trace, events, ess, app, cfg)
@@ -178,7 +180,8 @@ def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
         spread_boots = max(spread_boots, abs(nudged.boots - old.boots))
         spread_ape = max(spread_ape,
                          compute_ape(nudged.activity, old.activity, 0.0).epsilon)
-    assert spread_boots >= 1 and spread_ape > 1e-3
+    assert spread_boots >= 1
+    assert not old.activity.on_off.any() and not new.activity.on_off.any()
     assert new.throughput_bytes == old.throughput_bytes == 0
     assert new.stack.ledger.sss_by_activity["communicating"] == 0.0
     assert abs(new.boots - old.boots) <= 2 * spread_boots
@@ -245,15 +248,19 @@ def random_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_inputs())
 def test_random_inputs_ledger_within_multirate_tolerance(inputs):
+    trace, events, ess, app, cfg = inputs
     new = simulate(*inputs)
-    old = engine_oracle.simulate(*inputs)
+    # The oracle's dark skip books the off-residual draw without the ESR
+    # loss it causes, which the engine's spans book as its steps do: a
+    # skip_nights run is held to the oracle's stepped run.
+    old = engine_oracle.simulate(trace, events, ess, app,
+                                 replace(cfg, skip_nights=False))
     # Neither loop clips a step onto the dead-node cut-off, so each stops
     # the off-residual draw up to one quiescent step late, at a phase set
     # by its own step grid: allow one such step per crossing. (Against a
     # few mJ stored, a 100 uW draw makes that more than the relative
     # tolerances; the oracle then differs as much from itself run at
     # dt_quiescent 0.1 and 0.2.)
-    _, _, _, app, cfg = inputs
     crossings = np.count_nonzero(np.diff(old.voltage_v > engine._V_DEAD))
     assert_ledger_close(new, old, slack=(1 + crossings) * app.p_off_residual
                         * cfg.dt_quiescent)
