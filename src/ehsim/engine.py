@@ -12,7 +12,7 @@ dips, boot edges) and a coarse step covers the rest of the active phases
 next application transition, trace sample, event, or aggregation boundary.
 Quiescent spans, with the app off or idle, the converter state holding, a
 constant irradiance sample, no event due and no fine window open, are
-advanced in closed form over whole aggregation bins (see :class:`_Spans`).
+advanced in closed form over whole aggregation bins (see :func:`_advance_span`).
 A plain run takes every lit span with the node off and every idle span;
 ``skip_nights`` adds the dark spans with the node off. Compared with
 stepping those spans, this changes the energy figures of non-ideal runs in
@@ -388,7 +388,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     # Quiescent spans advance in closed form; dark ones with the node off
     # only under skip_nights. Profiling runs keep the per-step path.
-    spans = None if ideal else _Spans(ess, app, t0, agg)
     skip_dark = cfg.skip_nights
     dark_thr = cfg.dark_threshold
     g_until = _constant_until(trace)
@@ -413,8 +412,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     extension_deadline = t_end + cfg.max_extension_s
     prev_de_rate = 0.0  # last step's net storage power, for crossing clips
     prev_i_out = 0.0
-    prev_p_drawn = 0.0  # and its bus draw
     v_on_sq = conv.v_on * conv.v_on
+    v_off_sq = conv.v_off * conv.v_off
     v_off = conv.v_off
     ckpt_v = app.checkpoint_v
 
@@ -448,14 +447,9 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             break
 
         phase = app_state.phase
-        if phase != last_phase:
-            # Entered as the last step ended: the fine window opens now,
-            # not after the new phase's first (coarse) step.
-            last_phase = phase
-            phase_entry_t = t
         # Closed-form span over whole bins while only the storage moves: the
         # app off or idle, no fine window open, harvest and draw constant.
-        if spans is not None and t == bin_open_t and (
+        if not ideal and t == bin_open_t and (
                 phase == PHASE_IDLE
                 and app_state.t_until_sample > _SPAN_MIN_BINS * agg
                 and not (R > 0.0 and v_cap - R * prev_i_out < v_off)
@@ -470,29 +464,25 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                         stop = t_end
                 if ev_idx < n_events and ev_t[ev_idx] < stop:
                     stop = ev_t[ev_idx]
-                span = spans.advance(bins, bin_idx, t, stop, v_cap, v_bus, g,
+                span = _advance_span(ess, app, ledger, bins, t0, agg, bin_idx,
+                                     t, stop, v_cap, v_bus, g,
                                      state.mppt_mode, app_state)
                 if span is not None:
                     (n, v_cap, v_bus, state.mppt_mode, prev_de_rate,
-                     prev_i_out, span_s, e_h, e_ml, e_leak, e_esr, e_conv,
-                     e_load) = span
-                    prev_p_drawn = v_bus * prev_i_out  # the last bin's draw
-                    e_harvest += e_h
-                    e_mppt += e_ml
-                    e_leak_tot += e_leak
-                    e_esr_tot += e_esr
-                    e_conv_tot += e_conv
-                    sss[_PHASE_TO_ACTIVITY[phase]] += e_load
-                    if conv_on:
-                        on_time += span_s
-                        app_state.t_until_sample -= span_s
+                     prev_i_out) = span
+                    if phase != last_phase:
+                        last_phase = phase
+                        phase_entry_t = t
                     bin_idx += n
                     bins.n = bin_idx
                     b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
                     b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
                     b_on, b_labels = bins.on_s, bins.labels
                     b_vt, b_vv = bins.volt_t, bins.volt_v
-                    t = bin_open_t = t0 + bin_idx * agg
+                    t_span_end = t0 + bin_idx * agg
+                    if conv_on:
+                        on_time += t_span_end - t
+                    t = bin_open_t = t_span_end
                     while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
                         tr_idx += 1
                     continue
@@ -523,33 +513,16 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         # Clip onto predicted threshold crossings so hysteresis events
         # resolve at fine granularity even under coarse stepping.
         if not fine:
-            if not conv_on and prev_de_rate > 1e-15:
-                if v_cap < conv.v_on:
-                    t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
-                    if t_cross < dt:
-                        dt = t_cross if t_cross > dt_fine else dt_fine
-                elif dt_fine < dt:
-                    # On the level with the bus a hair behind it: step
-                    # finely until the converter switches on.
-                    dt = dt_fine
+            if not conv_on and prev_de_rate > 1e-15 and v_cap < conv.v_on:
+                t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
+                if t_cross < dt:
+                    dt = t_cross if t_cross > dt_fine else dt_fine
             elif conv_on and prev_de_rate < -1e-15:
-                # Behind an ESR the bus reaches v_off, drawing p, while the
-                # storage still holds v_off + R p / v_off: clip onto that
-                # level, or onto the checkpoint level if it comes first.
-                # On or past the level with the converter still on (a clip
-                # lands on it, or the draw rose), step finely until the
-                # converter switches, not coarsely past the level.
-                v_sw = v_off
-                if R > 0.0 and v_off > 0.0:
-                    v_sw += R * prev_p_drawn / v_off
-                thr = ckpt_v if v_sw < ckpt_v < v_cap else v_sw
-                thr_sq = thr * thr
+                thr_sq = ckpt_v * ckpt_v if v_cap > ckpt_v else v_off_sq
                 if v_cap * v_cap > thr_sq:
                     t_cross = 0.5 * C * (v_cap * v_cap - thr_sq) / -prev_de_rate
                     if t_cross < dt:
                         dt = t_cross if t_cross > dt_fine else dt_fine
-                elif v_cap <= thr and dt_fine < dt:
-                    dt = dt_fine
         if dt < 1e-9:
             dt = 1e-9
 
@@ -665,7 +638,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         prev_de_rate = 0.5 * C * (v_cap_new * v_cap_new - v_cap * v_cap) / dt
         prev_i_out = i_out
-        prev_p_drawn = p_drawn
         v_cap = v_cap_new
         v_bus = v_bus_new
         t += dt
@@ -695,11 +667,12 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         b_vv[bin_idx] = v_cap
         bins.n = bin_idx + 1
 
-    ledger.harvest_input = e_harvest
-    ledger.mppt_loss = e_mppt
-    ledger.storage_loss_leak = e_leak_tot
-    ledger.storage_loss_esr = e_esr_tot
-    ledger.converter_loss = e_conv_tot
+    # added to what the closed-form spans booked
+    ledger.harvest_input += e_harvest
+    ledger.mppt_loss += e_mppt
+    ledger.storage_loss_leak += e_leak_tot
+    ledger.storage_loss_esr += e_esr_tot
+    ledger.converter_loss += e_conv_tot
 
     # An ideal source stores nothing, so it strands nothing.
     v_left, v_bus_left = (0.0, 0.0) if ideal else (v_cap, v_bus)
@@ -729,8 +702,12 @@ def _constant_until(trace: IrradianceTrace) -> list[float]:
     return ends[np.searchsorted(change, np.arange(len(g)), side="right")].tolist()
 
 
-class _Spans:
-    """Closed-form advance of the storage over whole quiescent bins.
+def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
+                  bins: _Bins, t0: float, agg: float, bin_idx: int, t: float,
+                  stop: float, v_cap: float, v_bus: float, g: float, mode: str,
+                  app_state: AppState) -> tuple | None:
+    """Advance the storage in closed form from the empty bin ``bin_idx``,
+    opened at ``t``, over whole quiescent bins to at most ``stop``.
 
     While the app is off or idle and the converter state holds, a constant
     irradiance sample makes the storage input ``p_in``, the draw and its ESR
@@ -745,183 +722,171 @@ class _Spans:
     sampling launch. The leak is booked from the exact solution; the
     last bin's draw takes up what the storage actually supplied, as the
     per-step loop books it, so the ledger closes.
+
+    Writes the span's rows, adds its energies to ``ledger`` and counts its
+    time off ``app_state.t_until_sample`` while idle. Returns ``(n_bins,
+    v_cap, v_bus, mode, de_rate, i_out)``, or None when fewer than
+    ``_SPAN_MIN_BINS`` whole bins qualify.
     """
+    t_bin = t0 + bin_idx * agg
+    on = app_state.phase == PHASE_IDLE
+    room = (stop - t_bin) / agg + 1e-9
+    n = _SPAN_MAX_BINS if room >= _SPAN_MAX_BINS else math.floor(room)
+    if on:  # end before the next sampling launch
+        n = min(n, math.ceil((t + app_state.t_until_sample - t_bin) / agg
+                             - 1e-9) - 1)
+    if n < _SPAN_MIN_BINS:
+        return None
+    harv, mppt, sto, conv = ess.harvester, ess.mppt, ess.storage, ess.converter
 
-    def __init__(self, ess: EssConfig, app: AppSpec, t0: float, agg: float):
-        mppt, sto = ess.mppt, ess.storage
-        self.ess = ess
-        self.app = app
-        self.t0 = t0
-        self.agg = agg
-        self.c_eff = sto.capacitance + sto.buffer_capacitance
-        self.a = 2.0 / (sto.leak_resistance * self.c_eff)
-        self.levels = (mppt.bypass_engage_v, mppt.bypass_release_v,
-                       mppt.cold_start_below_v, mppt.storage_v_max)
+    mode = mppt_next_mode(mppt, mode, v_cap)
+    p_mpp = p_in = 0.0
+    if g > 0.0:
+        if harv.model_kind == "linear_mpp":
+            p_mpp = harv.k_mpp * g
+        elif mode == MODE_BYPASS:
+            return None  # the IV surface's power depends on v_cap
+        else:
+            p_mpp = harvester_mpp_power(harv, g)
+        if mode == MODE_BYPASS:
+            eff = mppt.bypass_efficiency
+        elif mode == MODE_COLD_START:
+            eff = mppt.cold_start_efficiency
+        else:
+            eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
+                p_mpp, v_cap)
+        p_in = p_mpp * eff
 
-    def advance(self, bins: _Bins, bin_idx: int, t: float, stop: float,
-                v_cap: float, v_bus: float, g: float, mode: str,
-                app_state: AppState) -> tuple | None:
-        """Advance from the empty bin ``bin_idx``, opened at ``t``, to at
-        most ``stop``.
-
-        Writes the span's rows and returns ``(n_bins, v_cap, v_bus, mode,
-        de_rate, i_out, seconds, harvest, mppt_loss, leak, esr,
-        converter_loss, load)``, or None when fewer than ``_SPAN_MIN_BINS``
-        whole bins qualify.
-        """
-        agg = self.agg
-        t_bin = self.t0 + bin_idx * agg
-        on = app_state.phase == PHASE_IDLE
-        room = (stop - t_bin) / agg + 1e-9
-        n = _SPAN_MAX_BINS if room >= _SPAN_MAX_BINS else math.floor(room)
-        if on:  # end before the next sampling launch
-            n = min(n, math.ceil((t + app_state.t_until_sample - t_bin) / agg
-                                 - 1e-9) - 1)
-        if n < _SPAN_MIN_BINS:
+    levels = [mppt.bypass_engage_v, mppt.bypass_release_v,
+              mppt.cold_start_below_v, mppt.storage_v_max]
+    if on:
+        if not (v_bus >= conv.v_off and (app_state.checkpointed
+                                         or v_cap >= app.checkpoint_v)):
             return None
-        ess, app = self.ess, self.app
-        harv, mppt, sto, conv = ess.harvester, ess.mppt, ess.storage, ess.converter
-
-        mode = mppt_next_mode(mppt, mode, v_cap)
-        p_mpp = p_in = 0.0
-        if g > 0.0:
-            if harv.model_kind == "linear_mpp":
-                p_mpp = harv.k_mpp * g
-            elif mode == MODE_BYPASS:
-                return None  # the IV surface's power depends on v_cap
-            else:
-                p_mpp = harvester_mpp_power(harv, g)
-            if mode == MODE_BYPASS:
-                eff = mppt.bypass_efficiency
-            elif mode == MODE_COLD_START:
-                eff = mppt.cold_start_efficiency
-            else:
-                eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
-                    p_mpp, v_cap)
-            p_in = p_mpp * eff
-
-        levels = list(self.levels)
-        if on:
-            if not (v_bus >= conv.v_off and (app_state.checkpointed
-                                             or v_cap >= app.checkpoint_v)):
+        p_load = app.p_idle
+        p_drawn = p_load / conv.efficiency.at(p_load, v_bus)
+        bus_levels = (conv.v_off,)
+        if not app_state.checkpointed:
+            levels.append(app.checkpoint_v)
+    else:
+        if v_bus >= conv.v_on:
+            return None
+        p_load = p_drawn = app.p_off_residual if v_bus > _V_DEAD else 0.0
+        bus_levels = (conv.v_on, _V_DEAD)
+    R = sto.esr
+    if R > 0.0 and v_cap * v_cap <= 4.0 * R * p_drawn:
+        return None  # the bus cannot carry the draw
+    # The bus sits at x when v_cap = x + R * p_drawn / x. A bus that
+    # still lags v_cap across such a level is about to switch something.
+    for x in bus_levels:
+        if x > 0.0:
+            level = x + R * p_drawn / x
+            if (v_bus >= x) != (v_cap >= level):
                 return None
-            p_load = app.p_idle
-            p_drawn = p_load / conv.efficiency.at(p_load, v_bus)
-            bus_levels = (conv.v_off,)
-            if not app_state.checkpointed:
-                levels.append(app.checkpoint_v)
-        else:
-            if v_bus >= conv.v_on:
+            levels.append(level)
+    i_out = solve_load_current(v_cap, R, p_drawn)
+    p_esr = i_out * i_out * R
+    if p_esr > 0.0:
+        levels += (v_cap * (1.0 - _SPAN_ESR_DRIFT),
+                   v_cap * (1.0 + _SPAN_ESR_DRIFT))
+
+    C, Cb = sto.capacitance, sto.buffer_capacitance
+    c_eff = C + Cb
+    a = 2.0 / (sto.leak_resistance * c_eff)
+    e0 = 0.5 * c_eff * v_cap * v_cap
+    slope = p_in - p_drawn - p_esr - a * e0  # dE/dt at the start
+    if slope > 0.0 and v_cap >= mppt.storage_v_max:
+        # Saturated: the storage holds, the tracker curtails the surplus.
+        p_in -= slope
+        slope = 0.0
+        mode = MODE_SATURATED
+    # E moves monotonically, so the nearest level ahead is reached first.
+    if slope > 0.0:
+        ahead = [x for x in levels if x >= v_cap]
+        level = min(ahead) if ahead else None
+    elif slope < 0.0:
+        ahead = [x for x in levels if x <= v_cap]
+        level = max(ahead) if ahead else None
+    else:
+        level = None
+    if level is not None:
+        # Reached within the n bins when |gap| < |slope| * phi(n agg).
+        gap = 0.5 * c_eff * level * level - e0
+        horizon = n * agg
+        if abs(gap) < abs(slope) * (
+                horizon if a == 0.0 else -math.expm1(-a * horizon) / a):
+            q = gap / slope
+            s_level = q if a == 0.0 else -math.log1p(-a * q) / a
+            n = min(n, math.floor((t + s_level - t_bin) / agg))
+            if n < _SPAN_MIN_BINS:
                 return None
-            p_load = p_drawn = app.p_off_residual if v_bus > _V_DEAD else 0.0
-            bus_levels = (conv.v_on, _V_DEAD)
-        R = sto.esr
-        if R > 0.0 and v_cap * v_cap <= 4.0 * R * p_drawn:
-            return None  # the bus cannot carry the draw
-        # The bus sits at x when v_cap = x + R * p_drawn / x. A bus that
-        # still lags v_cap across such a level is about to switch something.
-        for x in bus_levels:
-            if x > 0.0:
-                level = x + R * p_drawn / x
-                if (v_bus >= x) != (v_cap >= level):
-                    return None
-                levels.append(level)
-        i_out = solve_load_current(v_cap, R, p_drawn)
-        p_esr = i_out * i_out * R
-        if p_esr > 0.0:
-            levels += (v_cap * (1.0 - _SPAN_ESR_DRIFT),
-                       v_cap * (1.0 + _SPAN_ESR_DRIFT))
 
-        C, Cb = sto.capacitance, sto.buffer_capacitance
-        c_eff, a = self.c_eff, self.a
-        e0 = 0.5 * c_eff * v_cap * v_cap
-        slope = p_in - p_drawn - p_esr - a * e0  # dE/dt at the start
-        if slope > 0.0 and v_cap >= mppt.storage_v_max:
-            # Saturated: the storage holds, the tracker curtails the surplus.
-            p_in -= slope
-            slope = 0.0
-            mode = MODE_SATURATED
-        # E moves monotonically, so the nearest level ahead is reached first.
-        if slope > 0.0:
-            ahead = [x for x in levels if x >= v_cap]
-            level = min(ahead) if ahead else None
-        elif slope < 0.0:
-            ahead = [x for x in levels if x <= v_cap]
-            level = max(ahead) if ahead else None
-        else:
-            level = None
-        if level is not None:
-            # Reached within the n bins when |gap| < |slope| * phi(n agg).
-            gap = 0.5 * c_eff * level * level - e0
-            horizon = n * agg
-            if abs(gap) < abs(slope) * (
-                    horizon if a == 0.0 else -math.expm1(-a * horizon) / a):
-                q = gap / slope
-                s_level = q if a == 0.0 else -math.log1p(-a * q) / a
-                n = min(n, math.floor((t + s_level - t_bin) / agg))
-                if n < _SPAN_MIN_BINS:
-                    return None
+    # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
+    # bin ends; the first bin may have opened a hair after its edge.
+    d0 = t_bin + agg - t
+    span = d0 + (n - 1) * agg
+    s = np.arange(n) * agg + d0
+    if a == 0.0:
+        phi, leak = s, 0.0
+    else:
+        phi = -np.expm1(-a * s) / a
+        leak = a * e0 * span + slope * (span - float(phi[-1]))
+    if slope == 0.0:
+        v = np.full(n, v_cap)
+    else:
+        v = np.sqrt(np.maximum((e0 + slope * phi) * (2.0 / c_eff), 0.0))
+    v_end = float(v[-1])
+    v_prev = float(v[-2])
+    # Leave the bus as a step over the last bin would: the load current
+    # set at its start voltage, and a buffered bus one step behind.
+    i_end = solve_load_current(v_prev, R, p_drawn)
+    v_bus_end = v_end if R == 0.0 else (
+        (v_prev if Cb > 0.0 else v_end) - R * i_end)
+    stored = (0.5 * C * (v_end * v_end - v_cap * v_cap)
+              + 0.5 * Cb * (v_bus_end * v_bus_end - v_bus * v_bus))
+    esr = p_esr * span
 
-        # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
-        # bin ends; the first bin may have opened a hair after its edge.
-        d0 = t_bin + agg - t
-        span = d0 + (n - 1) * agg
-        s = np.arange(n) * agg + d0
-        if a == 0.0:
-            phi, leak = s, 0.0
-        else:
-            phi = -np.expm1(-a * s) / a
-            leak = a * e0 * span + slope * (span - float(phi[-1]))
-        if slope == 0.0:
-            v = np.full(n, v_cap)
-        else:
-            v = np.sqrt(np.maximum((e0 + slope * phi) * (2.0 / c_eff), 0.0))
-        v_end = float(v[-1])
-        v_prev = float(v[-2])
-        # Leave the bus as a step over the last bin would: the load current
-        # set at its start voltage, and a buffered bus one step behind.
-        i_end = solve_load_current(v_prev, R, p_drawn)
-        v_bus_end = v_end if R == 0.0 else (
-            (v_prev if Cb > 0.0 else v_end) - R * i_end)
-        stored = (0.5 * C * (v_end * v_end - v_cap * v_cap)
-                  + 0.5 * Cb * (v_bus_end * v_bus_end - v_bus * v_bus))
-        esr = p_esr * span
-
-        # Rows are rate x bin length. The last bin's draw takes up what the
-        # storage actually supplied; a shortfall below zero, which a settling
-        # buffer bus can leave when nothing is drawn, stays in the storage.
-        p_ml = p_mpp - p_in
-        p_conv = p_drawn - p_load
-        supplied = p_drawn * agg + (
-            p_in * span - leak - esr - stored - p_drawn * span)
-        if supplied < 0.0:
-            leak += supplied
-            supplied = 0.0
-        load_last = p_load * agg if on else supplied
-        conv_last = supplied - load_last
-        if conv_last < 0.0:
-            load_last = supplied
-            conv_last = 0.0
-        sl = slice(bin_idx, bin_idx + n)
-        last = bin_idx + n - 1
-        bins.ensure(bin_idx + n + 1)
-        for row, d, conv_e, load_e in ((sl, agg, p_conv * agg, p_load * agg),
-                                       (bin_idx, d0, p_conv * d0, p_load * d0),
-                                       (last, agg, conv_last, load_last)):
-            bins.harvest[row] = p_mpp * d
-            bins.mppt[row] = p_ml * d
-            bins.conv[row] = conv_e
-            bins.soc[row] = load_e
-            bins.sdelta[row] = p_mpp * d - p_ml * d - conv_e - load_e
-            bins.on_s[row] = d if on else 0.0
-        bins.labels[sl] = PHASE_INDEX[app_state.phase]
-        bins.volt_t[sl] = np.arange(bin_idx + 1, bin_idx + n + 1) * agg
-        bins.volt_v[sl] = v
-        de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
-        return (n, v_end, v_bus_end, mode, de_rate, i_end, span,
-                p_mpp * span, p_ml * span, leak, esr,
-                p_conv * (span - agg) + conv_last,
-                p_load * (span - agg) + load_last)
+    # Rows are rate x bin length. The last bin's draw takes up what the
+    # storage actually supplied; a shortfall below zero, which a settling
+    # buffer bus can leave when nothing is drawn, stays in the storage.
+    p_ml = p_mpp - p_in
+    p_conv = p_drawn - p_load
+    supplied = p_drawn * agg + (
+        p_in * span - leak - esr - stored - p_drawn * span)
+    if supplied < 0.0:
+        leak += supplied
+        supplied = 0.0
+    load_last = p_load * agg if on else supplied
+    conv_last = supplied - load_last
+    if conv_last < 0.0:
+        load_last = supplied
+        conv_last = 0.0
+    sl = slice(bin_idx, bin_idx + n)
+    last = bin_idx + n - 1
+    bins.ensure(bin_idx + n + 1)
+    for row, d, conv_e, load_e in ((sl, agg, p_conv * agg, p_load * agg),
+                                   (bin_idx, d0, p_conv * d0, p_load * d0),
+                                   (last, agg, conv_last, load_last)):
+        bins.harvest[row] = p_mpp * d
+        bins.mppt[row] = p_ml * d
+        bins.conv[row] = conv_e
+        bins.soc[row] = load_e
+        bins.sdelta[row] = p_mpp * d - p_ml * d - conv_e - load_e
+        bins.on_s[row] = d if on else 0.0
+    bins.labels[sl] = PHASE_INDEX[app_state.phase]
+    bins.volt_t[sl] = np.arange(bin_idx + 1, bin_idx + n + 1) * agg
+    bins.volt_v[sl] = v
+    de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
+    ledger.harvest_input += p_mpp * span
+    ledger.mppt_loss += p_ml * span
+    ledger.storage_loss_leak += leak
+    ledger.storage_loss_esr += esr
+    ledger.converter_loss += p_conv * (span - agg) + conv_last
+    ledger.sss_by_activity[_PHASE_TO_ACTIVITY[app_state.phase]] += (
+        p_load * (span - agg) + load_last)
+    if on:
+        app_state.t_until_sample -= span
+    return n, v_end, v_bus_end, mode, de_rate, i_end
 
 
 def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,

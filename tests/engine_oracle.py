@@ -3,13 +3,9 @@
 ``_run_full`` and ``_skip_span`` are the functions ``ehsim.engine`` used
 when every off and idle step was integrated one step at a time and only
 dark, powered-off spans (under ``skip_nights``) were advanced in closed
-form. They are kept verbatim, but for the step-loop fixes they share with
-the engine: the fine window opens as a phase is entered, the cut-off clip
-aims at the storage voltage at which the bus (behind the ESR) reaches
-v_off, and both converter clips step finely while the storage sits on or
-past a level the converter has not yet switched at. The differential tests
-hold the production engine to them: the same events, bytes and boots, and
-ledgers within the multirate tolerances.
+form. They are kept verbatim so the differential tests can hold the
+production engine to them: the same events, bytes and boots, and ledgers
+within the multirate tolerances.
 """
 
 from __future__ import annotations
@@ -131,8 +127,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     extension_deadline = t_end + cfg.max_extension_s
     prev_de_rate = 0.0  # last step's net storage power, for crossing clips
     prev_i_out = 0.0
-    prev_p_drawn = 0.0  # and its bus draw
     v_on_sq = conv.v_on * conv.v_on
+    v_off_sq = conv.v_off * conv.v_off
     v_off = conv.v_off
     ckpt_v = app.checkpoint_v
 
@@ -194,11 +190,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         # bus collapse (the demanded current would drag the bus below the
         # converter's hold voltage).
         phase = app_state.phase
-        if phase != last_phase:
-            # Entered as the last step ended: the fine window opens now,
-            # not after the new phase's first (coarse) step.
-            last_phase = phase
-            phase_entry_t = t
         burst = phase != PHASE_OFF and phase != PHASE_IDLE
         fine = (burst and (t - phase_entry_t) < fine_window) or (
             conv_on and R > 0.0 and v_cap - R * prev_i_out < v_off)
@@ -222,33 +213,16 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         # Clip onto predicted threshold crossings so hysteresis events
         # resolve at fine granularity even under coarse stepping.
         if not fine:
-            if not conv_on and prev_de_rate > 1e-15:
-                if v_cap < conv.v_on:
-                    t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
-                    if t_cross < dt:
-                        dt = t_cross if t_cross > dt_fine else dt_fine
-                elif dt_fine < dt:
-                    # On the level with the bus a hair behind it: step
-                    # finely until the converter switches on.
-                    dt = dt_fine
+            if not conv_on and prev_de_rate > 1e-15 and v_cap < conv.v_on:
+                t_cross = 0.5 * C * (v_on_sq - v_cap * v_cap) / prev_de_rate
+                if t_cross < dt:
+                    dt = t_cross if t_cross > dt_fine else dt_fine
             elif conv_on and prev_de_rate < -1e-15:
-                # Behind an ESR the bus reaches v_off, drawing p, while the
-                # storage still holds v_off + R p / v_off: clip onto that
-                # level, or onto the checkpoint level if it comes first.
-                # On or past the level with the converter still on (a clip
-                # lands on it, or the draw rose), step finely until the
-                # converter switches, not coarsely past the level.
-                v_sw = v_off
-                if R > 0.0 and v_off > 0.0:
-                    v_sw += R * prev_p_drawn / v_off
-                thr = ckpt_v if v_sw < ckpt_v < v_cap else v_sw
-                thr_sq = thr * thr
+                thr_sq = ckpt_v * ckpt_v if v_cap > ckpt_v else v_off_sq
                 if v_cap * v_cap > thr_sq:
                     t_cross = 0.5 * C * (v_cap * v_cap - thr_sq) / -prev_de_rate
                     if t_cross < dt:
                         dt = t_cross if t_cross > dt_fine else dt_fine
-                elif v_cap <= thr and dt_fine < dt:
-                    dt = dt_fine
         if dt < 1e-9:
             dt = 1e-9
 
@@ -364,7 +338,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         prev_de_rate = 0.5 * C * (v_cap_new * v_cap_new - v_cap * v_cap) / dt
         prev_i_out = i_out
-        prev_p_drawn = p_drawn
         v_cap = v_cap_new
         v_bus = v_bus_new
         t += dt

@@ -195,22 +195,6 @@ def test_multirate_matches_uniform_fine_stepping():
         assert abs(vf - va) <= max(0.01 * abs(vf), 2e-3 * scale), key
 
 
-@pytest.mark.parametrize("esr", [0.0, 2.0])
-def test_brownout_cut_off_does_not_depend_on_coarse_step(esr):
-    # A dark discharge to the converter cut-off: where the bus reaches v_off
-    # is resolved at the fine step, so the energy stranded in the storage
-    # must not move with dt_quiescent.
-    app = small_app(t_sample_period=3.0, t_sample=1.0, t_comm=0.5,
-                    p_sample=0.03, p_comm=0.015, p_idle=0.0)
-    ess = EssConfig(storage=StorageModel(capacitance=0.25, esr=esr,
-                                         leak_resistance=np.inf, v_init=2.2))
-    tr = IrradianceTrace(t=np.array([0.0, 600.0]), g=np.zeros(2))
-    left = [simulate(tr, None, ess, app,
-                     SimConfig(dt_quiescent=dq, end_policy="hard_stop")
-                     ).stack.ledger.storage_residual for dq in (0.1, 0.2)]
-    assert abs(left[0] - left[1]) <= 1e-3 * left[0]
-
-
 def test_aggregation_profile_matches_run_totals():
     tr = synthetic_solar_trace(days=1, peak=30.0, cadence_s=120)
     ess = EssConfig(storage=StorageModel(capacitance=0.4, esr=0.8,

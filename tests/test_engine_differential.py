@@ -6,7 +6,8 @@ benchmark inputs and on reduced copies of the acceptance fixtures, and the
 activity profile within a raw APE of 1e-3; the one chaotic fixture, the ESR
 brownout without a buffer, is held to the oracle's own spread instead. On
 random inputs the ledger must match within the multirate tolerances of
-``test_multirate_matches_uniform_fine_stepping`` and close.
+``test_multirate_matches_uniform_fine_stepping``, plus allowances for what
+neither loop resolves below one quiescent step, and close.
 """
 
 import importlib.util
@@ -129,15 +130,25 @@ def assert_matches_oracle(new, old):
     assert compute_ape(new.activity, old.activity, 0.0).epsilon <= 1e-3
 
 
-def assert_ledger_close(new, old, slack=0.0):
-    ln, lo = new.stack.ledger, old.stack.ledger
-    scale = lo.total_input()
-    pairs = [(f, getattr(ln, f), getattr(lo, f)) for f in LEDGER_FIELDS]
-    pairs += [(k, ln.sss_by_activity[k], lo.sss_by_activity[k])
-              for k in lo.sss_by_activity]
-    for name, vn, vo in pairs:
-        assert abs(vn - vo) <= max(0.01 * abs(vo), 2e-3 * scale) + slack, name
-    assert abs(ln.closure_error()) <= 1e-9 * max(scale, 1.0)
+def ledger_values(res):
+    led = res.stack.ledger
+    return {**{f: getattr(led, f) for f in LEDGER_FIELDS},
+            **led.sss_by_activity}
+
+
+def assert_ledger_close(new, old, slack=0.0, spread=None):
+    """Every ledger field and activity key of ``new`` within the multirate
+    tolerance of ``old``, plus ``slack`` and, given a second oracle run
+    ``spread``, twice that run's distance from ``old``; and a closed ledger.
+    """
+    vn, vo = ledger_values(new), ledger_values(old)
+    vs = ledger_values(spread) if spread is not None else vo
+    scale = old.stack.ledger.total_input()
+    for name in vo:
+        tol = (max(0.01 * abs(vo[name]), 2e-3 * scale) + slack
+               + 2 * abs(vs[name] - vo[name]))
+        assert abs(vn[name] - vo[name]) <= tol, name
+    assert abs(new.stack.ledger.closure_error()) <= 1e-9 * max(scale, 1.0)
 
 
 @pytest.mark.parametrize("mode", ["realtime", "st_sp", "st_sp_sn"])
@@ -164,11 +175,9 @@ def test_acceptance_inputs_match_oracle(name):
 def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
     # Without the buffer the node reboots every fraction of a second, and
     # the cycle is chaotic: the oracle itself, with v_init moved by 1e-12 to
-    # 1e-8 of itself, changes its boot count. So only the failure signature
-    # is exact here; the boot count and profile must agree to within twice
-    # the oracle's own spread over those nudges. Each sampling burst
-    # collapses the bus within its fine window, so no cycle holds the node
-    # on for half a bin: the profile is all off in every run.
+    # 1e-8 of itself, changes its boot count and its activity profile. So
+    # only the failure signature is exact here; the boot count and profile
+    # must agree to within twice the oracle's own spread over those nudges.
     trace, events, ess, app, cfg = acceptance_inputs("c8_no_buffer")
     new = simulate(trace, events, ess, app, cfg)
     old = engine_oracle.simulate(trace, events, ess, app, cfg)
@@ -180,8 +189,7 @@ def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
         spread_boots = max(spread_boots, abs(nudged.boots - old.boots))
         spread_ape = max(spread_ape,
                          compute_ape(nudged.activity, old.activity, 0.0).epsilon)
-    assert spread_boots >= 1
-    assert not old.activity.on_off.any() and not new.activity.on_off.any()
+    assert spread_boots >= 1 and spread_ape > 1e-3
     assert new.throughput_bytes == old.throughput_bytes == 0
     assert new.stack.ledger.sss_by_activity["communicating"] == 0.0
     assert abs(new.boots - old.boots) <= 2 * spread_boots
@@ -262,8 +270,24 @@ def test_random_inputs_ledger_within_multirate_tolerance(inputs):
     # tolerances; the oracle then differs as much from itself run at
     # dt_quiescent 0.1 and 0.2.)
     crossings = np.count_nonzero(np.diff(old.voltage_v > engine._V_DEAD))
-    assert_ledger_close(new, old, slack=(1 + crossings) * app.p_off_residual
-                        * cfg.dt_quiescent)
+    slack = (1 + crossings) * app.p_off_residual * cfg.dt_quiescent
+    # Nor does either loop resolve below one quiescent step the bus
+    # collapse that cuts the converter off in a burst: a burst opens with
+    # a coarse step, and the cut-off clip aims at v_off, not at the storage
+    # voltage at which the bus behind the ESR reaches it (see CHANGES.md).
+    # A span moves the grid of the steps after it, so each boot's cut-off
+    # may come one quiescent step apart, worth the burst draw plus its ESR
+    # loss (at most as much again): on a 0.25 F store with no ESR, 3.7 mJ
+    # against 1.4 mJ of relative tolerance. While a store drains slowly
+    # through bursts that dip an ESR bus towards v_off, which burst cuts it
+    # off is set by the step grid, several bursts apart: the oracle itself
+    # then moves with dt_quiescent, and the engine is allowed twice its
+    # move to the other of the two steps the strategy draws.
+    p_burst = max(app.p_sample, app.p_comm) / min(ess.converter.efficiency.eta)
+    slack += 2 * max(new.boots, old.boots) * p_burst * cfg.dt_quiescent
+    other = engine_oracle.simulate(trace, events, ess, app, replace(
+        cfg, skip_nights=False, dt_quiescent=0.3 - cfg.dt_quiescent))
+    assert_ledger_close(new, old, slack=slack, spread=other)
     prof = new.profile
     np.testing.assert_allclose(
         prof.harvest, prof.mppt_loss + prof.converter_loss + prof.soc_energy
