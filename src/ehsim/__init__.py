@@ -10,7 +10,7 @@ back to the real-time axis.
 from .traces import (IrradianceTrace, EventTrace, TraceTransform,
                      parse_irradiance, parse_events, apply_transform,
                      transform_events, generate_parking_events,
-                     find_dark_segments, synthetic_solar_trace)
+                     synthetic_solar_trace)
 from .ess import (EfficiencyCurve, HarvesterModel, MpptModel, StorageModel,
                   ConverterModel, EssConfig, EssState, harvester_power,
                   mppt_step, storage_step, residual_energy)

@@ -217,11 +217,35 @@ def _write_csv(path: str, header: tuple[str, ...], columns) -> None:
             fh.write(row_fmt * (hi - lo) % tuple(flat))
 
 
+# Exact binary twins of the result tables: file stem -> (dtype, columns).
+_TABLES = {"profile": (np.dtype("<f8"), 7), "voltage": (np.dtype("<f8"), 2),
+           "activity": (np.dtype("i1"), 2), "events": (np.dtype("<f8"), 2)}
+
+
+def _write_npy(out_dir: str, name: str, columns) -> None:
+    """Write equal-length columns as one Fortran-order ``<name>.npy`` table.
+
+    A version 1.0 ``.npy`` header, then each column's raw bytes in turn:
+    the table is never stacked in memory, the file is deterministic, and
+    ``np.load`` returns the columns bit for bit.
+    """
+    dtype, width = _TABLES[name]
+    cols = [np.ascontiguousarray(c, dtype=dtype) for c in columns]
+    header = {"descr": np.lib.format.dtype_to_descr(dtype),
+              "fortran_order": True, "shape": (len(cols[0]), width)}
+    with open(os.path.join(out_dir, name + ".npy"), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for col in cols:
+            fh.write(col.data)
+
+
 def save_result(result: SimResult, out_dir: str) -> None:
-    """Write the result files: JSON scalars/stack plus CSV companions.
+    """Write the result files: JSON scalars/stack, ``.npy`` tables, CSV views.
 
     ``result.json`` is byte-stable for identical runs; wall-clock metadata
-    goes to ``run_meta.json`` so hashes and diffs stay meaningful.
+    goes to ``run_meta.json`` so hashes and diffs stay meaningful. The
+    ``.npy`` tables are what :func:`load_result` reads back exactly; the
+    CSVs hold the same tables at 10 significant digits for people.
     """
     os.makedirs(out_dir, exist_ok=True)
     led = result.stack.ledger
@@ -229,6 +253,7 @@ def save_result(result: SimResult, out_dir: str) -> None:
         "config_hash": result.stack.config_hash,
         "run_id": result.stack.run_id,
         "duration_s": result.duration_s,
+        "step_len": result.activity.step_len,
         "throughput_bytes": result.throughput_bytes,
         "on_time_s": result.on_time_s,
         "boots": result.boots,
@@ -250,27 +275,60 @@ def save_result(result: SimResult, out_dir: str) -> None:
         fh.write("\n")
 
     prof = result.profile
+    prof_cols = (prof.t_start, prof.harvest, prof.mppt_loss,
+                 prof.converter_loss, prof.soc_energy, prof.sensor_energy,
+                 prof.storage_delta)
+    _write_npy(out_dir, "profile", prof_cols)
     _write_csv(os.path.join(out_dir, "profile.csv"),
                ("t_start_s", "harvest_j", "mppt_loss_j", "converter_loss_j",
-                "soc_j", "sensor_j", "storage_delta_j"),
-               (prof.t_start, prof.harvest, prof.mppt_loss,
-                prof.converter_loss, prof.soc_energy, prof.sensor_energy,
-                prof.storage_delta))
+                "soc_j", "sensor_j", "storage_delta_j"), prof_cols)
     act = result.activity
+    _write_npy(out_dir, "activity", (act.on_off, act.labels))
     _write_csv(os.path.join(out_dir, "activity.csv"), ("t_start_s", "on", "label"),
                (np.arange(len(act)) * act.step_len, act.on_off,
                 np.array(PHASES, dtype=object)[act.labels]))
+    _write_npy(out_dir, "voltage", (result.voltage_t, result.voltage_v))
     _write_csv(os.path.join(out_dir, "voltage.csv"), ("t_s", "v_cap"),
                (result.voltage_t, result.voltage_v))
     ev = np.asarray(result.event_log, dtype=float).reshape(-1, 2)
+    _write_npy(out_dir, "events", (ev[:, 0], ev[:, 1]))
     _write_csv(os.path.join(out_dir, "events.csv"), ("t_s", "powered_at_event"),
                (ev[:, 0], ev[:, 1].astype(np.int64)))
 
 
+def _load_npy(out_dir: str, name: str) -> np.ndarray:
+    """One result table, checked against the dtype and width it was saved with."""
+    dtype, width = _TABLES[name]
+    path = os.path.join(out_dir, name + ".npy")
+    try:
+        with open(path, "rb") as fh:
+            arr = np.load(fh)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: unreadable result table ({exc}); "
+                          f"re-run simulate") from None
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.ndim == 2 and arr.shape[1] == width):
+        found = (f"{arr.shape} {arr.dtype}" if isinstance(arr, np.ndarray)
+                 else type(arr).__name__)
+        raise ConfigError(f"{path}: expected an n x {width} {dtype} table, "
+                          f"found {found}; re-run simulate")
+    return arr
+
+
 def load_result(out_dir: str) -> SimResult:
-    """Reconstruct a result from its files (for comparisons and re-rendering)."""
-    with open(os.path.join(out_dir, "result.json"), "r", encoding="utf-8") as fh:
+    """Reconstruct a result exactly from ``result.json`` and its ``.npy`` tables.
+
+    Raises :class:`ConfigError`, naming the file, for a missing or
+    malformed table.
+    """
+    json_path = os.path.join(out_dir, "result.json")
+    with open(json_path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    step = payload.get("step_len")
+    if not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
+        raise ConfigError(f"{json_path}: step_len is {step!r}, not a positive "
+                          f"number; re-run simulate")
+    step = float(step)
     stack_d = payload["stack"]
     ledger = EnergyLedger(
         harvest_input=stack_d["harvest_input_j"],
@@ -287,43 +345,24 @@ def load_result(out_dir: str) -> SimResult:
                         run_id=payload.get("run_id", ""),
                         config_hash=payload.get("config_hash", ""))
 
-    prof_rows = np.loadtxt(os.path.join(out_dir, "profile.csv"),
-                           delimiter=",", skiprows=1, ndmin=2)
-    if prof_rows.size == 0:
-        prof_rows = prof_rows.reshape(0, 7)
-    volt = np.loadtxt(os.path.join(out_dir, "voltage.csv"),
-                      delimiter=",", skiprows=1, ndmin=2)
-    if volt.size == 0:
-        volt = volt.reshape(0, 2)
-    # Bin k's voltage is stamped at its end, (k + 1) * step, so the first
-    # time stamp is the step even for a one-row result.
-    step = volt[0, 0] if len(volt) else 0.2
+    prof = _load_npy(out_dir, "profile")
+    act = _load_npy(out_dir, "activity")
+    volt = _load_npy(out_dir, "voltage")
+    ev = _load_npy(out_dir, "events")
+    if len(act) != len(prof):
+        raise ConfigError(f"{out_dir}: activity.npy has {len(act)} rows, "
+                          f"profile.npy {len(prof)}; re-run simulate")
+    on, labels = act[:, 0], act[:, 1]
+    if len(act) and (on.min() < 0 or on.max() > 1 or labels.min() < 0
+                     or labels.max() >= len(PHASES)):
+        raise ConfigError(f"{out_dir}: activity.npy holds an on flag or "
+                          f"phase index out of range; re-run simulate")
     profile = EnergyStackProfile(
-        step_len=float(step), t_start=prof_rows[:, 0], harvest=prof_rows[:, 1],
-        mppt_loss=prof_rows[:, 2], converter_loss=prof_rows[:, 3],
-        soc_energy=prof_rows[:, 4], sensor_energy=prof_rows[:, 5],
-        storage_delta=prof_rows[:, 6])
-
-    phase_idx = {name: i for i, name in enumerate(PHASES)}
-    ons: list[int] = []
-    labs: list[int] = []
-    with open(os.path.join(out_dir, "activity.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            _, on, label = line.strip().split(",")
-            ons.append(int(on))
-            labs.append(phase_idx[label])
-    activity = ActivityProfile(step_len=float(step),
-                               on_off=np.asarray(ons, dtype=bool),
-                               labels=np.asarray(labs, dtype=np.int8))
-
-    ev_path = os.path.join(out_dir, "events.csv")
-    ev = np.empty((0, 2))
-    if os.path.exists(ev_path):
-        with open(ev_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().splitlines()[1:]
-        if lines:
-            ev = np.array([[float(x) for x in ln.split(",")] for ln in lines])
+        step_len=step, t_start=prof[:, 0], harvest=prof[:, 1],
+        mppt_loss=prof[:, 2], converter_loss=prof[:, 3],
+        soc_energy=prof[:, 4], sensor_energy=prof[:, 5],
+        storage_delta=prof[:, 6])
+    activity = ActivityProfile(step_len=step, on_off=on, labels=labels)
 
     return SimResult(
         stack=stack, profile=profile, activity=activity,

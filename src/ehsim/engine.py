@@ -360,6 +360,9 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     # coarse step, which stays well under the aggregation cadence.
     fine_window = max(8.0 * dt_fine, 6.0 * R * Cb)
     quadratic_bus = Cb == 0.0 and R > 0.0
+    # Without ESR the buffer is plain parallel capacitance on the one node,
+    # so saturation curtails what would lift both past v_max.
+    c_sat = C + Cb if R == 0.0 else C
     stop_at_end = cfg.end_policy == "hard_stop"
 
     state = EssState.initial(ess)
@@ -587,8 +590,10 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
             # Saturation: curtail whatever would push the storage past v_max.
             if v_cap_new > v_max:
-                excess = 0.5 * C * (v_cap_new * v_cap_new - v_max * v_max)
+                excess = 0.5 * c_sat * (v_cap_new * v_cap_new - v_max * v_max)
                 v_cap_new = v_max
+                if R == 0.0:
+                    v_bus_new = v_max
                 p_mloss += excess / dt
                 p_sto -= excess / dt
                 state.mppt_mode = MODE_SATURATED

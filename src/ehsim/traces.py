@@ -25,11 +25,9 @@ __all__ = [
     "parse_irradiance",
     "write_irradiance",
     "parse_events",
-    "write_events",
     "apply_transform",
     "transform_events",
     "generate_parking_events",
-    "find_dark_segments",
     "synthetic_solar_trace",
 ]
 
@@ -85,13 +83,6 @@ class IrradianceTrace:
     def duration(self) -> float:
         """Trace span in seconds, last timestamp minus first."""
         return float(self.t[-1] - self.t[0])
-
-    def value_at(self, when: float) -> float:
-        """Zero-order-hold lookup: irradiance of the last sample at or before ``when``."""
-        idx = int(np.searchsorted(self.t, when, side="right")) - 1
-        if idx < 0:
-            return float(self.g[0])
-        return float(self.g[min(idx, len(self.g) - 1)])
 
     def integral(self) -> float:
         """Trapezoidal integral of g over t (W*s/m^2 equivalent)."""
@@ -215,12 +206,6 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
     return EventTrace(t=np.asarray(ts, dtype=np.float64) * scale)
 
 
-def write_events(events: EventTrace, stream) -> None:
-    stream.write("# t_s\n")
-    for t_val in events.t:
-        stream.write(f"{t_val:.6f}\n")
-
-
 def apply_transform(trace: IrradianceTrace, tf: TraceTransform) -> IrradianceTrace:
     """Compress the time axis by ``time_scale`` and scale amplitude.
 
@@ -283,30 +268,6 @@ def generate_parking_events(opening: tuple[float, float], peak_h: float,
         distribution=(f"truncated_gaussian(open={start_h}-{end_h}h, "
                       f"peak={peak_h}h, n/day={n_events_per_day})"),
     )
-
-
-def find_dark_segments(trace: IrradianceTrace,
-                       threshold: float = 0.0) -> list[tuple[float, float]]:
-    """Maximal intervals where irradiance is at or below ``threshold``.
-
-    Under zero-order hold, sample i covers [t_i, t_{i+1}); a dark final
-    sample closes its segment at the trace end.
-    """
-    if threshold < 0:
-        raise TraceError("threshold must be >= 0")
-    dark = trace.g <= threshold
-    segments: list[tuple[float, float]] = []
-    start: float | None = None
-    n = len(trace.t)
-    for i in range(n):
-        if dark[i] and start is None:
-            start = float(trace.t[i])
-        elif not dark[i] and start is not None:
-            segments.append((start, float(trace.t[i])))
-            start = None
-    if start is not None and start < float(trace.t[-1]):
-        segments.append((start, float(trace.t[-1])))
-    return segments
 
 
 def synthetic_solar_trace(days: int = 2, *, peak: float = 800.0,

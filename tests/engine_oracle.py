@@ -3,7 +3,8 @@
 ``_run_full`` and ``_skip_span`` are the functions ``ehsim.engine`` used
 when every off and idle step was integrated one step at a time and only
 dark, powered-off spans (under ``skip_nights``) were advanced in closed
-form. They are kept verbatim so the differential tests can hold the
+form; ``find_dark_segments`` is the ``ehsim.traces`` helper that found
+those spans. They are kept verbatim so the differential tests can hold the
 production engine to them: the same events, bytes and boots, and ledgers
 within the multirate tolerances.
 """
@@ -29,7 +30,31 @@ from ehsim.ess import (
     converter_next_state, harvester_mpp_power, harvester_power,
     mppt_next_mode, mppt_step, solve_load_current, storage_step,
 )
-from ehsim.traces import EventTrace, IrradianceTrace, find_dark_segments
+from ehsim.traces import EventTrace, IrradianceTrace, TraceError
+
+
+def find_dark_segments(trace: IrradianceTrace,
+                       threshold: float = 0.0) -> list[tuple[float, float]]:
+    """Maximal intervals where irradiance is at or below ``threshold``.
+
+    Under zero-order hold, sample i covers [t_i, t_{i+1}); a dark final
+    sample closes its segment at the trace end.
+    """
+    if threshold < 0:
+        raise TraceError("threshold must be >= 0")
+    dark = trace.g <= threshold
+    segments: list[tuple[float, float]] = []
+    start: float | None = None
+    n = len(trace.t)
+    for i in range(n):
+        if dark[i] and start is None:
+            start = float(trace.t[i])
+        elif not dark[i] and start is not None:
+            segments.append((start, float(trace.t[i])))
+            start = None
+    if start is not None and start < float(trace.t[-1]):
+        segments.append((start, float(trace.t[-1])))
+    return segments
 
 
 def simulate(trace: IrradianceTrace, events: EventTrace | None,

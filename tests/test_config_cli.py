@@ -1,16 +1,22 @@
+import dataclasses
 import io
 import json
 import math
 import os
+import shutil
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehsim.cli import main
 from ehsim.config import (config_hash, load_config, load_result, save_result)
-from ehsim.engine import SimConfig, simulate
+from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
-from ehsim.app import preset
+from ehsim.app import PHASES, ActivityProfile, preset
+from ehsim.scaling import rescale_timeline
 from ehsim.traces import (IrradianceTrace, synthetic_solar_trace,
                           write_irradiance)
 
@@ -49,32 +55,159 @@ def test_config_round_trip_and_hash(tmp_path):
     assert len(cfg.hash) == 16
 
 
+def assert_bit_equal(a, b, path="result"):
+    """``a`` and ``b`` hold the same bits in every array, field and scalar."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            if f.name != "wall_time_s":  # run metadata, never saved
+                assert_bit_equal(getattr(a, f.name), getattr(b, f.name),
+                                 f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), path
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), path
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                              np.ascontiguousarray(b).view(np.uint8)), path
+    elif isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for k in a:
+            assert_bit_equal(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, float) or isinstance(b, float):
+        # result.json spells every NaN alike, so a NaN scalar's sign and
+        # payload are not kept; arrays keep theirs.
+        assert (struct.pack("<d", a) == struct.pack("<d", b)
+                or math.isnan(a) and math.isnan(b)), (path, a, b)
+    else:
+        assert (type(a), a) == (type(b), b), path
+
+
 def test_save_load_result_round_trip(tmp_path):
     tr = synthetic_solar_trace(days=1, peak=30.0, cadence_s=600)
     ess = EssConfig(storage=StorageModel(capacitance=0.4, leak_resistance=40e3))
     res = simulate(tr, None, ess, preset("TMP1"), SimConfig(dt_quiescent=0.2))
     out = str(tmp_path / "run")
     save_result(res, out)
-    back = load_result(out)
-    assert back.throughput_bytes == res.throughput_bytes
-    assert back.boots == res.boots
-    assert back.on_time_s == pytest.approx(res.on_time_s, rel=1e-9)
-    np.testing.assert_array_equal(back.activity.on_off, res.activity.on_off)
-    assert back.stack.ledger.storage_residual == pytest.approx(
-        res.stack.ledger.storage_residual, rel=1e-9)
-    assert abs(back.profile.harvest.sum() - res.profile.harvest.sum()) < 1e-6
+    assert_bit_equal(load_result(out), res)
 
 
-def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path):
+@pytest.fixture(scope="module")
+def one_row_result():
     tr = IrradianceTrace(t=np.array([0.0, 0.5]), g=np.array([100.0, 100.0]))
-    res = simulate(tr, None, EssConfig(), preset("TMP1"),
-                   SimConfig(dt_quiescent=0.5, aggregation_step=0.5,
-                             end_policy="hard_stop"))
+    return simulate(tr, None, EssConfig(), preset("TMP1"),
+                    SimConfig(dt_quiescent=0.5, aggregation_step=0.5,
+                              end_policy="hard_stop"))
+
+
+def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path,
+                                                         one_row_result):
+    res = one_row_result
     assert len(res.activity) == 1
-    save_result(res, str(tmp_path))
-    back = load_result(str(tmp_path))
-    assert back.profile.step_len == 0.5
-    assert back.activity.step_len == 0.5
+    empty = dataclasses.replace(
+        res, activity=ActivityProfile(0.5, res.activity.on_off[:0],
+                                      res.activity.labels[:0]),
+        profile=EnergyStackProfile(0.5, *(np.empty(0) for _ in range(7))),
+        voltage_t=np.empty(0), voltage_v=np.empty(0))
+    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart.
+    # result.json stores one duration; rescale_timeline stretches the
+    # result's and leaves the stack's, so the stack loads with the former.
+    rescaled = rescale_timeline(res, 4.0)
+    assert rescaled.voltage_t[0] == 2.0
+    rescaled = dataclasses.replace(rescaled, stack=dataclasses.replace(
+        rescaled.stack, duration_s=rescaled.duration_s))
+    for name, r in (("one", res), ("empty", empty), ("rescaled", rescaled)):
+        save_result(r, str(tmp_path / name))
+        back = load_result(str(tmp_path / name))
+        assert back.profile.step_len == 0.5, name
+        assert back.activity.step_len == 0.5, name
+        assert_bit_equal(back, r, name)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e-300,
+           1e308, 0.1, 1 / 3, math.inf, -math.inf, math.nan]
+specials = st.one_of(st.sampled_from(SPECIAL),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(n=st.sampled_from([0, 1, 4097]), n_ev=st.sampled_from([0, 1, 5]),
+       pool=st.lists(specials, min_size=1, max_size=8), scalar=specials,
+       step=st.floats(min_value=1e-9, max_value=1e6), seed=st.integers(0, 99))
+@settings(max_examples=60, deadline=None)
+# result.json's closure_error_j of such a ledger may overflow; it is not read.
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_load_result_inverts_save_result_bit_for_bit(one_row_result, n, n_ev,
+                                                     pool, scalar, step, seed):
+    rng = np.random.default_rng(seed)
+
+    def col(k):
+        return rng.choice(np.asarray(pool, dtype=float), size=k)
+
+    res = one_row_result
+    ledger = dataclasses.replace(res.stack.ledger, harvest_input=scalar,
+                                 storage_residual=-scalar)
+    r = dataclasses.replace(
+        res, stack=dataclasses.replace(res.stack, ledger=ledger,
+                                       duration_s=scalar),
+        profile=EnergyStackProfile(step, *(col(n) for _ in range(7))),
+        activity=ActivityProfile(step, on_off=rng.random(n) < 0.5,
+                                 labels=rng.integers(0, len(PHASES), n)),
+        voltage_t=col(n), voltage_v=col(n), on_time_s=scalar,
+        v_cap_final=scalar, duration_s=scalar,
+        event_log=np.column_stack((col(n_ev), rng.integers(0, 2, n_ev)))
+        .astype(float))
+    with tempfile.TemporaryDirectory() as out:
+        save_result(r, out)
+        assert_bit_equal(load_result(out), r)
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("saved")
+    cfg = write_fixture_config(base)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(base / "out")]) == 0
+    return base / "out"
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-9])
+
+
+def _wrong_shape(path):
+    np.save(path, np.zeros((3, 3)))
+
+
+def _pickled(path):
+    np.save(path, np.array([{}, {}], dtype=object), allow_pickle=True)
+
+
+def _without_step_len(path):
+    payload = json.loads(path.read_text())
+    del payload["step_len"]
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("profile.npy", os.remove), ("activity.npy", _truncate),
+    ("voltage.npy", _wrong_shape), ("events.npy", _pickled),
+    ("activity.npy", lambda p: p.write_bytes(b"")),
+    ("result.json", _without_step_len),
+])
+@pytest.mark.parametrize("command", ["compare", "stacks"])
+def test_damaged_result_table_exits_2_naming_the_file(tmp_path, capsys,
+                                                      saved_run, name, damage,
+                                                      command):
+    run = tmp_path / "run"
+    shutil.copytree(saved_run, run)
+    damage(run / name)
+    if command == "compare":
+        argv = ["compare", "--baseline", str(saved_run), "--scaled", str(run),
+                "--plan", str(run / "plan.json"), "--out", str(tmp_path / "c")]
+    else:
+        argv = ["stacks", "--result", str(run)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and str(run / name) in err
+    assert "re-run simulate" in err and "Traceback" not in err
 
 
 def test_cmd_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):

@@ -3,12 +3,15 @@
 ``save_result`` and the ``mismatch_spans.csv`` writer must produce files
 byte-identical to ``tests/csv_oracle.py`` for every row count around the
 block size, every phase label, and the float values where ``%.10g`` output
-changes shape (signed zero, subnormals, exponent switch, inf/nan).
+changes shape (signed zero, subnormals, exponent switch, inf/nan). The
+oracle predates the ``.npy`` tables and ``result.json``'s ``step_len``;
+those are the only differences allowed.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import os
 import tempfile
 from dataclasses import replace
@@ -49,11 +52,20 @@ def _column(pool, n, shift):
                    shift if n else 0)
 
 
+NPY_TABLES = ["activity.npy", "events.npy", "profile.npy", "voltage.npy"]
+
+
 def _same_files(a, b):
-    names = sorted(os.listdir(a))
-    assert names == sorted(os.listdir(b))
+    names = sorted(os.listdir(b))
+    assert sorted(os.listdir(a)) == sorted(names + NPY_TABLES)
+    names.remove("result.json")
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert (mismatch, errors) == ([], [])
+    with open(os.path.join(a, "result.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    del payload["step_len"]
+    with open(os.path.join(b, "result.json"), encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check(result):

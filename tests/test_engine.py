@@ -400,3 +400,31 @@ def test_pending_event_survives_dark_gap():
     assert res.events_detected_at_event == 0   # node was dark at event time
     assert res.events_observed == 1            # observed after wake-up
     assert res.events_detected == 1
+
+
+def test_esr_free_buffer_saturation_curtails_as_mppt_loss():
+    # Without ESR the buffer sits on the storage node: a saturated store
+    # curtails the surplus of both capacitors as MPPT loss, and the load's
+    # converter sees the clamped node. So the buffer adds only its own
+    # stored energy, and the books match the R -> 0 limit of a buffer
+    # behind an ESR.
+    trace = flat_trace(600.0, 3000.0)
+    cfg = SimConfig(end_policy="hard_stop")
+    runs = {}
+    for esr, cb in ((0.0, 0.0), (0.0, 400e-6), (1e-6, 400e-6)):
+        ess = EssConfig(harvester=HarvesterModel(k_mpp=1e-4),
+                        storage=StorageModel(capacitance=0.05, esr=esr,
+                                             v_init=2.9,
+                                             buffer_capacitance=cb))
+        runs[esr, cb] = simulate(trace, None, ess, preset("TMP1"), cfg)
+    bare = runs[0.0, 0.0].stack.ledger
+    v_max = MpptModel().storage_v_max
+    for key in ((0.0, 400e-6), (1e-6, 400e-6)):
+        led = runs[key].stack.ledger
+        assert led.converter_loss == pytest.approx(bare.converter_loss,
+                                                   rel=1e-6), key
+        assert led.mppt_loss == pytest.approx(bare.mppt_loss, rel=1e-9), key
+        assert led.sss_by_activity == pytest.approx(bare.sss_by_activity,
+                                                    rel=1e-9), key
+        assert led.storage_residual - bare.storage_residual == pytest.approx(
+            0.5 * 400e-6 * v_max * v_max, rel=1e-6), key

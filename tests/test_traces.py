@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engine_oracle import find_dark_segments
 from ehsim.traces import (
     EventTrace, IrradianceTrace, TraceError, TraceParseError, TraceTransform,
-    apply_transform, find_dark_segments, generate_parking_events,
-    parse_events, parse_irradiance, synthetic_solar_trace, transform_events,
-    write_events, write_irradiance,
+    apply_transform, generate_parking_events, parse_events, parse_irradiance,
+    synthetic_solar_trace, transform_events, write_irradiance,
 )
 
 
@@ -68,11 +68,8 @@ def test_roundtrip_writer_parser():
     back = parse_irradiance(buf.getvalue())
     np.testing.assert_allclose(back.t, tr.t, rtol=0, atol=1e-5)
     np.testing.assert_allclose(back.g, tr.g, rtol=0, atol=1e-5)
-    ev = EventTrace(t=np.array([1.25, 7.5, 100.0]))
-    buf = io.StringIO()
-    write_events(ev, buf)
-    back_ev = parse_events(buf.getvalue())
-    np.testing.assert_allclose(back_ev.t, ev.t, atol=1e-5)
+    back_ev = parse_events("# t_s\n1.250000\n7.500000\n100.000000\n")
+    np.testing.assert_array_equal(back_ev.t, [1.25, 7.5, 100.0])
 
 
 def test_trace_invariants():
@@ -195,6 +192,7 @@ def test_parking_events_invalid_hours():
         generate_parking_events((9.0, 20.0), 14.0, 0, 1, seed=0)
 
 
+# The dark-segment scan of the oracle's skip_nights (tests/engine_oracle.py).
 def test_dark_segments_all_dark():
     tr = IrradianceTrace(t=np.array([0.0, 50.0, 100.0]),
                          g=np.array([0.0, 0.0, 0.0]))
@@ -214,10 +212,3 @@ def test_dark_segments_day_night_square_wave():
               (18 * 3600.0, 30 * 3600.0),
               (42 * 3600.0, 48 * 3600.0)]
     assert segs == expect
-
-
-def test_value_at_zero_order_hold():
-    tr = IrradianceTrace(t=np.array([0.0, 60.0]), g=np.array([1.0, 9.0]))
-    assert tr.value_at(0.0) == 1.0
-    assert tr.value_at(59.999) == 1.0
-    assert tr.value_at(60.0) == 9.0
