@@ -139,7 +139,7 @@ def test_load_result_inverts_save_result_bit_for_bit(one_row_result, n, n_ev,
     rng = np.random.default_rng(seed)
 
     def col(k):
-        return rng.choice(np.asarray(pool, dtype=float), size=k)
+        return rng.choice(np.asarray(SPECIAL + pool, dtype=float), size=k)
 
     res = one_row_result
     ledger = dataclasses.replace(res.stack.ledger, harvest_input=scalar,
