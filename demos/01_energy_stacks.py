@@ -19,10 +19,10 @@ s_i = PRESETS["TOF"][1]
 trace = synthetic_solar_trace(days=2, peak=800.0, cadence_s=60,
                               day_jitter=(1.0, 0.7))
 plan = ScalingPlan(mode="realtime", s_i=s_i)
-trace_x, _, app_x = build_experiment(plan, trace, None, app)
+trace_x, _, app_x, cfg = build_experiment(plan, trace, None, app,
+                                          SimConfig(dt_quiescent=0.2))
 
-result = simulate(trace_x, None, EssConfig(), app_x,
-                  SimConfig(dt_quiescent=0.2))
+result = simulate(trace_x, None, EssConfig(), app_x, cfg)
 led = result.stack.ledger
 
 print(f"TOF on a 2-day synthetic trace "

@@ -5,9 +5,9 @@ The four-step workflow on the TMP1 benchmark:
   1. profile the app at a constant 3.3 V supply,
   2. solve for the largest feasible time/power factor and the matching
      sampling-frequency factor,
-  3. run the accelerated experiment (trace compressed and amplified,
-     sampling frequency raised; the plan also sets the engine options, so
-     st_sp_sn runs with skip-nights on),
+  3. run the accelerated experiment: one call turns the plan into the
+     compressed and amplified trace, the faster-sampling app and the engine
+     settings (st_sp_sn runs with skip-nights on),
   4. map the result back to the real-time axis and predict throughput.
 
 The same speed-up with unscaled power (st_up) keeps the charge/discharge
@@ -17,10 +17,9 @@ accuracy.
 """
 
 from ehsim import (EssConfig, ScalingPlan, SimConfig, StorageModel,
-                   build_experiment, compute_ape, preset, plan_sim_config,
-                   predict_throughput, profile_application, max_speedup,
-                   rescale_timeline, simulate, synthetic_solar_trace,
-                   throughput_error)
+                   build_experiment, compute_ape, preset, predict_throughput,
+                   profile_application, max_speedup, rescale_timeline,
+                   simulate, synthetic_solar_trace, throughput_error)
 from ehsim.app import PRESETS
 
 app = preset("TMP1")
@@ -44,8 +43,8 @@ for mode in ("realtime", "st_up", "st_sp", "st_sp_sn"):
         s_tp=1.0 if mode == "realtime" else s_tp,
         s_f=1.0 if mode in ("realtime", "st_up") else s_f,
         s_i=s_i)
-    tr_x, _, app_x = build_experiment(plan, trace, None, app)
-    res = simulate(tr_x, None, ess, app_x, plan_sim_config(plan, cfg))
+    tr_x, _, app_x, cfg_x = build_experiment(plan, trace, None, app, cfg)
+    res = simulate(tr_x, None, ess, app_x, cfg_x)
     runs[mode] = (plan, res)
     print(f"step 3: ran {mode:9s} wall={res.wall_time_s:6.1f} s  "
           f"measured={res.throughput_bytes} B")

@@ -38,10 +38,11 @@ for cap in caps:
     cells = []
     for s_i in scales:
         plan = ScalingPlan(mode="st_sp", s_tp=s_tp, s_f=s_f, s_i=s_i)
-        tr_x, ev_x, app_x = build_experiment(plan, trace, events, app)
+        tr_x, ev_x, app_x, cfg = build_experiment(
+            plan, trace, events, app, SimConfig(dt_quiescent=0.2))
         ess = EssConfig(storage=StorageModel(
             capacitance=cap, esr=0.5, leak_resistance=1e6, v_init=0.75))
-        res = simulate(tr_x, ev_x, ess, app_x, SimConfig(dt_quiescent=0.2))
+        res = simulate(tr_x, ev_x, ess, app_x, cfg)
         cells.append(res.events_detected_at_event / max(res.events_offered, 1))
     print(f"  {cap:>5g} " + "".join(f"{c:8.2f}" for c in cells))
 

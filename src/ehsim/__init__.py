@@ -7,9 +7,8 @@ plans accelerated scaled-time/scaled-power experiments whose results map
 back to the real-time axis.
 """
 
-from .traces import (IrradianceTrace, EventTrace, TraceTransform,
-                     parse_irradiance, parse_events, apply_transform,
-                     transform_events, generate_parking_events,
+from .traces import (IrradianceTrace, EventTrace, parse_irradiance,
+                     parse_events, generate_parking_events,
                      synthetic_solar_trace)
 from .ess import (EfficiencyCurve, HarvesterModel, MpptModel, StorageModel,
                   ConverterModel, EssConfig, EssState, harvester_power,
@@ -20,8 +19,7 @@ from .engine import (SimConfig, EnergyLedger, EnergyStack, EnergyStackProfile,
                      SimResult, simulate, run_with_skip_nights, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
-                      build_experiment, plan_sim_config, predict_throughput,
-                      rescale_timeline)
+                      build_experiment, predict_throughput, rescale_timeline)
 from .metrics import (ApeReport, throughput_error, dtw_align, compute_ape,
                       mismatch_spans)
 

@@ -156,7 +156,6 @@ class AppState:
     phase_t_remaining: float = 0.0
     t_until_sample: float = math.inf
     samples_since_comm: int = 0
-    bytes_sent: int = 0
     boots: int = 0
     events_detected: int = 0
     events_offered: int = 0
@@ -263,7 +262,6 @@ def app_step(spec: AppSpec, state: AppState, power_good: bool, v_storage: float,
         else:
             bytes_out = spec.bytes_per_comm
             state.samples_since_comm = 0
-        state.bytes_sent += bytes_out
         state.comm_is_event = False
         _enter(state, PHASE_IDLE, 0.0)
     elif phase == PHASE_BACKUP:

@@ -26,9 +26,8 @@ from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
 from .scaling import (PlanError, PowerProfile, ScalingPlan, build_experiment,
-                      compute_sf, max_speedup, plan_sim_config,
-                      predict_throughput, profile_application,
-                      rescale_timeline)
+                      compute_sf, max_speedup, predict_throughput,
+                      profile_application, rescale_timeline)
 from .traces import TraceError
 
 _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
@@ -105,9 +104,10 @@ def _resolve_plan(cfg: HarnessConfig, app: AppSpec, s_i: float,
 
 def _run_experiment(trace, events, ess, app, sim_cfg, plan: ScalingPlan,
                     config_hash: str) -> SimResult:
-    trace_x, events_x, app_x = build_experiment(plan, trace, events, app)
-    return simulate(trace_x, events_x, ess, app_x,
-                    plan_sim_config(plan, sim_cfg), config_hash=config_hash)
+    trace_x, events_x, app_x, sim_x = build_experiment(plan, trace, events,
+                                                       app, sim_cfg)
+    return simulate(trace_x, events_x, ess, app_x, sim_x,
+                    config_hash=config_hash)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -160,8 +160,7 @@ def load_trace(cfg: HarnessConfig) -> IrradianceTrace:
         raise ConfigError("config needs a trace block with a path")
     path = cfg.path(block["path"])
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_irradiance(fh, time_unit=block.get("time_unit", "s"),
-                                label=os.path.basename(path))
+        return parse_irradiance(fh, time_unit=block.get("time_unit", "s"))
 
 
 def load_events(cfg: HarnessConfig, seed_override: int | None = None

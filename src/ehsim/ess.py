@@ -334,14 +334,12 @@ def mppt_next_mode(mppt: MpptModel, mode: str, v_cap: float) -> str:
     return MODE_TRACKING
 
 
-def mppt_step(mppt: MpptModel, state: EssState, p_harvest_mpp: float, dt: float,
-              headroom_w: float = math.inf) -> tuple[float, float, str]:
+def mppt_step(mppt: MpptModel, state: EssState, p_harvest_mpp: float,
+              dt: float) -> tuple[float, float, str]:
     """One MPPT interval: split extracted harvest into storage input and loss.
 
-    ``headroom_w`` is the most power the storage can absorb this step
-    without exceeding ``storage_v_max``; any surplus is curtailed into the
-    loss term and the mode is reported as saturated. The identity
-    ``p_into_storage + p_loss == p_harvest_mpp`` always holds.
+    The identity ``p_into_storage + p_loss == p_harvest_mpp`` always holds;
+    the engine curtails a saturated store's surplus itself.
     """
     if dt <= 0:
         raise EssError("dt must be > 0")
@@ -356,9 +354,6 @@ def mppt_step(mppt: MpptModel, state: EssState, p_harvest_mpp: float, dt: float,
         eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
             p_harvest_mpp, state.v_cap)
     p_into = p_harvest_mpp * eff
-    if p_into > headroom_w:
-        p_into = max(headroom_w, 0.0)
-        mode = MODE_SATURATED
     return p_into, p_harvest_mpp - p_into, mode
 
 

@@ -14,22 +14,20 @@ active time ``ta``. The scaled-time/unscaled-power scheme (``st_up``) keeps
 power untouched and instead multiplies measured throughput by ``s_tp``.
 
 The workflow: profile the app at a constant supply, compute ``s_f`` (or the
-largest feasible ``s_tp``), build the scaled experiment and its engine
-settings (:func:`build_experiment`, :func:`plan_sim_config`), run it, then
+largest feasible ``s_tp``), turn the plan into the scaled trace, events, app
+and engine settings with one call (:func:`build_experiment`), run it, then
 map results back to the real-time axis and predict real-time throughput.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .app import AppSpec, ActivityProfile, apply_frequency_scaling
 from .engine import (EnergyStackProfile, SimConfig, SimResult, simulate)
-from .traces import (EventTrace, IrradianceTrace, TraceTransform,
-                     apply_transform, transform_events)
+from .traces import EventTrace, IrradianceTrace
 
 __all__ = [
     "PowerProfile",
@@ -41,7 +39,6 @@ __all__ = [
     "scaled_average_power",
     "max_speedup",
     "build_experiment",
-    "plan_sim_config",
     "predict_throughput",
     "rescale_timeline",
 ]
@@ -127,8 +124,7 @@ def profile_application(app: AppSpec, duration: float = 3600.0, *,
         raise PlanError(
             f"profiling duration {duration:g} s is below one application "
             f"period ({app.t_app_period:g} s)")
-    trace = IrradianceTrace(t=np.array([0.0, duration]), g=np.array([0.0, 0.0]),
-                            source="profiling")
+    trace = IrradianceTrace(t=np.array([0.0, duration]), g=np.array([0.0, 0.0]))
     cfg = SimConfig(supply_override=supply_v,
                     aggregation_step=aggregation_step,
                     dt_quiescent=aggregation_step,
@@ -176,8 +172,7 @@ def scaled_average_power(profile: PowerProfile, s_f: float) -> float:
 
 def max_speedup(profile: PowerProfile, spec: AppSpec,
                 env_power_cap: float | None = None, *,
-                peak_input: float | None = None,
-                integer: bool = True) -> tuple[float, float, str]:
+                peak_input: float | None = None) -> tuple[float, float, str]:
     """Largest feasible time-and-power factor and its frequency factor.
 
     The schedulability bound ``s_f <= T_S / (t_sample + t_comm)`` always
@@ -207,42 +202,33 @@ def max_speedup(profile: PowerProfile, spec: AppSpec,
             binding = "env_power_cap"
             break
         best = (s_tp, s_f)
-        s_tp += 1.0 if integer else 0.25
+        s_tp += 1.0
     return best[0], best[1], binding
 
 
 def build_experiment(plan: ScalingPlan, trace: IrradianceTrace,
-                     events: EventTrace | None, app: AppSpec
-                     ) -> tuple[IrradianceTrace, EventTrace | None, AppSpec]:
-    """Configure the scaled experiment for a validated plan.
+                     events: EventTrace | None, app: AppSpec, cfg: SimConfig
+                     ) -> tuple[IrradianceTrace, EventTrace | None, AppSpec,
+                                SimConfig]:
+    """Turn a validated plan into the experiment it runs.
 
-    Scaled-power modes compress the trace by ``s_tp``, raise its amplitude
-    by ``s_i * s_tp`` and the sampling frequency by ``s_f``; ``st_up``
-    compresses time at unscaled amplitude (``s_i`` only) and leaves the
-    application untouched. Events are always co-scaled with the trace.
+    Returns the scaled ``(trace, events, app, cfg)``. Trace and event times
+    are divided by ``s_tp``. Irradiance is multiplied by ``s_i``, and by
+    ``s_tp`` too in the scaled-power modes, where the application samples
+    ``s_f`` times faster; ``st_up`` leaves power and application unscaled.
+    ``st_sp_sn`` turns skip-nights on; every other mode returns ``cfg``
+    itself.
     """
-    if plan.mode == "realtime":
-        tf = TraceTransform(time_scale=1.0, amplitude_scale=plan.s_i)
-        return apply_transform(trace, tf), events, app
-    if plan.mode == "st_up":
-        tf = TraceTransform(time_scale=plan.s_tp, amplitude_scale=plan.s_i)
-        ev = transform_events(events, plan.s_tp) if events is not None else None
-        return apply_transform(trace, tf), ev, app
-    tf = TraceTransform(time_scale=plan.s_tp,
-                        amplitude_scale=plan.s_i * plan.s_tp)
-    ev = transform_events(events, plan.s_tp) if events is not None else None
-    return apply_transform(trace, tf), ev, apply_frequency_scaling(app, plan.s_f)
-
-
-def plan_sim_config(plan: ScalingPlan, cfg: SimConfig) -> SimConfig:
-    """Engine settings a plan runs with: ``st_sp_sn`` turns skip-nights on.
-
-    Every other mode runs with ``cfg`` unchanged. It pairs with
-    :func:`build_experiment`, which scales the trace, events and app.
-    """
+    scaled_power = plan.mode in ("st_sp", "st_sp_sn")
+    amplitude = plan.s_i * plan.s_tp if scaled_power else plan.s_i
+    trace = IrradianceTrace(t=trace.t / plan.s_tp, g=trace.g * amplitude)
+    if events is not None:
+        events = EventTrace(t=events.t / plan.s_tp)
+    if scaled_power:
+        app = apply_frequency_scaling(app, plan.s_f)
     if plan.mode == "st_sp_sn":
-        return replace(cfg, skip_nights=True)
-    return cfg
+        cfg = replace(cfg, skip_nights=True)
+    return trace, events, app, cfg
 
 
 def predict_throughput(plan: ScalingPlan, result: SimResult,
@@ -268,29 +254,18 @@ def predict_throughput(plan: ScalingPlan, result: SimResult,
             * profile.theta_profiling)
 
 
-def _rebin_mean(values: np.ndarray, s_tp: float, n_out: int) -> np.ndarray:
-    """Overlap-weighted mean of per-bin values onto an axis stretched by s_tp."""
+def _rebin_sum(values: np.ndarray, s_tp: float, n_out: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Conservative redistribution of per-bin totals onto the stretched axis.
+
+    Output bin j covers [j, j+1) / s_tp on the input-bin axis. Returns each
+    output bin's total and its overlap width with the input, in input bins.
+    """
     n_in = len(values)
     cum = np.concatenate([[0.0], np.cumsum(values)])
-    # output bin j covers [j, j+1) / s_tp on the input-bin axis
-    edges = np.arange(n_out + 1) / s_tp
-    edges = np.clip(edges, 0.0, n_in)
+    edges = np.clip(np.arange(n_out + 1) / s_tp, 0.0, n_in)
     cum_at = np.interp(edges, np.arange(n_in + 1), cum)
-    widths = np.diff(edges)
-    out = np.zeros(n_out)
-    nz = widths > 0
-    out[nz] = np.diff(cum_at)[nz] / widths[nz]
-    return out
-
-
-def _rebin_sum(values: np.ndarray, s_tp: float, n_out: int) -> np.ndarray:
-    """Conservative redistribution of per-bin totals onto the stretched axis."""
-    n_in = len(values)
-    cum = np.concatenate([[0.0], np.cumsum(values)])
-    edges = np.arange(n_out + 1) / s_tp
-    edges = np.clip(edges, 0.0, n_in)
-    cum_at = np.interp(edges, np.arange(n_in + 1), cum)
-    return np.diff(cum_at)
+    return np.diff(cum_at), np.diff(edges)
 
 
 def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
@@ -308,27 +283,26 @@ def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
     act = result.activity
     prof = result.profile
     n_out = int(round(len(act) * s_tp))
-    on_frac = _rebin_mean(act.on_off.astype(float), s_tp, n_out)
+    on_sum, width = _rebin_sum(act.on_off.astype(float), s_tp, n_out)
+    on_frac = np.divide(on_sum, width, out=np.zeros(n_out), where=width > 0)
     centers = (np.arange(n_out) + 0.5) / s_tp
     src = np.minimum(centers.astype(int), len(act) - 1)
     activity = ActivityProfile(step_len=act.step_len,
                                on_off=on_frac >= 0.5,
                                labels=act.labels[src])
-    profile = EnergyStackProfile(
-        step_len=prof.step_len,
-        t_start=np.arange(n_out) * prof.step_len,
-        harvest=_rebin_sum(prof.harvest, s_tp, n_out),
-        mppt_loss=_rebin_sum(prof.mppt_loss, s_tp, n_out),
-        converter_loss=_rebin_sum(prof.converter_loss, s_tp, n_out),
-        soc_energy=_rebin_sum(prof.soc_energy, s_tp, n_out),
-        sensor_energy=_rebin_sum(prof.sensor_energy, s_tp, n_out),
-        storage_delta=_rebin_sum(prof.storage_delta, s_tp, n_out),
-    )
+    energies = {name: _rebin_sum(getattr(prof, name), s_tp, n_out)[0]
+                for name in ("harvest", "mppt_loss", "converter_loss",
+                             "soc_energy", "sensor_energy", "storage_delta")}
+    profile = EnergyStackProfile(step_len=prof.step_len,
+                                 t_start=np.arange(n_out) * prof.step_len,
+                                 **energies)
+    duration = result.duration_s * s_tp
     return replace(
         result,
         activity=activity,
         profile=profile,
-        duration_s=result.duration_s * s_tp,
+        duration_s=duration,
+        stack=replace(result.stack, duration_s=duration),
         on_time_s=result.on_time_s * s_tp,
         voltage_t=result.voltage_t * s_tp,
         event_log=(result.event_log * np.array([s_tp, 1.0])

@@ -1,32 +1,31 @@
-"""Irradiance and event traces: parsing, synthesis, and scaled-time transforms.
+"""Irradiance and event traces: parsing, writing and synthesis.
 
 Traces define the emulated environment of a run. An irradiance trace is a
 time series of (seconds, W/m^2) samples replayed with zero-order hold; an
 event trace is a list of timestamps at which the environment signals the
 node (e.g. a car arriving at a parking space). Both are immutable after
-construction and safe to share between concurrent simulations.
+construction and safe to share between concurrent simulations. Scaled-time
+experiments build their compressed copies in
+:func:`ehsim.scaling.build_experiment`.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "IrradianceTrace",
     "EventTrace",
-    "TraceTransform",
     "TraceError",
     "TraceParseError",
     "parse_irradiance",
     "write_irradiance",
     "parse_events",
-    "apply_transform",
-    "transform_events",
     "generate_parking_events",
     "synthetic_solar_trace",
 ]
@@ -49,14 +48,11 @@ class IrradianceTrace:
     """Zero-order-hold irradiance time series.
 
     ``t`` holds seconds since trace start (strictly increasing), ``g`` the
-    irradiance in W/m^2 (non-negative). ``interval`` is the native sampling
-    interval in seconds when known, 0.0 otherwise.
+    irradiance in W/m^2 (non-negative).
     """
 
     t: np.ndarray
     g: np.ndarray
-    source: str = ""
-    interval: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -94,8 +90,6 @@ class EventTrace:
     """Ordered environment-event timestamps in seconds since trace start."""
 
     t: np.ndarray
-    seed: int | None = None
-    distribution: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -110,28 +104,8 @@ class EventTrace:
         return len(self.t)
 
 
-@dataclass(frozen=True)
-class TraceTransform:
-    """Scaled-time replay parameters.
-
-    ``time_scale`` compresses the time axis (replay at time_scale x real
-    speed); ``amplitude_scale`` multiplies irradiance. For an energy-neutral
-    accelerated replay the two are equal; an additional panel-size scaler
-    folds into ``amplitude_scale``.
-    """
-
-    time_scale: float = 1.0
-    amplitude_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.time_scale < 1.0:
-            raise TraceError("time_scale must be >= 1")
-        if self.amplitude_scale <= 0.0:
-            raise TraceError("amplitude_scale must be > 0")
-
-
 def parse_irradiance(source, *, delimiter: str | None = None,
-                     time_unit: str = "s", label: str = "") -> IrradianceTrace:
+                     time_unit: str = "s") -> IrradianceTrace:
     """Parse a two-column (timestamp, irradiance) text stream.
 
     Lines starting with '#' and blank lines are skipped; header rows must be
@@ -172,9 +146,7 @@ def parse_irradiance(source, *, delimiter: str | None = None,
     if not ts:
         raise TraceError("empty trace")
     scale = 60.0 if time_unit == "min" else 1.0
-    t = np.asarray(ts) * scale
-    interval = float(np.min(np.diff(t))) if len(t) > 1 else 0.0
-    return IrradianceTrace(t=t, g=np.asarray(gs), source=label, interval=interval)
+    return IrradianceTrace(t=np.asarray(ts) * scale, g=np.asarray(gs))
 
 
 def write_irradiance(trace: IrradianceTrace, stream) -> None:
@@ -204,28 +176,6 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
         ts.append(t_val)
     scale = 60.0 if time_unit == "min" else 1.0
     return EventTrace(t=np.asarray(ts, dtype=np.float64) * scale)
-
-
-def apply_transform(trace: IrradianceTrace, tf: TraceTransform) -> IrradianceTrace:
-    """Compress the time axis by ``time_scale`` and scale amplitude.
-
-    When ``amplitude_scale == time_scale`` the trapezoidal integral of the
-    trace is preserved: the same energy is delivered in less time.
-    """
-    return IrradianceTrace(
-        t=trace.t / tf.time_scale,
-        g=trace.g * tf.amplitude_scale,
-        source=trace.source,
-        interval=trace.interval / tf.time_scale,
-    )
-
-
-def transform_events(events: EventTrace, time_scale: float) -> EventTrace:
-    """Replay events at ``time_scale`` x speed, in sync with the energy trace."""
-    if time_scale < 1.0:
-        raise TraceError("time_scale must be >= 1")
-    return EventTrace(t=events.t / time_scale, seed=events.seed,
-                      distribution=events.distribution)
 
 
 def generate_parking_events(opening: tuple[float, float], peak_h: float,
@@ -262,19 +212,14 @@ def generate_parking_events(opening: tuple[float, float], peak_h: float,
             if times[k] <= times[k - 1]:
                 times[k] = np.nextafter(times[k - 1], np.inf)
         all_times.append(times)
-    return EventTrace(
-        t=np.concatenate(all_times),
-        seed=seed,
-        distribution=(f"truncated_gaussian(open={start_h}-{end_h}h, "
-                      f"peak={peak_h}h, n/day={n_events_per_day})"),
-    )
+    return EventTrace(t=np.concatenate(all_times))
 
 
 def synthetic_solar_trace(days: int = 2, *, peak: float = 800.0,
                           sunrise_h: float = 6.0, sunset_h: float = 18.0,
                           cadence_s: float = 60.0, shape: str = "halfsine",
-                          day_jitter: Sequence[float] | None = None,
-                          label: str = "synthetic") -> IrradianceTrace:
+                          day_jitter: Sequence[float] | None = None
+                          ) -> IrradianceTrace:
     """Build a clear-sky-like day/night trace for tests and demos.
 
     ``shape`` is "halfsine" (smooth diurnal arc) or "square" (flat daylight
@@ -297,4 +242,4 @@ def synthetic_solar_trace(days: int = 2, *, peak: float = 800.0,
     if day_jitter is not None:
         day_idx = np.minimum((t // 86400.0).astype(int), len(day_jitter) - 1)
         g = g * np.asarray(day_jitter, dtype=float)[day_idx]
-    return IrradianceTrace(t=t, g=g, source=label, interval=cadence_s)
+    return IrradianceTrace(t=t, g=g)

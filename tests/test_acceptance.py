@@ -183,12 +183,14 @@ def test_criterion_4_scaled_power_fidelity_all_presets():
         ess = EssConfig.ideal(capacitance=2.2, k_mpp=1e-4)
 
         rt_plan = ScalingPlan(mode="realtime", s_i=s_i)
-        tr_rt, _, app_rt = build_experiment(rt_plan, trace, None, app)
-        rt = simulate(tr_rt, None, ess, app_rt, cfg)
+        tr_rt, _, app_rt, cfg_rt = build_experiment(rt_plan, trace, None,
+                                                    app, cfg)
+        rt = simulate(tr_rt, None, ess, app_rt, cfg_rt)
 
         sp_plan = ScalingPlan(mode="st_sp", s_tp=s_tp, s_f=s_f, s_i=s_i)
-        tr_sp, _, app_sp = build_experiment(sp_plan, trace, None, app)
-        sp = simulate(tr_sp, None, ess, app_sp, cfg)
+        tr_sp, _, app_sp, cfg_sp = build_experiment(sp_plan, trace, None,
+                                                    app, cfg)
+        sp = simulate(tr_sp, None, ess, app_sp, cfg_sp)
 
         predicted = predict_throughput(sp_plan, sp, prof)
         terr = throughput_error(predicted, rt.throughput_bytes)
@@ -223,20 +225,23 @@ def test_criterion_5_unscaled_power_error_trend():
     s_f = compute_sf(prof, s_tp)
 
     rt_plan = ScalingPlan(mode="realtime", s_i=s_i)
-    tr_rt, _, app_rt = build_experiment(rt_plan, trace, None, app)
-    baseline = simulate(tr_rt, None, ess, app_rt, cfg)
+    tr_rt, _, app_rt, cfg_rt = build_experiment(rt_plan, trace, None, app,
+                                                cfg)
+    baseline = simulate(tr_rt, None, ess, app_rt, cfg_rt)
     # the fixture must exercise at least two charge cycles in real time
     on = baseline.activity.on_off.astype(int)
     rises = int(np.sum(np.diff(on) == 1) + on[0])
     assert rises >= 2, rises
 
     sp_plan = ScalingPlan(mode="st_sp", s_tp=s_tp, s_f=s_f, s_i=s_i)
-    tr_sp, _, app_sp = build_experiment(sp_plan, trace, None, app)
-    sp = simulate(tr_sp, None, ess, app_sp, cfg)
+    tr_sp, _, app_sp, cfg_sp = build_experiment(sp_plan, trace, None, app,
+                                                cfg)
+    sp = simulate(tr_sp, None, ess, app_sp, cfg_sp)
 
     up_plan = ScalingPlan(mode="st_up", s_tp=s_tp, s_i=s_i)
-    tr_up, _, app_up = build_experiment(up_plan, trace, None, app)
-    up = simulate(tr_up, None, ess, app_up, cfg)
+    tr_up, _, app_up, cfg_up = build_experiment(up_plan, trace, None, app,
+                                                cfg)
+    up = simulate(tr_up, None, ess, app_up, cfg_up)
 
     err_sp = throughput_error(predict_throughput(sp_plan, sp, prof),
                               baseline.throughput_bytes)
@@ -263,13 +268,13 @@ def test_criterion_6_skip_nights_equivalence():
     ess = EssConfig(storage=StorageModel(capacitance=2.2, esr=0.5,
                                          leak_resistance=50e3))
     plan = ScalingPlan(mode="st_sp", s_tp=s_tp, s_f=s_f, s_i=0.02)
-    tr_x, _, app_x = build_experiment(plan, trace, None, app)
+    tr_x, _, app_x, cfg = build_experiment(plan, trace, None, app,
+                                           SimConfig(dt_quiescent=0.2))
     dark = 1.0 - np.count_nonzero(tr_x.g) / len(tr_x.g)
     assert dark >= 0.40
 
-    sp = simulate(tr_x, None, ess, app_x, SimConfig(dt_quiescent=0.2))
-    sn = run_with_skip_nights(tr_x, None, ess, app_x,
-                              SimConfig(dt_quiescent=0.2))
+    sp = simulate(tr_x, None, ess, app_x, cfg)
+    sn = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
     thr_gap = abs(sn.throughput_bytes - sp.throughput_bytes) \
         / max(sp.throughput_bytes, 1)
     ape = compute_ape(sp.activity, sn.activity, 10.0)

@@ -107,13 +107,11 @@ def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path,
                                       res.activity.labels[:0]),
         profile=EnergyStackProfile(0.5, *(np.empty(0) for _ in range(7))),
         voltage_t=np.empty(0), voltage_v=np.empty(0))
-    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart.
-    # result.json stores one duration; rescale_timeline stretches the
-    # result's and leaves the stack's, so the stack loads with the former.
+    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart,
+    # and the stack carries the one stretched duration result.json stores.
     rescaled = rescale_timeline(res, 4.0)
     assert rescaled.voltage_t[0] == 2.0
-    rescaled = dataclasses.replace(rescaled, stack=dataclasses.replace(
-        rescaled.stack, duration_s=rescaled.duration_s))
+    assert rescaled.stack.duration_s == rescaled.duration_s
     for name, r in (("one", res), ("empty", empty), ("rescaled", rescaled)):
         save_result(r, str(tmp_path / name))
         back = load_result(str(tmp_path / name))

@@ -28,7 +28,7 @@ from ehsim.engine import SimConfig, simulate
 from ehsim.ess import (EssConfig, HarvesterModel, MpptModel, StorageModel)
 from ehsim.metrics import compute_ape
 from ehsim.scaling import (ScalingPlan, build_experiment, compute_sf,
-                           max_speedup, plan_sim_config, profile_application)
+                           max_speedup, profile_application)
 from ehsim.traces import (EventTrace, IrradianceTrace, generate_parking_events,
                           synthetic_solar_trace)
 
@@ -55,10 +55,9 @@ def benchmark_inputs(tmp_path, seed, mode):
     cfg = load_config(str(tmp_path / "config.json"))
     app, s_i = build_app(cfg)
     plan, _ = _resolve_plan(cfg, app, s_i, mode)
-    trace, events, app_x = build_experiment(plan, load_trace(cfg),
-                                            load_events(cfg), app)
-    return trace, events, build_ess(cfg), app_x, plan_sim_config(
-        plan, build_sim(cfg))
+    trace, events, app_x, sim_cfg = build_experiment(
+        plan, load_trace(cfg), load_events(cfg), app, build_sim(cfg))
+    return trace, events, build_ess(cfg), app_x, sim_cfg
 
 
 def acceptance_inputs(name):
@@ -79,8 +78,9 @@ def acceptance_inputs(name):
             ScalingPlan(mode=mode, s_tp=10.0, s_i=0.01,
                         s_f=compute_sf(prof, 10.0) if mode == "st_sp" else 1.0)
         trace = synthetic_solar_trace(days=2, peak=800.0, cadence_s=60)
-        tr, _, app_x = build_experiment(plan, trace, None, app)
-        return tr, None, ess, app_x, SimConfig(dt_quiescent=0.2)
+        tr, _, app_x, cfg = build_experiment(plan, trace, None, app,
+                                             SimConfig(dt_quiescent=0.2))
+        return tr, None, ess, app_x, cfg
     if name.startswith("c6"):
         app = preset("TMP1")
         s_tp, s_f, _ = max_speedup(profile_application(app, 3600.0), app)
@@ -88,7 +88,8 @@ def acceptance_inputs(name):
                                              leak_resistance=50e3))
         plan = ScalingPlan(mode="st_sp", s_tp=s_tp, s_f=s_f, s_i=0.02)
         trace = synthetic_solar_trace(days=2, peak=800.0, cadence_s=60)
-        tr, _, app_x = build_experiment(plan, trace, None, app)
+        tr, _, app_x, _ = build_experiment(plan, trace, None, app,
+                                           SimConfig(dt_quiescent=0.2))
         return tr, None, ess, app_x, SimConfig(
             dt_quiescent=0.2, skip_nights=name == "c6_skip_nights")
     if name.startswith("c8"):
@@ -119,8 +120,9 @@ def acceptance_inputs(name):
     ess = EssConfig(harvester=HarvesterModel(k_mpp=1e-4),
                     storage=StorageModel(capacitance=cap, esr=0.5,
                                          leak_resistance=1e6, v_init=0.75))
-    tr, ev, app_x = build_experiment(plan, trace, events, app)
-    return tr, ev, ess, app_x, SimConfig(dt_quiescent=0.2)
+    tr, ev, app_x, cfg = build_experiment(plan, trace, events, app,
+                                          SimConfig(dt_quiescent=0.2))
+    return tr, ev, ess, app_x, cfg
 
 
 def assert_matches_oracle(new, old):

@@ -9,7 +9,7 @@ from ehsim.engine import SimConfig, simulate
 from ehsim.ess import (
     ConverterModel, EfficiencyCurve, EssConfig, EssError, EssState,
     HarvesterModel, MpptModel, StorageModel, IvGridWarning,
-    MODE_BYPASS, MODE_COLD_START, MODE_SATURATED, MODE_TRACKING,
+    MODE_BYPASS, MODE_COLD_START, MODE_TRACKING,
     converter_next_state, harvester_mpp_power,
     harvester_power, mppt_next_mode, mppt_step, residual_energy,
     solve_load_current, storage_step,
@@ -98,15 +98,6 @@ def test_mppt_no_input():
     state = EssState(v_cap=2.0, v_bus=2.0, mppt_mode=MODE_TRACKING)
     p_in, p_loss, _ = mppt_step(MpptModel(), state, 0.0, 1e-3)
     assert p_in == 0.0 and p_loss == 0.0
-
-
-def test_mppt_saturation_curtails_all_headroom():
-    mppt = MpptModel()
-    state = EssState(v_cap=2.9, v_bus=2.9, mppt_mode=MODE_TRACKING)
-    p_in, p_loss, mode = mppt_step(mppt, state, 0.5, 1e-3, headroom_w=0.0)
-    assert mode == MODE_SATURATED
-    assert p_in == 0.0
-    assert p_loss == pytest.approx(0.5)
 
 
 @given(p=st.floats(min_value=0.0, max_value=10.0),

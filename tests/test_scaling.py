@@ -8,11 +8,11 @@ from ehsim.app import PRESETS, AppSpec, preset
 from ehsim.engine import SimConfig, run_with_skip_nights, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
-    max_speedup, plan_sim_config, predict_throughput, profile_application,
+    max_speedup, predict_throughput, profile_application,
     rescale_timeline, scaled_average_power,
 )
 from ehsim.ess import EssConfig, StorageModel
-from ehsim.traces import EventTrace, synthetic_solar_trace
+from ehsim.traces import EventTrace, IrradianceTrace, synthetic_solar_trace
 
 
 def test_profile_hand_oracle():
@@ -171,21 +171,43 @@ def test_plan_validation():
 def test_build_experiment_realtime_scales_amplitude_only():
     tr = synthetic_solar_trace(days=1, cadence_s=600)
     app = preset("TMP1")
+    cfg = SimConfig()
     plan = ScalingPlan(mode="realtime", s_i=2.0)
-    tr2, ev2, app2 = build_experiment(plan, tr, None, app)
+    tr2, ev2, app2, cfg2 = build_experiment(plan, tr, None, app, cfg)
     np.testing.assert_array_equal(tr2.t, tr.t)
     np.testing.assert_allclose(tr2.g, tr.g * 2.0)
     assert app2 == app
     assert ev2 is None
+    assert cfg2 is cfg
+
+
+@pytest.mark.parametrize("mode, s_tp, s_f, g_scale", [
+    ("realtime", 1.0, 1.0, 0.5),   # g * s_i
+    ("st_up", 2.0, 1.0, 0.5),      # g * s_i
+    ("st_sp", 2.0, 2.5, 1.0),      # g * s_i * s_tp
+    ("st_sp_sn", 2.0, 2.5, 1.0),
+], ids=["realtime", "st_up", "st_sp", "st_sp_sn"])
+def test_build_experiment_mode_definitions(mode, s_tp, s_f, g_scale):
+    tr = IrradianceTrace(t=np.array([0.0, 100.0]), g=np.array([0.0, 200.0]))
+    ev = EventTrace(t=np.array([10.0, 20.0]))
+    app = preset("TMP1")
+    plan = ScalingPlan(mode=mode, s_tp=s_tp, s_f=s_f, s_i=0.5)
+    tr2, ev2, app2, _ = build_experiment(plan, tr, ev, app, SimConfig())
+    np.testing.assert_array_equal(tr2.t, tr.t / s_tp)
+    np.testing.assert_array_equal(tr2.g, tr.g * g_scale)
+    np.testing.assert_array_equal(ev2.t, ev.t / s_tp)    # co-scaled
+    assert app2.t_sample_period == app.t_sample_period / s_f
 
 
 def test_build_experiment_st_up_leaves_app_unscaled():
     tr = synthetic_solar_trace(days=1, cadence_s=600)
     ev = EventTrace(t=np.array([1000.0, 2000.0]))
     app = preset("TMP1")
+    cfg = SimConfig()
     plan = ScalingPlan(mode="st_up", s_tp=4.0, s_i=0.5)
-    tr2, ev2, app2 = build_experiment(plan, tr, ev, app)
+    tr2, ev2, app2, cfg2 = build_experiment(plan, tr, ev, app, cfg)
     assert app2 == app
+    assert cfg2 is cfg
     np.testing.assert_allclose(tr2.t, tr.t / 4.0)
     np.testing.assert_allclose(tr2.g, tr.g * 0.5)  # amplitude: s_i only
     np.testing.assert_allclose(ev2.t, ev.t / 4.0)
@@ -194,11 +216,25 @@ def test_build_experiment_st_up_leaves_app_unscaled():
 def test_build_experiment_st_sp_preserves_trace_integral():
     tr = synthetic_solar_trace(days=1, cadence_s=600)
     app = preset("TMP1")
+    cfg = SimConfig()
     plan = ScalingPlan(mode="st_sp", s_tp=2.0, s_f=2.2, s_i=1.0)
-    tr_rt, _, _ = build_experiment(ScalingPlan(mode="realtime"), tr, None, app)
-    tr_sp, _, app_sp = build_experiment(plan, tr, None, app)
+    tr_rt, _, _, _ = build_experiment(ScalingPlan(mode="realtime"), tr, None,
+                                      app, cfg)
+    tr_sp, _, app_sp, _ = build_experiment(plan, tr, None, app, cfg)
     assert abs(tr_sp.integral() - tr_rt.integral()) <= 1e-9 * tr_rt.integral()
     assert app_sp.t_sample_period == pytest.approx(20.0 / 2.2)
+    tr_4, _, _, _ = build_experiment(
+        ScalingPlan(mode="st_sp", s_tp=4.0, s_f=4.0), tr, None, app, cfg)
+    assert abs(tr_4.integral() - tr_rt.integral()) <= 1e-9 * tr_rt.integral()
+
+
+def test_build_experiment_keeps_relative_event_position():
+    tr = synthetic_solar_trace(days=1, cadence_s=600)
+    ev = EventTrace(t=np.array([1000.0, 43000.0]))
+    plan = ScalingPlan(mode="st_up", s_tp=6.0)
+    tr2, ev2, _, _ = build_experiment(plan, tr, ev, preset("TMP1"), SimConfig())
+    np.testing.assert_allclose(ev.t / tr.duration, ev2.t / tr2.duration,
+                               rtol=1e-12)
 
 
 class _FakeResult:
@@ -263,13 +299,16 @@ def test_fractional_rescale_binning():
         res.profile.soc_energy.sum(), rel=1e-9)
 
 
-def test_plan_sim_config_turns_skip_nights_on_for_st_sp_sn_only():
+def test_build_experiment_turns_skip_nights_on_for_st_sp_sn_only():
+    tr = synthetic_solar_trace(days=1, cadence_s=600)
+    app = preset("TMP1")
     cfg = SimConfig(dt_quiescent=0.2)
-    assert plan_sim_config(ScalingPlan(mode="st_sp_sn", s_tp=2.0, s_f=2.0),
-                           cfg) == SimConfig(dt_quiescent=0.2, skip_nights=True)
+    plan = ScalingPlan(mode="st_sp_sn", s_tp=2.0, s_f=2.0)
+    assert build_experiment(plan, tr, None, app, cfg)[3] == SimConfig(
+        dt_quiescent=0.2, skip_nights=True)
     for plan in (ScalingPlan(), ScalingPlan(mode="st_sp", s_tp=2.0, s_f=2.0),
                  ScalingPlan(mode="st_up", s_tp=2.0)):
-        assert plan_sim_config(plan, cfg) is cfg
+        assert build_experiment(plan, tr, None, app, cfg)[3] is cfg
 
 
 def test_st_sp_sn_plan_equals_run_with_skip_nights():
@@ -279,8 +318,8 @@ def test_st_sp_sn_plan_equals_run_with_skip_nights():
                                          leak_resistance=1e6))
     cfg = SimConfig(dt_quiescent=0.2)
     plan = ScalingPlan(mode="st_sp_sn", s_tp=3.0, s_f=3.4, s_i=0.02)
-    tr_x, _, app_x = build_experiment(plan, trace, None, app)
-    via_plan = simulate(tr_x, None, ess, app_x, plan_sim_config(plan, cfg))
+    tr_x, _, app_x, cfg_x = build_experiment(plan, trace, None, app, cfg)
+    via_plan = simulate(tr_x, None, ess, app_x, cfg_x)
     direct = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
     assert via_plan.stack.as_dict() == direct.stack.as_dict()
     for name in ("throughput_bytes", "boots", "on_time_s", "duration_s",

@@ -3,13 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from engine_oracle import find_dark_segments
 from ehsim.traces import (
-    EventTrace, IrradianceTrace, TraceError, TraceParseError, TraceTransform,
-    apply_transform, generate_parking_events, parse_events, parse_irradiance,
-    synthetic_solar_trace, transform_events, write_irradiance,
+    IrradianceTrace, TraceError, TraceParseError, generate_parking_events,
+    parse_events, parse_irradiance, synthetic_solar_trace, write_irradiance,
 )
 
 
@@ -48,7 +46,6 @@ def test_parse_five_day_trace_sample_count():
     tr = parse_irradiance(text)
     assert len(tr) == n == 7200
     assert tr.duration == 60.0 * (n - 1)
-    assert tr.interval == 60.0
 
 
 def test_parse_minute_indexed_input():
@@ -103,71 +100,12 @@ def test_parse_rejects_non_finite_value_with_line_number(text, line):
     assert err.value.line == line
 
 
-def test_apply_transform_definition():
-    tr = IrradianceTrace(t=np.array([0.0, 100.0]), g=np.array([0.0, 200.0]))
-    out = apply_transform(tr, TraceTransform(time_scale=2.0, amplitude_scale=2.0))
-    assert out.t[1] == 50.0
-    assert out.g[1] == 400.0
-
-
-def test_apply_transform_identity():
-    tr = synthetic_solar_trace(days=1, cadence_s=300)
-    out = apply_transform(tr, TraceTransform(1.0, 1.0))
-    np.testing.assert_array_equal(out.t, tr.t)
-    np.testing.assert_array_equal(out.g, tr.g)
-
-
-def test_transform_preserves_integral_when_scales_match():
-    tr = synthetic_solar_trace(days=2, cadence_s=120)
-    before = tr.integral()
-    out = apply_transform(tr, TraceTransform(time_scale=4.0, amplitude_scale=4.0))
-    after = out.integral()
-    assert abs(after - before) <= 1e-9 * before
-
-
-def test_transform_round_trip():
-    tr = synthetic_solar_trace(days=1, cadence_s=300)
-    fwd = apply_transform(tr, TraceTransform(time_scale=3.0, amplitude_scale=7.5))
-    back = IrradianceTrace(t=fwd.t * 3.0, g=fwd.g / 7.5)
-    np.testing.assert_allclose(back.t, tr.t, rtol=1e-12)
-    np.testing.assert_allclose(back.g, tr.g, rtol=1e-12)
-
-
-def test_transform_events_definition_and_identity():
-    ev = EventTrace(t=np.array([10.0, 20.0]))
-    out = transform_events(ev, 2.0)
-    np.testing.assert_array_equal(out.t, [5.0, 10.0])
-    same = transform_events(ev, 1.0)
-    np.testing.assert_array_equal(same.t, ev.t)
-
-
-@given(a=st.floats(min_value=1.0, max_value=50.0),
-       b=st.floats(min_value=1.0, max_value=50.0))
-@settings(max_examples=50, deadline=None)
-def test_transform_events_composition(a, b):
-    ev = EventTrace(t=np.array([3.0, 97.0, 1250.0]))
-    two_step = transform_events(transform_events(ev, a), b)
-    one_step = transform_events(ev, a * b)
-    np.testing.assert_allclose(two_step.t, one_step.t, rtol=1e-12)
-
-
-def test_coscaling_preserves_relative_event_position():
-    tr = synthetic_solar_trace(days=1, cadence_s=600)
-    ev = EventTrace(t=np.array([1000.0, 43000.0]))
-    s = 6.0
-    tr2 = apply_transform(tr, TraceTransform(time_scale=s, amplitude_scale=s))
-    ev2 = transform_events(ev, s)
-    np.testing.assert_allclose(ev.t / tr.duration, ev2.t / tr2.duration,
-                               rtol=1e-12)
-
-
 def test_parking_events_deterministic():
     kw = dict(opening=(9.0, 20.0), peak_h=14.0, n_events_per_day=50,
               days=3, seed=1234)
     a = generate_parking_events(**kw)
     b = generate_parking_events(**kw)
     np.testing.assert_array_equal(a.t, b.t)
-    assert a.seed == 1234
 
 
 def test_parking_events_respect_opening_hours():
