@@ -223,9 +223,6 @@ def test_build_experiment_st_sp_preserves_trace_integral():
     tr_sp, _, app_sp, _ = build_experiment(plan, tr, None, app, cfg)
     assert abs(tr_sp.integral() - tr_rt.integral()) <= 1e-9 * tr_rt.integral()
     assert app_sp.t_sample_period == pytest.approx(20.0 / 2.2)
-    tr_4, _, _, _ = build_experiment(
-        ScalingPlan(mode="st_sp", s_tp=4.0, s_f=4.0), tr, None, app, cfg)
-    assert abs(tr_4.integral() - tr_rt.integral()) <= 1e-9 * tr_rt.integral()
 
 
 def test_build_experiment_keeps_relative_event_position():

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from engine_oracle import find_dark_segments
+from ehsim.app import preset
+from ehsim.engine import SimConfig
+from ehsim.scaling import ScalingPlan, build_experiment
 from ehsim.traces import (
     IrradianceTrace, TraceError, TraceParseError, generate_parking_events,
     parse_events, parse_irradiance, synthetic_solar_trace, write_irradiance,
@@ -150,3 +153,14 @@ def test_dark_segments_day_night_square_wave():
               (18 * 3600.0, 30 * 3600.0),
               (42 * 3600.0, 48 * 3600.0)]
     assert segs == expect
+
+
+def test_transform_preserves_integral_when_scales_match():
+    # st_sp divides time by s_tp and multiplies irradiance by s_tp
+    tr = synthetic_solar_trace(days=2, cadence_s=120)
+    before = tr.integral()
+    out, _, _, _ = build_experiment(
+        ScalingPlan(mode="st_sp", s_tp=4.0, s_f=4.0), tr, None,
+        preset("TMP1"), SimConfig())
+    after = out.integral()
+    assert abs(after - before) <= 1e-9 * before
