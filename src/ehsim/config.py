@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .app import AppSpec, PRESETS, preset, preset_irradiance_scale
-from .engine import (EnergyLedger, EnergyStack, EnergyStackProfile, SimConfig,
-                     SimResult, ConfigError, LEDGER_ACTIVITIES)
+from .engine import (EnergyLedger, EnergyStack, EnergyStackProfile, RunStats,
+                     SimConfig, SimResult, ConfigError, LEDGER_ACTIVITIES)
 from .app import ActivityProfile, PHASES
 from .ess import (ConverterModel, EfficiencyCurve, EssConfig, HarvesterModel,
                   MpptModel, StorageModel)
@@ -242,7 +242,8 @@ def save_result(result: SimResult, out_dir: str) -> None:
     """Write the result files: JSON scalars/stack, ``.npy`` tables, CSV views.
 
     ``result.json`` is byte-stable for identical runs; wall-clock metadata
-    goes to ``run_meta.json`` so hashes and diffs stay meaningful. The
+    and the step loop's :class:`~ehsim.engine.RunStats` go to
+    ``run_meta.json`` so hashes and diffs stay meaningful. The
     ``.npy`` tables are what :func:`load_result` reads back exactly; the
     CSVs hold the same tables at 10 significant digits for people.
     """
@@ -270,7 +271,8 @@ def save_result(result: SimResult, out_dir: str) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"wall_time_s": result.wall_time_s}, fh, indent=2)
+        json.dump({"wall_time_s": result.wall_time_s,
+                   "stats": asdict(result.stats)}, fh, indent=2)
         fh.write("\n")
 
     prof = result.profile
@@ -317,8 +319,9 @@ def _load_npy(out_dir: str, name: str) -> np.ndarray:
 def load_result(out_dir: str) -> SimResult:
     """Reconstruct a result exactly from ``result.json`` and its ``.npy`` tables.
 
-    Raises :class:`ConfigError`, naming the file, for a missing or
-    malformed table.
+    The run's stats come from ``run_meta.json`` when it holds them; the
+    wall time is not read back. Raises :class:`ConfigError`, naming the
+    file, for a missing or malformed table.
     """
     json_path = os.path.join(out_dir, "result.json")
     with open(json_path, "r", encoding="utf-8") as fh:
@@ -378,4 +381,13 @@ def load_result(out_dir: str) -> SimResult:
         converter_on_final=bool(payload["final"]["converter_on"]),
         voltage_t=volt[:, 0], voltage_v=volt[:, 1],
         event_log=ev,
+        stats=_load_stats(out_dir),
     )
+
+
+def _load_stats(out_dir: str) -> RunStats:
+    path = os.path.join(out_dir, "run_meta.json")
+    if not os.path.exists(path):
+        return RunStats()
+    with open(path, "r", encoding="utf-8") as fh:
+        return RunStats(**json.load(fh).get("stats", {}))

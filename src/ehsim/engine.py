@@ -57,6 +57,7 @@ __all__ = [
     "EnergyStack",
     "EnergyStackProfile",
     "SimResult",
+    "RunStats",
     "ConfigError",
     "ClosureError",
     "LEDGER_ACTIVITIES",
@@ -206,6 +207,19 @@ class EnergyStackProfile:
 
 
 @dataclass(frozen=True)
+class RunStats:
+    """How the step loop covered one run; kept out of ``result.json``.
+
+    Every aggregation bin is either covered by a closed-form span or
+    closed by one or more integrated steps.
+    """
+
+    steps: int = 0      # integrated steps
+    spans: int = 0      # closed-form quiescent spans
+    span_bins: int = 0  # aggregation bins those spans covered
+
+
+@dataclass(frozen=True)
 class SimResult:
     """Everything one run produces."""
 
@@ -226,6 +240,7 @@ class SimResult:
     voltage_t: np.ndarray
     voltage_v: np.ndarray
     event_log: np.ndarray  # columns: t, powered_at_event (0/1)
+    stats: RunStats
 
 
 def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
@@ -257,7 +272,11 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
 
 
 class _Bins:
-    """Growable per-aggregation-step accumulators."""
+    """Growable per-aggregation-step columns, zeroed at allocation.
+
+    The engine derives the voltage timeline in :func:`_package`; only the
+    step-loop oracle of the differential tests still writes ``volt_t``.
+    """
 
     _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
                 "volt_t", "volt_v", "labels")
@@ -369,8 +388,10 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     v_cap = state.v_cap
     v_bus = state.v_bus
     conv_on = state.converter_on
-    tr_t = trace.t
-    tr_g = trace.g
+    # Plain lists: the loop reads them element by element, and a numpy
+    # scalar would turn every sum it enters into slower numpy arithmetic.
+    tr_t = trace.t.tolist()
+    tr_g = trace.g.tolist()
     tr_idx = 0
     n_tr = len(tr_t)
     if ideal:
@@ -395,7 +416,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     dark_thr = cfg.dark_threshold
     g_until = _constant_until(trace)
 
-    ev_t = events.t if events is not None else np.empty(0)
+    ev_t = events.t.tolist() if events is not None else []
     n_events = len(ev_t)
     ev_idx = 0
     pending = False
@@ -407,7 +428,11 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     t = t0
     bin_idx = 0
     bin_open_t = t0  # when the current bin opened; t equals it while it is empty
+    t_edge = t0 + agg  # when the current bin closes
+    # The open bin's sums; written to the arrays once, as it closes.
+    a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = a_on = 0.0
     bin_label_s = [0.0] * len(PHASES)
+    n_steps = n_spans = n_span_bins = 0
     on_time = 0.0
     total_bytes = 0
     phase_entry_t = t0
@@ -420,16 +445,9 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     v_off = conv.v_off
     ckpt_v = app.checkpoint_v
 
-    b_harvest = bins.harvest
-    b_mppt = bins.mppt
-    b_conv = bins.conv
-    b_soc = bins.soc
-    b_sensor = bins.sensor
-    b_sdelta = bins.sdelta
-    b_on = bins.on_s
-    b_labels = bins.labels
-    b_vt = bins.volt_t
-    b_vv = bins.volt_v
+    b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
+    b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
+    b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
 
     while True:
         draining = t >= t_end - 1e-9
@@ -440,7 +458,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             pending = True
             pending_count += 1
             app_state.events_offered += 1
-            event_log.append((float(ev_t[ev_idx]), 1 if conv_on else 0))
+            event_log.append((ev_t[ev_idx], 1 if conv_on else 0))
             if conv_on:
                 detected_at_event += 1
             ev_idx += 1
@@ -476,12 +494,17 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     if phase != last_phase:
                         last_phase = phase
                         phase_entry_t = t
+                    n_spans += 1
+                    n_span_bins += n
                     bin_idx += n
                     bins.n = bin_idx
+                    # The span wrote the bin; nothing carries into the next.
+                    a_harvest = a_mppt = a_conv = a_soc = a_sensor = 0.0
+                    a_sdelta = a_on = 0.0
                     b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
                     b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-                    b_on, b_labels = bins.on_s, bins.labels
-                    b_vt, b_vv = bins.volt_t, bins.volt_v
+                    b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
+                    t_edge = t0 + (bin_idx + 1) * agg
                     t_span_end = t0 + bin_idx * agg
                     if conv_on:
                         on_time += t_span_end - t
@@ -498,7 +521,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             conv_on and R > 0.0 and v_cap - R * prev_i_out < v_off)
         dt_base = dt_fine if fine else dt_coarse
 
-        t_next = t0 + (bin_idx + 1) * agg
+        t_next = t_edge
         if tr_idx + 1 < n_tr and tr_t[tr_idx + 1] < t_next:
             t_next = tr_t[tr_idx + 1]
         if ev_idx < n_events and ev_t[ev_idx] < t_next:
@@ -626,20 +649,21 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         e_conv_tot += e_conv
         sss[_PHASE_TO_ACTIVITY[label]] += e_load
 
-        b_harvest[bin_idx] += e_h
-        b_mppt[bin_idx] += e_ml
-        b_conv[bin_idx] += e_conv
+        a_harvest += e_h
+        a_mppt += e_ml
+        a_conv += e_conv
         if label == PHASE_SAMPLING:
             e_sens = e_load * sensor_frac
-            b_sensor[bin_idx] += e_sens
-            b_soc[bin_idx] += e_load - e_sens
+            a_sensor += e_sens
+            a_soc += e_load - e_sens
         else:
-            b_soc[bin_idx] += e_load
-        b_sdelta[bin_idx] += e_h - e_ml - e_conv - e_load
+            a_soc += e_load
+        a_sdelta += e_h - e_ml - e_conv - e_load
         bin_label_s[PHASE_INDEX[label]] += dt
         if label != PHASE_OFF:
-            b_on[bin_idx] += dt
+            a_on += dt
             on_time += dt
+        n_steps += 1
 
         prev_de_rate = 0.5 * C * (v_cap_new * v_cap_new - v_cap * v_cap) / dt
         prev_i_out = i_out
@@ -649,26 +673,49 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
             tr_idx += 1
-        if t >= t0 + (bin_idx + 1) * agg - 1e-9:
-            mx = max(bin_label_s)
-            b_labels[bin_idx] = bin_label_s.index(mx) if mx > 0.0 else 0
-            b_vt[bin_idx] = (bin_idx + 1) * agg
+        if t >= t_edge - 1e-9:
+            # The arrays start zeroed: a zero sum stays unwritten, so a
+            # column's pages stay untouched while nothing enters it.
+            if a_harvest:
+                b_harvest[bin_idx] = a_harvest
+            if a_mppt:
+                b_mppt[bin_idx] = a_mppt
+            if a_conv:
+                b_conv[bin_idx] = a_conv
+            if a_soc:
+                b_soc[bin_idx] = a_soc
+            if a_sensor:
+                b_sensor[bin_idx] = a_sensor
+            if a_sdelta:
+                b_sdelta[bin_idx] = a_sdelta
+            if a_on:
+                b_on[bin_idx] = a_on
+            a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = 0.0
+            a_on = 0.0
+            label_idx = bin_label_s.index(max(bin_label_s))
+            if label_idx:
+                b_labels[bin_idx] = label_idx
             b_vv[bin_idx] = v_cap
-            for k in range(len(bin_label_s)):
-                bin_label_s[k] = 0.0
+            bin_label_s = [0.0] * len(PHASES)
             bin_idx += 1
             bin_open_t = t
+            t_edge = t0 + (bin_idx + 1) * agg
             bins.n = bin_idx
-            if bins.ensure(bin_idx + 1):
+            if bin_idx >= bins.cap:
+                bins.ensure(bin_idx + 1)
                 b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
                 b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-                b_on, b_labels = bins.on_s, bins.labels
-                b_vt, b_vv = bins.volt_t, bins.volt_v
+                b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
 
     if max(bin_label_s) > 0.0:  # partial final bin (hard stop mid-bin)
-        mx = max(bin_label_s)
-        b_labels[bin_idx] = bin_label_s.index(mx)
-        b_vt[bin_idx] = (bin_idx + 1) * agg
+        b_harvest[bin_idx] = a_harvest
+        b_mppt[bin_idx] = a_mppt
+        b_conv[bin_idx] = a_conv
+        b_soc[bin_idx] = a_soc
+        b_sensor[bin_idx] = a_sensor
+        b_sdelta[bin_idx] = a_sdelta
+        b_on[bin_idx] = a_on
+        b_labels[bin_idx] = bin_label_s.index(max(bin_label_s))
         b_vv[bin_idx] = v_cap
         bins.n = bin_idx + 1
 
@@ -686,7 +733,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                            config_hash=config_hash)
     return _package(stack, bins, app_state, total_bytes, observed_total,
                     detected_at_event, on_time, t - t0, v_cap, conv_on,
-                    event_log, agg)
+                    event_log, agg,
+                    stats=RunStats(n_steps, n_spans, n_span_bins))
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
@@ -879,7 +927,6 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
         bins.sdelta[row] = p_mpp * d - p_ml * d - conv_e - load_e
         bins.on_s[row] = d if on else 0.0
     bins.labels[sl] = PHASE_INDEX[app_state.phase]
-    bins.volt_t[sl] = np.arange(bin_idx + 1, bin_idx + n + 1) * agg
     bins.volt_v[sl] = v
     de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
     ledger.harvest_input += p_mpp * span
@@ -897,11 +944,19 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
 def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,
              total_bytes: int, observed_total: int, detected_at_event: int,
              on_time: float, duration: float, v_cap: float, conv_on: bool,
-             event_log: list, agg: float) -> SimResult:
+             event_log: list, agg: float,
+             stats: RunStats = RunStats()) -> SimResult:
+    # The step-loop oracle of the differential tests passes no stats.
     n = bins.n
+    # Bin k starts at k agg and its voltage is sampled at (k + 1) agg;
+    # built in place, with no integer temporary.
+    t_start = np.arange(n, dtype=np.float64)
+    t_start *= agg
+    volt_t = np.arange(1, n + 1, dtype=np.float64)
+    volt_t *= agg
     profile = EnergyStackProfile(
         step_len=agg,
-        t_start=np.arange(n) * agg,
+        t_start=t_start,
         harvest=bins.harvest[:n].copy(),
         mppt_loss=bins.mppt[:n].copy(),
         converter_loss=bins.conv[:n].copy(),
@@ -928,7 +983,8 @@ def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,
         wall_time_s=0.0,
         v_cap_final=v_cap,
         converter_on_final=conv_on,
-        voltage_t=bins.volt_t[:n].copy(),
+        voltage_t=volt_t,
         voltage_v=bins.volt_v[:n].copy(),
         event_log=log,
+        stats=stats,
     )

@@ -96,6 +96,8 @@ class EventTrace:
         object.__setattr__(self, "t", t)
         if t.ndim != 1:
             raise TraceError("event times must be a 1-D array")
+        if not np.all(np.isfinite(t)):
+            raise TraceError("event times must be finite")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise TraceError("event timestamps must be strictly increasing")
         t.setflags(write=False)
@@ -157,7 +159,11 @@ def write_irradiance(trace: IrradianceTrace, stream) -> None:
 
 
 def parse_events(source, *, time_unit: str = "s") -> EventTrace:
-    """Parse a one-column event CSV (seconds, one event per line)."""
+    """Parse a one-column event CSV (seconds, one event per line).
+
+    Raises :class:`TraceParseError` with the line number for a
+    non-numeric, non-finite or non-increasing event time.
+    """
     if isinstance(source, (str, bytes)):
         stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
     else:
@@ -171,6 +177,8 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
             t_val = float(line.split(",")[0])
         except ValueError:
             raise TraceParseError(f"non-numeric event time {line!r}", lineno) from None
+        if not math.isfinite(t_val):
+            raise TraceParseError(f"non-finite event time {line!r}", lineno)
         if ts and t_val <= ts[-1]:
             raise TraceParseError(f"event time {t_val} not increasing", lineno)
         ts.append(t_val)

@@ -222,6 +222,19 @@ def test_cmd_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):
     assert "throughput=" in capsys.readouterr().out
 
 
+def test_cmd_simulate_writes_run_stats_to_run_meta_only(tmp_path):
+    cfg = write_fixture_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    stats = json.loads((out / "run_meta.json").read_text())["stats"]
+    assert sorted(stats) == ["span_bins", "spans", "steps"]
+    n_bins = len(load_result(str(out)).activity)
+    assert stats["steps"] > 0 and 0 < stats["span_bins"] < n_bins
+    # every bin is spanned or closed by at least one step
+    assert stats["steps"] + stats["span_bins"] >= n_bins
+    assert "span_bins" not in (out / "result.json").read_text()
+
+
 def test_cmd_simulate_missing_trace_exits_nonzero(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"trace": {"path": "nope.csv"},
@@ -424,6 +437,17 @@ def test_cmd_simulate_rejects_non_finite_trace(tmp_path, row):
     (tmp_path / "trace.csv").write_text(f"0,0\n30,1\n{row}\n")
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", ["nan\n", "600\nnan\n", "inf\n"])
+def test_cmd_simulate_rejects_non_finite_event_time(tmp_path, capsys, text):
+    cfg = write_fixture_config(
+        tmp_path, extra={"events": {"path": "events.csv"}})
+    (tmp_path / "events.csv").write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "TraceParseError" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("volts", [math.nan, math.inf, -1.0, 0.0])

@@ -59,13 +59,20 @@ def _same_files(a, b):
     names = sorted(os.listdir(b))
     assert sorted(os.listdir(a)) == sorted(names + NPY_TABLES)
     names.remove("result.json")
+    names.remove("run_meta.json")
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert (mismatch, errors) == ([], [])
+    # Keys added since the oracle: result.json's step, run_meta.json's stats.
     with open(os.path.join(a, "result.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
     del payload["step_len"]
     with open(os.path.join(b, "result.json"), encoding="utf-8") as fh:
         assert fh.read() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(a, "run_meta.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
+    del meta["stats"]
+    with open(os.path.join(b, "run_meta.json"), encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(meta, indent=2) + "\n"
 
 
 def _check(result):

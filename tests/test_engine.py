@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -5,13 +6,18 @@ import numpy as np
 import pytest
 
 from ehsim.app import PHASE_INDEX, AppSpec, preset
+from ehsim.cli import _resolve_plan
+from ehsim.config import (build_app, build_ess, build_sim, load_config,
+                          load_events, load_trace)
 from ehsim.engine import (
     ClosureError, ConfigError, EnergyLedger, SimConfig, finalize_stack,
     run_with_skip_nights, simulate,
 )
 from ehsim.ess import (ConverterModel, EssConfig, HarvesterModel, MpptModel,
                        StorageModel)
+from ehsim.scaling import build_experiment
 from ehsim.traces import EventTrace, IrradianceTrace, synthetic_solar_trace
+from test_engine_differential import _make_inputs
 
 
 def flat_trace(duration, g, cadence=60.0):
@@ -428,3 +434,102 @@ def test_esr_free_buffer_saturation_curtails_as_mppt_loss():
                                                     rel=1e-9), key
         assert led.storage_residual - bare.storage_residual == pytest.approx(
             0.5 * 400e-6 * v_max * v_max, rel=1e-6), key
+
+
+def _pin_inputs(name, tmp_path):
+    """Small, mostly stepped runs that pin the step loop's output bytes."""
+    if name.startswith("window"):
+        # two hours of the simulate benchmark's inputs, planned as the CLI does
+        _, mode, start_h = name.split("_", 2)
+        _make_inputs()("simulate_tmp1", 411, str(tmp_path),
+                       window=(float(start_h), 2.0))
+        cfg = load_config(str(tmp_path / "config.json"))
+        app, s_i = build_app(cfg)
+        plan, _ = _resolve_plan(cfg, app, s_i, mode)
+        trace, events, app_x, sim_cfg = build_experiment(
+            plan, load_trace(cfg), load_events(cfg), app, build_sim(cfg))
+        return trace, events, build_ess(cfg), app_x, sim_cfg
+    if name.startswith("esr"):
+        # criterion 8's brownout chain, ten minutes of constant light
+        app = AppSpec(name="tof_case", t_sample_period=120.0, t_sample=0.002,
+                      t_comm=0.08, n_per_comm=1, bytes_per_comm=12,
+                      p_sample=0.25, p_comm=15e-3, p_idle=5e-6,
+                      sensor_fraction_sampling=0.9)
+        ess = EssConfig(storage=StorageModel(
+            capacitance=0.54, esr=6.9, leak_resistance=200e3, v_init=0.75,
+            buffer_capacitance=400e-6 if name == "esr_buffer" else 0.0))
+        return (flat_trace(600.0, 60.0), None, ess, app,
+                SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
+    if name == "ideal_partial_bin":
+        # profiling run stopped mid-bin, inside a sampling burst
+        return (IrradianceTrace(t=np.array([0.0, 20.1]), g=np.zeros(2)),
+                None, None, small_app(),
+                SimConfig(dt_quiescent=0.2, supply_override=3.0))
+    # a reactive PARKING node offered an event every 97 s
+    ess = EssConfig(harvester=HarvesterModel(k_mpp=1e-4),
+                    storage=StorageModel(capacitance=0.3, esr=0.5,
+                                         leak_resistance=1e6, v_init=2.5))
+    return (flat_trace(1800.0, 300.0), EventTrace(t=np.arange(45.0, 1800.0,
+                                                              97.0)),
+            ess, preset("PARKING"),
+            SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
+
+
+def _result_digest(res):
+    """sha256 of a result's tables, counts and ledger, bit for bit."""
+    h = hashlib.sha256()
+    prof, act = res.profile, res.activity
+    for arr in (prof.t_start, prof.harvest, prof.mppt_loss,
+                prof.converter_loss, prof.soc_energy, prof.sensor_energy,
+                prof.storage_delta, act.on_off, act.labels, res.voltage_t,
+                res.voltage_v, res.event_log):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    led = res.stack.ledger
+    h.update(repr((res.throughput_bytes, res.boots, res.events_offered,
+                   res.events_detected, res.events_detected_at_event,
+                   res.events_observed)).encode())
+    scalars = [led.harvest_input, led.initial_storage, led.mppt_loss,
+               led.storage_loss_leak, led.storage_loss_esr,
+               led.storage_residual, led.converter_loss,
+               *(led.sss_by_activity[k] for k in sorted(led.sss_by_activity)),
+               res.on_time_s, res.duration_s, res.v_cap_final]
+    h.update(np.array(scalars, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the step loop before its per-bin sums moved into Python
+# floats; a deliberate change of per-step numerics re-records them.
+PINNED_DIGESTS = {
+    "window_realtime_5": "6fc80efa29a03b27ee74575bbd3c4592324250a9d49109c2e654284f73530925",
+    "window_st-sp_5": "c85113c6b32d8b2108f5a9435ec276ef6922e8f0c0686e53ae99aedee7ce8076",
+    "window_realtime_7": "1769672343f58f9185734ddd64f43c978392dc01715d0807e628243c7fe97a97",
+    "window_st-sp_7": "13f3989781e74470a5038a5b11b00f9cbf1d5b03b31e3bdbdfca2edcfcbe7248",
+    "esr_buffer": "569bcae27c4e73aa74db84c2230a5e602e30254d427cc3c3102b417c968c67d0",
+    "esr_no_buffer": "949c4e3971af76299d4624a63313a45fefbf286828cbd438f5be701f43d5d7bd",
+    "parking_events": "d5e7642c1ef8a2334ca0e995a0abc6610b3ff578cf6d03d9cdf08c72db7a43df",
+    "ideal_partial_bin": "640104a5db20632f16d4ffbc1836e22c6be53aea74f2ae5ff860622d6dac7e8e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_step_loop_output_bytes_are_pinned(tmp_path, name):
+    res = simulate(*_pin_inputs(name, tmp_path))
+    assert _result_digest(res) == PINNED_DIGESTS[name]
+
+
+def test_run_stats_reconcile_with_the_bins():
+    # Twenty dark minutes, then twenty lit ones too dim to boot the node:
+    # dark off steps (no skip_nights) and lit off spans. Trace samples sit
+    # on bin edges and dt_quiescent is one bin, so each stepped bin takes
+    # exactly one step.
+    trace = IrradianceTrace(t=np.arange(41) * 60.0,
+                            g=np.where(np.arange(41) < 20, 0.0, 5.0))
+    ess = EssConfig(storage=StorageModel(v_init=0.5, leak_resistance=50e3))
+    res = simulate(trace, None, ess, small_app(),
+                   SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
+    stats = res.stats
+    assert res.boots == 0
+    assert stats.steps >= 6000 and stats.spans >= 1
+    assert stats.steps + stats.span_bins == len(res.activity) == 12000

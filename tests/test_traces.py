@@ -9,8 +9,9 @@ from ehsim.app import preset
 from ehsim.engine import SimConfig
 from ehsim.scaling import ScalingPlan, build_experiment
 from ehsim.traces import (
-    IrradianceTrace, TraceError, TraceParseError, generate_parking_events,
-    parse_events, parse_irradiance, synthetic_solar_trace, write_irradiance,
+    EventTrace, IrradianceTrace, TraceError, TraceParseError,
+    generate_parking_events, parse_events, parse_irradiance,
+    synthetic_solar_trace, write_irradiance,
 )
 
 
@@ -100,6 +101,23 @@ def test_trace_rejects_non_finite_samples(t, g):
 def test_parse_rejects_non_finite_value_with_line_number(text, line):
     with pytest.raises(TraceParseError) as err:
         parse_irradiance(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_event_trace_rejects_non_finite_times(t):
+    with pytest.raises(TraceError, match="finite"):
+        EventTrace(t=np.array([1.0, t]))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("nan\n", 1),
+    ("1.5\n# comment\ninf\n", 3),
+    ("1.5\n2.5\n-inf\n", 3),
+], ids=["nan", "inf", "minus_inf"])
+def test_parse_events_rejects_non_finite_time_with_line_number(text, line):
+    with pytest.raises(TraceParseError, match="non-finite") as err:
+        parse_events(text)
     assert err.value.line == line
 
 
