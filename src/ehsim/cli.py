@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .app import AppError, AppSpec
-from .config import (HarnessConfig, _write_csv, build_app, build_ess,
+from .config import (HarnessConfig, _write_csvs, build_app, build_ess,
                      build_sim, load_config, load_events, load_trace,
                      save_result, load_result)
 from .engine import (ClosureError, ConfigError, SimResult, simulate)
@@ -208,8 +208,8 @@ def cmd_compare(args) -> int:
         "scaled_residual_j": scaled.stack.ledger.storage_residual,
     })
     spans = np.asarray(spans, dtype=float).reshape(-1, 2)
-    _write_csv(os.path.join(out, "mismatch_spans.csv"),
-               ("t_start_s", "t_end_s"), (spans[:, 0], spans[:, 1]))
+    _write_csvs([(os.path.join(out, "mismatch_spans.csv"),
+                  ("t_start_s", "t_end_s"), (spans[:, 0], spans[:, 1]))])
     print(f"compare mode={plan.mode} throughput_error={thr_err:.4f} "
           f"ape_raw={ape_raw.epsilon:.4f} ape_dtw={ape_dtw.epsilon:.4f} "
           f"-> {out}/report.json")

@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import os
+import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -188,32 +190,96 @@ def load_events(cfg: HarnessConfig, seed_override: int | None = None
 # profile columns) stay far below the result arrays' own memory.
 _BLOCK_ROWS = 4096
 
-# Result-CSV field format by numpy dtype kind.
-_CSV_FORMATS = {"f": "%.10g", "i": "%d", "b": "%d", "O": "%s"}
 
+@dataclass(frozen=True)
+class _Grid:
+    """A CSV time column that may be the bin grid ``(k + shift) * step``.
 
-def _write_csv(path: str, header: tuple[str, ...], columns) -> None:
-    """Write a result CSV: the ``header`` line, then one row per index.
-
-    ``columns`` are equal-length arrays; floats are written ``%.10g``
-    (10 significant digits), integers and booleans ``%d`` and strings as
-    they are. Rows go out a block at a time, each formatted by one ``%``
-    call over the block's interleaved values. ``%``-formatting and
-    ``format`` share one float formatter, so the bytes are those of a
-    per-row ``f"{x:.10g}"`` loop.
+    In each block where the bits of ``values`` equal the grid's, the
+    column takes the grid's strings; elsewhere it is formatted like any
+    other column. ``values=None`` is the grid itself.
     """
-    cols = [np.asarray(c) for c in columns]
-    width = len(cols)
-    row_fmt = ",".join(_CSV_FORMATS[c.dtype.kind] for c in cols) + "\n"
-    n = len(cols[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            flat = [None] * ((hi - lo) * width)
-            for j, col in enumerate(cols):
-                flat[j::width] = col[lo:hi].tolist()
-            fh.write(row_fmt * (hi - lo) % tuple(flat))
+
+    values: np.ndarray | None
+    shift: int = 0
+
+
+def _strings(seg: np.ndarray, names=None) -> list[str]:
+    """The CSV fields of ``seg``, each run of equal bits formatted once.
+
+    Floats are written ``%.10g`` (the bytes of ``f"{x:.10g}"``), integers
+    and booleans ``%d``, and codes with ``names`` as ``names[code]``. Runs
+    are found on the raw bits, not by value: ``0.0`` and ``-0.0`` print
+    differently, and NaN never equals itself.
+    """
+    bits = seg.view(f"u{seg.itemsize}")
+    starts = np.empty(len(seg), dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    vals = seg[starts].tolist()
+    if names is not None:
+        strs = [names[v] for v in vals]
+    else:
+        fmt = "%.10g" if seg.dtype.kind == "f" else "%d"
+        strs = [fmt % v for v in vals]
+    if len(strs) == len(seg):
+        return strs
+    return np.array(strs, dtype=object)[np.cumsum(starts) - 1].tolist()
+
+
+def _column(col) -> tuple:
+    """``(values, names, grid shift)`` of one column passed to the writer."""
+    if isinstance(col, _Grid):
+        return col.values, None, col.shift
+    if isinstance(col, tuple):
+        return np.asarray(col[0]), col[1], None
+    return np.asarray(col), None, None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _write_csvs(tables, step: float = 0.0) -> None:
+    """Write result CSVs in lock step, one block of rows at a time.
+
+    Each table is ``(path, header, columns)``: the header line, then one
+    row per index of the columns. A column is an array, a
+    ``(codes, names)`` pair, or a :class:`_Grid` time column on the bin
+    grid ``k * step``. Each block formats its stretch of the grid at most
+    once, for every table, and only one block of strings is alive at a
+    time.
+    """
+    tables = [(path, header, [_column(c) for c in columns])
+              for path, header, columns in tables]
+    rows = [max(len(v) for v, _, _ in cols if v is not None)
+            for _, _, cols in tables]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8"))
+                 for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(",".join(header) + "\n")
+        n_max = max(rows, default=0)
+        for lo in range(0, n_max, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_max)
+            grid = np.arange(lo, hi + 1) * step
+            grid_strs = None
+            for fh, (_, _, cols), n in zip(files, tables, rows):
+                m = min(hi, n) - lo
+                if m <= 0:
+                    continue
+                block = []
+                for values, names, shift in cols:
+                    seg = None if values is None else values[lo:lo + m]
+                    if shift is not None and (
+                            seg is None or _same_bits(seg, grid[shift:shift + m])):
+                        if grid_strs is None:
+                            grid_strs = _strings(grid)
+                        block.append(grid_strs[shift:shift + m])
+                    else:
+                        block.append(_strings(seg, names))
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 # Exact binary twins of the result tables: file stem -> (dtype, columns).
@@ -242,13 +308,14 @@ def save_result(result: SimResult, out_dir: str) -> None:
     """Write the result files: JSON scalars/stack, ``.npy`` tables, CSV views.
 
     ``result.json`` is byte-stable for identical runs; wall-clock metadata
-    and the step loop's :class:`~ehsim.engine.RunStats` go to
-    ``run_meta.json`` so hashes and diffs stay meaningful. The
+    (the run's and ``save_s``, the time spent writing these files) and the
+    step loop's :class:`~ehsim.engine.RunStats` go to ``run_meta.json``,
+    written last, so hashes and diffs stay meaningful. The
     ``.npy`` tables are what :func:`load_result` reads back exactly; the
     CSVs hold the same tables at 10 significant digits for people.
     """
+    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
-    led = result.stack.ledger
     payload = {
         "config_hash": result.stack.config_hash,
         "run_id": result.stack.run_id,
@@ -270,31 +337,33 @@ def save_result(result: SimResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"wall_time_s": result.wall_time_s,
-                   "stats": asdict(result.stats)}, fh, indent=2)
-        fh.write("\n")
-
     prof = result.profile
     prof_cols = (prof.t_start, prof.harvest, prof.mppt_loss,
                  prof.converter_loss, prof.soc_energy, prof.sensor_energy,
                  prof.storage_delta)
     _write_npy(out_dir, "profile", prof_cols)
-    _write_csv(os.path.join(out_dir, "profile.csv"),
-               ("t_start_s", "harvest_j", "mppt_loss_j", "converter_loss_j",
-                "soc_j", "sensor_j", "storage_delta_j"), prof_cols)
     act = result.activity
     _write_npy(out_dir, "activity", (act.on_off, act.labels))
-    _write_csv(os.path.join(out_dir, "activity.csv"), ("t_start_s", "on", "label"),
-               (np.arange(len(act)) * act.step_len, act.on_off,
-                np.array(PHASES, dtype=object)[act.labels]))
     _write_npy(out_dir, "voltage", (result.voltage_t, result.voltage_v))
-    _write_csv(os.path.join(out_dir, "voltage.csv"), ("t_s", "v_cap"),
-               (result.voltage_t, result.voltage_v))
     ev = np.asarray(result.event_log, dtype=float).reshape(-1, 2)
     _write_npy(out_dir, "events", (ev[:, 0], ev[:, 1]))
-    _write_csv(os.path.join(out_dir, "events.csv"), ("t_s", "powered_at_event"),
-               (ev[:, 0], ev[:, 1].astype(np.int64)))
+    _write_csvs([
+        (os.path.join(out_dir, "profile.csv"),
+         ("t_start_s", "harvest_j", "mppt_loss_j", "converter_loss_j",
+          "soc_j", "sensor_j", "storage_delta_j"),
+         (_Grid(prof.t_start),) + prof_cols[1:]),
+        (os.path.join(out_dir, "activity.csv"), ("t_start_s", "on", "label"),
+         (_Grid(None), act.on_off, (act.labels, PHASES))),
+        (os.path.join(out_dir, "voltage.csv"), ("t_s", "v_cap"),
+         (_Grid(result.voltage_t, shift=1), result.voltage_v)),
+        (os.path.join(out_dir, "events.csv"), ("t_s", "powered_at_event"),
+         (ev[:, 0], ev[:, 1].astype(np.int64))),
+    ], step=act.step_len)
+    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
+        json.dump({"wall_time_s": result.wall_time_s,
+                   "save_s": time.perf_counter() - t0,
+                   "stats": asdict(result.stats)}, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_npy(out_dir: str, name: str) -> np.ndarray:

@@ -161,8 +161,9 @@ def write_irradiance(trace: IrradianceTrace, stream) -> None:
 def parse_events(source, *, time_unit: str = "s") -> EventTrace:
     """Parse a one-column event CSV (seconds, one event per line).
 
-    Raises :class:`TraceParseError` with the line number for a
-    non-numeric, non-finite or non-increasing event time.
+    Raises :class:`TraceParseError` with the line number for a line of
+    more than one field and for a non-numeric, non-finite or non-increasing
+    event time.
     """
     if isinstance(source, (str, bytes)):
         stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
@@ -173,8 +174,11 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split(",")
+        if len(parts) != 1:
+            raise TraceParseError(f"expected 1 column, got {len(parts)}", lineno)
         try:
-            t_val = float(line.split(",")[0])
+            t_val = float(line)
         except ValueError:
             raise TraceParseError(f"non-numeric event time {line!r}", lineno) from None
         if not math.isfinite(t_val):

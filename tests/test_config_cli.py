@@ -235,6 +235,18 @@ def test_cmd_simulate_writes_run_stats_to_run_meta_only(tmp_path):
     assert "span_bins" not in (out / "result.json").read_text()
 
 
+def test_save_result_records_its_time_in_run_meta_written_last(tmp_path):
+    cfg = write_fixture_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert 0.0 < meta["save_s"] < 60.0
+    assert "save_s" not in (out / "result.json").read_text()
+    last = (out / "run_meta.json").stat().st_mtime_ns
+    assert all(p.stat().st_mtime_ns <= last for p in out.iterdir()
+               if p.name not in ("run_meta.json", "plan.json"))
+
+
 def test_cmd_simulate_missing_trace_exits_nonzero(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"trace": {"path": "nope.csv"},
@@ -437,6 +449,18 @@ def test_cmd_simulate_rejects_non_finite_trace(tmp_path, row):
     (tmp_path / "trace.csv").write_text(f"0,0\n30,1\n{row}\n")
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", ["1.5,abc\n", "600\n900 , x, y\n"])
+def test_cmd_simulate_rejects_event_line_with_extra_columns(tmp_path, capsys,
+                                                            text):
+    cfg = write_fixture_config(
+        tmp_path, extra={"events": {"path": "events.csv"}})
+    (tmp_path / "events.csv").write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "expected 1 column" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", ["nan\n", "600\nnan\n", "inf\n"])

@@ -4,8 +4,12 @@
 byte-identical to ``tests/csv_oracle.py`` for every row count around the
 block size, every phase label, and the float values where ``%.10g`` output
 changes shape (signed zero, subnormals, exponent switch, inf/nan). The
-oracle predates the ``.npy`` tables and ``result.json``'s ``step_len``;
-those are the only differences allowed.
+writer formats each run of equal bits once and shares the bin time grid
+between tables, so runs across block edges, values equal by ``==`` but not
+by bits, and time columns on and off the grid are covered too. The oracle
+predates the ``.npy`` tables, ``result.json``'s ``step_len`` and
+``run_meta.json``'s stats and save time; those are the only differences
+allowed.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from hypothesis import given, settings, strategies as st
 
 import csv_oracle
 from ehsim.app import PHASES, ActivityProfile, preset
-from ehsim.config import _BLOCK_ROWS, _write_csv, save_result
+from ehsim.config import _BLOCK_ROWS, _write_csvs, save_result
 from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.ess import EssConfig
+from ehsim.scaling import rescale_timeline
 from ehsim.traces import IrradianceTrace
+from test_engine import _pin_inputs
 
 ROW_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
 
@@ -38,12 +44,35 @@ values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True,
                                                        allow_infinity=True))
 pools = st.lists(values, min_size=1, max_size=12)
 
+# Neighbours that only their bits tell apart: 0.0 == -0.0 but they print
+# "0" and "-0"; the two NaNs (quiet, and negative with a payload) never
+# equal anything.
+BITWISE = np.array([0x0000000000000000, 0x8000000000000000,
+                    0x7FF8000000000000, 0xFFF8000000000001],
+                   dtype=np.uint64).view(np.float64)
+
 
 @pytest.fixture(scope="module")
 def base_result():
     trace = IrradianceTrace(t=np.array([0.0, 60.0]), g=np.array([100.0, 100.0]))
     return simulate(trace, None, EssConfig(), preset("TMP1"),
                     SimConfig(dt_quiescent=0.2))
+
+
+@pytest.fixture(scope="module")
+def dawn_result(tmp_path_factory):
+    """Two hours of the simulate benchmark's inputs across sunrise (06:00)."""
+    result = simulate(*_pin_inputs("window_realtime_5",
+                                   tmp_path_factory.mktemp("dawn")))
+    harvest = result.profile.harvest
+    assert harvest[0] == 0.0 and harvest[-1] > 0.0  # dark, then lit
+    return result
+
+
+def _on_grid(t, step, shift):
+    """Whether ``t`` holds the bits of ``(k + shift) * step``."""
+    grid = np.arange(shift, len(t) + shift) * step
+    return np.array_equal(np.asarray(t).view(np.uint64), grid.view(np.uint64))
 
 
 def _column(pool, n, shift):
@@ -62,7 +91,8 @@ def _same_files(a, b):
     names.remove("run_meta.json")
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert (mismatch, errors) == ([], [])
-    # Keys added since the oracle: result.json's step, run_meta.json's stats.
+    # Keys added since the oracle: result.json's step, run_meta.json's stats
+    # and save time.
     with open(os.path.join(a, "result.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
     del payload["step_len"]
@@ -70,7 +100,7 @@ def _same_files(a, b):
         assert fh.read() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(os.path.join(a, "run_meta.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
-    del meta["stats"]
+    del meta["stats"], meta["save_s"]
     with open(os.path.join(b, "run_meta.json"), encoding="utf-8") as fh:
         assert fh.read() == json.dumps(meta, indent=2) + "\n"
 
@@ -127,6 +157,65 @@ def test_mismatch_spans_csv_matches_row_oracle(n, pool, shift):
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
         arr = np.asarray(spans, dtype=float).reshape(-1, 2)
-        _write_csv(new, ("t_start_s", "t_end_s"), (arr[:, 0], arr[:, 1]))
+        _write_csvs([(new, ("t_start_s", "t_end_s"), (arr[:, 0], arr[:, 1]))])
         csv_oracle.write_mismatch_spans(old, spans)
         assert filecmp.cmp(new, old, shallow=False)
+
+
+@pytest.mark.parametrize("name", ["base_result", "dawn_result"])
+def test_engine_results_share_the_time_grid(request, name):
+    result = request.getfixturevalue(name)
+    step = result.activity.step_len
+    assert _on_grid(result.profile.t_start, step, 0)
+    assert _on_grid(result.voltage_t, step, 1)
+    _check(result)
+
+
+def test_rescaled_result_keeps_its_own_voltage_times(dawn_result):
+    rescaled = rescale_timeline(dawn_result, 2.0)
+    step = rescaled.activity.step_len
+    assert _on_grid(rescaled.profile.t_start, step, 0)
+    assert len(rescaled.voltage_t) != len(rescaled.activity)
+    assert not _on_grid(rescaled.voltage_t, step, 1)
+    _check(rescaled)
+
+
+@given(first=st.integers(_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1),
+       runs=st.lists(st.tuples(values, st.one_of(
+           st.integers(1, 3), st.integers(_BLOCK_ROWS - 2, _BLOCK_ROWS + 2))),
+           max_size=3),
+       value=values,
+       at=st.one_of(st.sampled_from([_BLOCK_ROWS - 2, _BLOCK_ROWS - 1,
+                                     _BLOCK_ROWS]),
+                    st.integers(0, 2 * _BLOCK_ROWS)),
+       off_grid=st.sampled_from([None, 0, _BLOCK_ROWS, -1]),
+       step=st.sampled_from([0.2, 0.1, 1 / 3, 3600.0]))
+@settings(max_examples=12, deadline=None)
+def test_runs_across_block_edges_match_row_oracle(base_result, first, runs,
+                                                  value, at, off_grid, step):
+    """Runs longer than a block, bitwise-only neighbours, time off the grid.
+
+    A run of more than ``_BLOCK_ROWS`` rows always spans a block edge. Each
+    column holds the ``BITWISE`` neighbours at its own offset. The time
+    columns sit on the grid except at ``off_grid``, where ``0.0`` becomes
+    ``-0.0`` and any other time its next float up.
+    """
+    col = np.concatenate([np.full(first, value)]
+                         + [np.full(k, v) for v, k in runs])
+    at = min(at, len(col))
+    col = np.concatenate((col[:at], BITWISE, col[at:]))
+    n = len(col)
+    cols = [np.roll(col, j * (_BLOCK_ROWS // 3)) for j in range(7)]
+    t_start = np.arange(n) * step
+    volt_t = np.arange(1, n + 1) * step
+    if off_grid is not None:
+        for t in (t_start, volt_t):
+            t[off_grid] = -0.0 if t[off_grid] == 0 else np.nextafter(
+                t[off_grid], np.inf)
+    result = replace(
+        base_result,
+        profile=EnergyStackProfile(step, t_start, *cols[:6]),
+        activity=ActivityProfile(step, on_off=np.signbit(cols[0]),
+                                 labels=np.arange(n) // 5000 % len(PHASES)),
+        voltage_t=volt_t, voltage_v=cols[6])
+    _check(result)

@@ -121,6 +121,18 @@ def test_parse_events_rejects_non_finite_time_with_line_number(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, line, cols", [
+    ("1.5,abc\n2.5 , x, y\n", 1, 2),
+    ("1.5\n2.5 , x, y\n", 2, 3),
+    ("1.5\n# comment\n3.0,\n", 3, 2),
+], ids=["two", "three", "trailing_comma"])
+def test_parse_events_rejects_extra_columns_with_line_number(text, line, cols):
+    with pytest.raises(TraceParseError,
+                       match=f"line {line}: expected 1 column, got {cols}") as err:
+        parse_events(text)
+    assert err.value.line == line
+
+
 def test_parking_events_deterministic():
     kw = dict(opening=(9.0, 20.0), peak_h=14.0, n_events_per_day=50,
               days=3, seed=1234)
