@@ -14,9 +14,12 @@ Quiescent spans, with the app off or idle, the converter state holding, a
 constant irradiance sample, no event due and no fine window open, are
 advanced in closed form over whole aggregation bins (see :func:`_advance_span`).
 A plain run takes every lit span with the node off and every idle span;
-``skip_nights`` adds the dark spans with the node off. Compared with
-stepping those spans, this changes the energy figures of non-ideal runs in
-their last digits, by design. Runs are deterministic: identical inputs
+compared with stepping those spans, this changes the energy figures of
+non-ideal runs in their last digits, by design. Dark bins with the node off
+are stepped, as a platform replaying the trace in real time spends them,
+but by their own evaluator (see :func:`_step_dark_span`), which repeats
+only what the general step does there, bit for bit; ``skip_nights`` swaps
+in the closed form for them. Runs are deterministic: identical inputs
 produce identical results.
 
 Profiling runs (``SimConfig.supply_override``) take the same step loop with
@@ -512,6 +515,27 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
                         tr_idx += 1
                     continue
+            elif g == 0.0:
+                # Dark with the node off in a plain run (a drained one has
+                # stopped): whole bins of plain steps.
+                stop = t_end
+                if ev_idx < n_events and ev_t[ev_idx] < stop:
+                    stop = ev_t[ev_idx]
+                (n, k, t, v_cap, v_bus, state.mppt_mode, prev_de_rate,
+                 prev_i_out, tr_idx, e_leak_tot, e_esr_tot,
+                 sss["off"]) = _step_dark_span(
+                    ess, app, dt_coarse, t0, agg, bins, bin_idx, t, stop,
+                    tr_t, tr_g, tr_idx, v_cap, v_bus, state.mppt_mode,
+                    prev_de_rate, prev_i_out, e_leak_tot, e_esr_tot,
+                    sss["off"])
+                if n:
+                    app_state.event_observed = False
+                    n_steps += k
+                    bin_idx += n
+                    bins.n = bin_idx
+                    bin_open_t = t
+                    t_edge = t0 + (bin_idx + 1) * agg
+                    continue
 
         # Step size: fine while resolving burst transients or an imminent
         # bus collapse (the demanded current would drag the bus below the
@@ -599,10 +623,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
             bus_collapse = False
             if quadratic_bus:
                 i_out = solve_load_current(v_cap, R, p_drawn)
-                if p_drawn * dt - (v_cap - R * i_out) * i_out * dt > 1e-15:
-                    # Demand exceeds the maximum power the ESR lets through:
-                    # no stable operating point, the bus loses regulation.
-                    bus_collapse = True
+                bus_collapse = _bus_collapses(v_cap, R, p_drawn)
             else:
                 i_out = p_drawn / v_bus if v_bus > 1e-9 else 0.0
 
@@ -738,7 +759,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
-# much as a few steps; the longest bounds its row temporaries.
+# much as a few steps; the longest bounds its row temporaries, and those
+# the dark evaluator holds between writes.
 _SPAN_MIN_BINS = 4
 _SPAN_MAX_BINS = 4096
 # A span's ESR loss is frozen at its start voltage, and i^2 R goes as
@@ -939,6 +961,156 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     if on:
         app_state.t_until_sample -= span
     return n, v_end, v_bus_end, mode, de_rate, i_end
+
+
+def _bus_collapses(v_cap: float, R: float, p_drawn: float) -> bool:
+    """Whether the bus behind an ESR with no buffer loses regulation.
+
+    It does when no operating point delivers ``p_drawn``: ``4 R p_drawn``
+    exceeds ``v_cap^2``, the branch in which :func:`solve_load_current`
+    returns the maximum-power current instead of a root.
+    """
+    return 4.0 * R * p_drawn > v_cap * v_cap
+
+
+def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
+                    t0: float, agg: float, bins: _Bins, bin_idx: int,
+                    t: float, stop: float, tr_t: list, tr_g: list,
+                    tr_idx: int, v_cap: float, v_bus: float, mode: str,
+                    de_rate: float, i_out: float, e_leak_tot: float,
+                    e_esr_tot: float, e_off: float) -> tuple:
+    """Step whole dark bins with the node off, from the empty bin
+    ``bin_idx`` opened at ``t``, exactly as the general step would.
+
+    In the dark, with the converter off, a step only moves the storage:
+    its leak, and the off-residual draw while the bus is above
+    ``_V_DEAD``. Each step is ``min(dt_step, t_edge - t)`` long and calls
+    the step's own models (:func:`mppt_next_mode`, the bus current from
+    :func:`solve_load_current` and :func:`_bus_collapses` or Ohm's law,
+    :func:`storage_step`), and every running total (the leak and ESR
+    losses, the off draw ``e_off``, the bin's load) adds the step's terms
+    in the step's order, so the results are bit for bit those of the
+    general step. A bin is stepped only whole; it is left to the general
+    step where that step would do anything else: irradiance not exactly
+    zero, a trace sample inside the bin, the bin reaching past ``stop``
+    (the next event or the trace end), the bus at ``v_on``, a rising
+    store (the crossing clip), or a store past ``storage_v_max``.
+
+    Writes the stepped bins' rows, in chunks of at most
+    ``_SPAN_MAX_BINS``. Returns ``(n_bins, n_steps, t, v_cap, v_bus, mode,
+    de_rate, i_out, tr_idx, e_leak_tot, e_esr_tot, e_off)``; ``n_bins`` is
+    0, with the state as given, when no bin qualifies.
+    """
+    mppt, sto = ess.mppt, ess.storage
+    C, Cb, R = sto.capacitance, sto.buffer_capacitance, sto.esr
+    quadratic_bus = Cb == 0.0 and R > 0.0
+    v_max = mppt.storage_v_max
+    v_on = ess.converter.v_on
+    p_off = app.p_off_residual
+    v_dead = _V_DEAD
+    n_tr = len(tr_t)
+    last_bin = bins.cap - 1  # the caller grows the arrays, not this loop
+    bin0 = row0 = bin_idx
+    n_steps = 0
+    socs: list[float] = []  # the bins' load sums and closing voltages,
+    volts: list[float] = []  # written once per chunk
+    nxt = tr_t[tr_idx + 1]
+    edge_stop = stop if stop < nxt else nxt
+    ok = (tr_g[tr_idx] == 0.0 and v_bus < v_on and de_rate <= 1e-15
+          and v_cap <= v_max)
+    while ok and bin_idx < last_bin:
+        t_edge = t0 + (bin_idx + 1) * agg
+        if t_edge > edge_stop:
+            break
+        a_soc = 0.0
+        saved = None  # the bin's opening state, once a step leaves it open
+        while True:
+            dt = t_edge - t
+            if dt_step < dt:
+                dt = dt_step
+            if dt < 1e-9:
+                dt = 1e-9
+            p_drawn = p_off if v_bus > v_dead else 0.0
+            m = mppt_next_mode(mppt, mode, v_cap)
+            if quadratic_bus:
+                io = solve_load_current(v_cap, R, p_drawn)
+                collapse = _bus_collapses(v_cap, R, p_drawn)
+            else:
+                io = p_drawn / v_bus if v_bus > 1e-9 else 0.0
+                collapse = False
+            vc, e_leak, e_esr, vb = storage_step(sto, v_cap, 0.0, io, dt,
+                                                 v_bus_prev=v_bus)
+            if collapse:
+                vb = 0.0
+            if vc > v_max:
+                ok = False  # saturation: the general step curtails
+                break
+            de = 0.5 * C * (vc * vc - v_cap * v_cap)
+            e_load = 0.0 - e_leak - e_esr - (
+                de + 0.5 * Cb * (vb * vb - v_bus * v_bus))
+            if e_load < 0.0:
+                e_load = 0.0
+            t_new = t + dt
+            closes = t_new >= t_edge - 1e-9
+            if saved is None and not closes:
+                saved = (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot,
+                         e_esr_tot, e_off, n_steps)
+            e_leak_tot += e_leak
+            e_esr_tot += e_esr
+            e_off += e_load
+            a_soc += e_load
+            de_rate = de / dt
+            i_out = io
+            v_cap = vc
+            v_bus = vb
+            mode = m
+            t = t_new
+            n_steps += 1
+            # whether the next step would switch the converter on or clip
+            ok = v_bus < v_on and de_rate <= 1e-15
+            if closes or not ok:
+                break
+        if t < t_edge - 1e-9:
+            # The bin did not close here: the general step takes it whole.
+            if saved is not None:
+                (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot,
+                 e_esr_tot, e_off, n_steps) = saved
+            break
+        socs.append(a_soc)
+        volts.append(v_cap)
+        bin_idx += 1
+        if len(volts) == _SPAN_MAX_BINS:
+            _write_dark_rows(bins, row0, socs, volts)
+            row0 = bin_idx
+            socs, volts = [], []
+        if nxt <= t + 1e-9:
+            while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
+                tr_idx += 1
+            if tr_idx + 1 == n_tr:
+                break
+            nxt = tr_t[tr_idx + 1]
+            edge_stop = stop if stop < nxt else nxt
+            ok = ok and tr_g[tr_idx] == 0.0
+    if volts:
+        _write_dark_rows(bins, row0, socs, volts)
+    return (bin_idx - bin0, n_steps, t, v_cap, v_bus, mode, de_rate, i_out,
+            tr_idx, e_leak_tot, e_esr_tot, e_off)
+
+
+def _write_dark_rows(bins: _Bins, lo: int, socs: list, volts: list) -> None:
+    """Write stepped dark bins from row ``lo``: their closing voltages, and
+    their load sums where non-zero, as the step's bin close writes them.
+
+    A dark bin's storage column sums ``-e_load`` per step, which is the
+    negated load sum exactly.
+    """
+    bins.volt_v[lo:lo + len(volts)] = volts
+    soc = np.array(socs)
+    nz = np.flatnonzero(soc)
+    soc = soc[nz]
+    nz += lo
+    bins.soc[nz] = soc
+    bins.sdelta[nz] = -soc
 
 
 def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,

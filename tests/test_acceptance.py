@@ -273,17 +273,24 @@ def test_criterion_6_skip_nights_equivalence():
     dark = 1.0 - np.count_nonzero(tr_x.g) / len(tr_x.g)
     assert dark >= 0.40
 
-    sp = simulate(tr_x, None, ess, app_x, cfg)
-    sn = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
+    # The wall-time gain is the median of three interleaved pairs of runs,
+    # so that one slow moment of a shared host does not decide it.
+    ratios = []
+    for _ in range(3):
+        sp = simulate(tr_x, None, ess, app_x, cfg)
+        sn = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
+        ratios.append(sp.wall_time_s / sn.wall_time_s)
     thr_gap = abs(sn.throughput_bytes - sp.throughput_bytes) \
         / max(sp.throughput_bytes, 1)
     ape = compute_ape(sp.activity, sn.activity, 10.0)
-    speedup = sp.wall_time_s / sn.wall_time_s
+    speedup = sorted(ratios)[1]
     assert thr_gap <= 0.005
     assert ape.epsilon <= 0.01
     assert speedup >= 1.3
     report(6, "skip nights", f"dark={dark:.0%}, throughput gap {thr_gap:.2%}, "
-                             f"ape {ape.epsilon:.2%}, wall speedup {speedup:.1f}x")
+                             f"ape {ape.epsilon:.2%}, wall speedup "
+                             f"{speedup:.2f}x (median of "
+                             f"{', '.join(f'{r:.2f}' for r in ratios)})")
 
 
 # --------------------------------------------------------------------------

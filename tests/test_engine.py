@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehsim.app import PHASE_INDEX, AppSpec, preset
+from ehsim.app import PHASE_INDEX, PRESETS, AppSpec, preset
 from ehsim.cli import _resolve_plan
 from ehsim.config import (build_app, build_ess, build_sim, load_config,
                           load_events, load_trace)
+from ehsim import engine
 from ehsim.engine import (
     ClosureError, ConfigError, EnergyLedger, SimConfig, finalize_stack,
     run_with_skip_nights, simulate,
@@ -436,6 +437,24 @@ def test_esr_free_buffer_saturation_curtails_as_mppt_loss():
             0.5 * 400e-6 * v_max * v_max, rel=1e-6), key
 
 
+@pytest.mark.parametrize("esr", [1e-4, 1e-3, 1e-2])
+def test_small_esr_without_buffer_delivers_what_no_esr_does(esr):
+    # A few milliohms leave every preset's draw an operating point, so the
+    # bus must never collapse: the node boots once and delivers what it
+    # delivers with no ESR at all.
+    trace = IrradianceTrace(t=np.array([0.0, 600.0]), g=np.full(2, 3000.0))
+    cfg = SimConfig(dt_quiescent=0.2, end_policy="hard_stop")
+    for name in PRESETS:
+        runs = [simulate(trace, None, EssConfig(
+            harvester=HarvesterModel(k_mpp=1e-4),
+            storage=StorageModel(capacitance=0.05, esr=r, v_init=2.9,
+                                 buffer_capacitance=0.0)),
+            preset(name), cfg) for r in (0.0, esr)]
+        assert runs[0].boots == 1, name
+        assert (runs[1].throughput_bytes, runs[1].boots) == (
+            runs[0].throughput_bytes, runs[0].boots), name
+
+
 def _pin_inputs(name, tmp_path):
     """Small, mostly stepped runs that pin the step loop's output bytes."""
     if name.startswith("window"):
@@ -465,6 +484,36 @@ def _pin_inputs(name, tmp_path):
         return (IrradianceTrace(t=np.array([0.0, 20.1]), g=np.zeros(2)),
                 None, None, small_app(),
                 SimConfig(dt_quiescent=0.2, supply_override=3.0))
+    if name == "dark_night_dawn_boot":
+        # two dark hours with the node off and events offered, then a lit
+        # hour that boots it; trace samples off the bin grid
+        t = np.append(np.arange(0.0, 10800.0, 61.3), 10800.0)
+        ess = EssConfig(storage=StorageModel(capacitance=0.3, esr=0.5,
+                                             leak_resistance=5e4,
+                                             v_init=1.95))
+        return (IrradianceTrace(t=t, g=np.where(t < 7200.0, 0.0, 400.0)),
+                EventTrace(t=np.arange(333.3, 10800.0, 997.0)), ess,
+                small_app(reactive=True),
+                SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
+    if name == "dark_dead_node":
+        # a dark store draining through the off-residual draw until the
+        # bus passes _V_DEAD, two steps per bin, trace end mid-bin
+        t = np.append(np.arange(0.0, 1800.0, 47.7), 1800.03)
+        ess = EssConfig(storage=StorageModel(capacitance=0.1, esr=0.5,
+                                             leak_resistance=5e4,
+                                             v_init=0.3))
+        return (IrradianceTrace(t=t, g=np.zeros(len(t))), None, ess,
+                small_app(p_off_residual=1e-5),
+                SimConfig(dt_quiescent=0.1, end_policy="hard_stop"))
+    if name == "dark_at_v_max":
+        # a dark store starting at storage_v_max with a converter that
+        # cannot turn on below it; drained to a trace end mid-bin
+        ess = EssConfig(storage=StorageModel(capacitance=0.2, esr=0.5,
+                                             leak_resistance=2e4,
+                                             v_init=2.9),
+                        converter=ConverterModel(v_on=3.0))
+        return (IrradianceTrace(t=np.array([0.0, 1200.1]), g=np.zeros(2)),
+                None, ess, small_app(), SimConfig(dt_quiescent=0.2))
     # a reactive PARKING node offered an event every 97 s
     ess = EssConfig(harvester=HarvesterModel(k_mpp=1e-4),
                     storage=StorageModel(capacitance=0.3, esr=0.5,
@@ -510,6 +559,10 @@ PINNED_DIGESTS = {
     "esr_no_buffer": "949c4e3971af76299d4624a63313a45fefbf286828cbd438f5be701f43d5d7bd",
     "parking_events": "d5e7642c1ef8a2334ca0e995a0abc6610b3ff578cf6d03d9cdf08c72db7a43df",
     "ideal_partial_bin": "640104a5db20632f16d4ffbc1836e22c6be53aea74f2ae5ff860622d6dac7e8e",
+    # recorded from the general step, before dark off bins had an evaluator
+    "dark_night_dawn_boot": "dc7cc5df6e3e9024a5aefd7f15749b2dca0cc325725e4f6312d40a7d71b5722e",
+    "dark_dead_node": "2031413f3b897622f275e6386a8e491ef4d6686005c1ab09940fe7db497c91ed",
+    "dark_at_v_max": "01ca729590b87983728b3c7270cf0ef1f205b94f2d005545d16adccef1034d23",
 }
 
 
@@ -533,3 +586,30 @@ def test_run_stats_reconcile_with_the_bins():
     assert res.boots == 0
     assert stats.steps >= 6000 and stats.spans >= 1
     assert stats.steps + stats.span_bins == len(res.activity) == 12000
+
+
+def test_dark_evaluator_hands_back_a_bin_it_cannot_close():
+    # A collapsed bus over a store above v_on: a step lifts the bus to v_on,
+    # where the general step would switch the converter on. With two steps
+    # per bin that happens mid-bin, and the evaluator must hand the whole
+    # bin back, with the state it was given and no row written; with one
+    # step per bin, it closes the bin and stops there.
+    ess = EssConfig(storage=StorageModel(capacitance=0.2, esr=0.5,
+                                         leak_resistance=5e4, v_init=2.5))
+    state = (10.0, 2.5, 0.0, "tracking", -1e-3, 0.0, 0.25, 0.125, 0.5)
+    t, v_cap, v_bus, mode, de_rate, i_out, leak, esr, off = state
+    runs = {}
+    for dt_step in (0.1, 0.2):
+        bins = engine._Bins(100)
+        runs[dt_step] = bins, engine._step_dark_span(
+            ess, small_app(), dt_step, 0.0, 0.2, bins, 50, t, 100.0,
+            [0.0, 100.0], [0.0, 0.0], 0, v_cap, v_bus, mode, de_rate, i_out,
+            leak, esr, off)
+    bins, out = runs[0.1]
+    assert out == (0, 0, t, v_cap, v_bus, mode, de_rate, i_out, 0, leak,
+                   esr, off)
+    for name in ("soc", "sdelta", "volt_v"):
+        assert not getattr(bins, name).any()
+    bins, out = runs[0.2]
+    assert out[:2] == (1, 1) and out[4] >= 2.0
+    assert bins.volt_v[50] == out[3] and bins.volt_v.any()

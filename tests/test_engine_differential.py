@@ -7,7 +7,9 @@ activity profile within a raw APE of 1e-3; the one chaotic fixture, the ESR
 brownout without a buffer, is held to the oracle's own spread instead. On
 random inputs the ledger must match within the multirate tolerances of
 ``test_multirate_matches_uniform_fine_stepping``, plus allowances for what
-neither loop resolves below one quiescent step, and close.
+neither loop resolves below one quiescent step, and close. On random,
+mostly dark runs without closed-form spans, whose dark bins with the node
+off the engine steps in its own evaluator, every result bit must match.
 """
 
 import importlib.util
@@ -25,7 +27,8 @@ from ehsim.cli import _resolve_plan
 from ehsim.config import (build_app, build_ess, build_sim, load_config,
                           load_events, load_trace)
 from ehsim.engine import SimConfig, simulate
-from ehsim.ess import (EssConfig, HarvesterModel, MpptModel, StorageModel)
+from ehsim.ess import (ConverterModel, EssConfig, HarvesterModel, MpptModel,
+                       StorageModel)
 from ehsim.metrics import compute_ape
 from ehsim.scaling import (ScalingPlan, build_experiment, compute_sf,
                            max_speedup, profile_application)
@@ -296,45 +299,132 @@ def test_random_inputs_ledger_within_multirate_tolerance(inputs):
         + prof.sensor_energy + prof.storage_delta, rtol=0, atol=1e-12)
 
 
-def _count_steps(monkeypatch):
-    calls = []
-    real = engine.app_step
+def assert_same_bits(new, old):
+    """Every table, count and ledger figure of two results, bit for bit."""
+    for name in COUNTS:
+        assert getattr(new, name) == getattr(old, name), name
+    for attr in ("t_start", "harvest", "mppt_loss", "converter_loss",
+                 "soc_energy", "sensor_energy", "storage_delta"):
+        a, b = getattr(new.profile, attr), getattr(old.profile, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    for attr in ("on_off", "labels"):
+        a, b = getattr(new.activity, attr), getattr(old.activity, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    for attr in ("voltage_t", "voltage_v", "event_log"):
+        a, b = getattr(new, attr), getattr(old, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    figures = [np.array([*ledger_values(r).values(), r.on_time_s,
+                         r.duration_s, r.v_cap_final]).tobytes()
+               for r in (new, old)]
+    assert figures[0] == figures[1]
+    assert new.converter_on_final == old.converter_on_final
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-    monkeypatch.setattr(engine, "app_step", counted)
-    return calls
+
+@st.composite
+def dark_off_inputs(draw):
+    """Mostly dark runs: dark bins, dim ones (lit, but under the dark
+    threshold), dark events, trace samples off the bin grid and a trace end
+    mid-bin. Either the node stays off throughout, or a charged store
+    browns out under short, heavy bursts and boots again in the dark."""
+    brownout = draw(st.booleans())
+    duration = draw(st.floats(30.0, 200.0) if brownout
+                    else st.floats(60.0, 900.0))
+    cadence = draw(st.floats(5.0, 200.0))
+    inner = np.arange(draw(st.floats(0.01, 0.99)), duration / cadence,
+                      1.0) * cadence
+    t = np.concatenate(([0.0], inner[inner < duration - 1e-3], [duration]))
+    dark_thr = draw(st.sampled_from([0.0, 1.0]))
+    lit = np.array(draw(st.lists(st.booleans(), min_size=len(t),
+                                 max_size=len(t))))
+    g = np.where(lit, draw(st.floats(0.0, 1.0)) * dark_thr, 0.0)
+    ev_permille = sorted(draw(st.sets(st.integers(1, 998), max_size=6)))
+    events = EventTrace(t=np.array(ev_permille, dtype=float) / 1000.0
+                        * duration)
+    # No small ESR without a buffer: the oracle keeps the old bus-collapse
+    # test, which its rounding trips on such stores (see CHANGES.md). Nor a
+    # buffer without ESR on a store that may saturate, where the oracle's
+    # clamp differs (see random_inputs).
+    esr = draw(st.sampled_from([0.5, 2.0, 6.9] if brownout
+                               else [0.0, 0.5, 2.0, 6.9]))
+    storage = dict(capacitance=draw(st.floats(0.05, 3.0)), esr=esr,
+                   leak_resistance=draw(st.sampled_from([2e3, 5e4, 1e6,
+                                                         np.inf])),
+                   buffer_capacitance=draw(st.sampled_from([0.0, 1e-4,
+                                                            4e-4])))
+    p_off = draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-3]))
+    if brownout:
+        # Sampling periods under four bins leave no idle span to take.
+        t_s = draw(st.floats(0.002, 0.1))
+        t_c = draw(st.floats(0.002, 0.1))
+        app = AppSpec(t_sample_period=draw(st.floats(t_s + t_c, 0.8)),
+                      t_sample=t_s, t_comm=t_c,
+                      p_sample=draw(st.floats(0.01, 0.5)),
+                      p_off_residual=p_off, name="brownout")
+        ess = EssConfig(storage=StorageModel(
+            v_init=draw(st.floats(2.0, 2.8)), **storage))
+    else:
+        # At most 1e-5 W of dim harvest for 900 s cannot lift a store of
+        # 0.05 F or more from 2 V to a converter turning on at 2.5 V.
+        app = AppSpec(t_sample_period=10.0, t_sample=0.5, t_comm=0.3,
+                      p_off_residual=p_off, reactive=draw(st.booleans()),
+                      name="dark")
+        ess = EssConfig(
+            harvester=HarvesterModel(k_mpp=draw(st.floats(1e-7, 1e-5))),
+            storage=StorageModel(v_init=draw(st.floats(0.0, 2.0)), **storage),
+            converter=ConverterModel(v_on=2.5))
+    cfg = SimConfig(dt_quiescent=draw(st.sampled_from([0.2, 0.1])),
+                    dark_threshold=dark_thr,
+                    end_policy=draw(st.sampled_from(
+                        ["hard_stop", "drain_until_converter_off"])))
+    return IrradianceTrace(t=t, g=g), events, ess, app, cfg
 
 
-def test_quiescent_spans_are_taken(monkeypatch):
+@settings(max_examples=80, deadline=None)
+@given(dark_off_inputs())
+def test_dark_off_runs_match_oracle_bit_for_bit(inputs):
+    # The engine steps dark off bins in their own loop; the oracle steps
+    # them one general step at a time.
+    new = simulate(*inputs)
+    old = engine_oracle.simulate(*inputs)
+    assert_same_bits(new, old)
+
+
+def test_quiescent_spans_are_taken():
     # one lit hour of TMP1 with the node charging up and then running
     trace = IrradianceTrace(t=np.arange(61) * 60.0, g=np.full(61, 400.0))
     ess = EssConfig(storage=StorageModel(capacitance=0.5, esr=0.5,
                                          leak_resistance=1e6, v_init=1.7))
     cfg = SimConfig(dt_quiescent=0.2, end_policy="hard_stop")
-    calls = _count_steps(monkeypatch)
     res = simulate(trace, None, ess, preset("TMP1"), cfg)
     assert res.boots == 1 and res.throughput_bytes > 0
-    assert len(calls) <= 0.5 * len(res.activity)
+    assert res.stats.steps <= 0.5 * len(res.activity)
 
 
-def test_skip_nights_adds_the_dark_off_spans(monkeypatch):
+def _dark_hour_plain_and_skipped(v_init):
     # a dark hour with the node off: stepped by the plain run, one span
     # (plus the odd crossing step) under skip_nights
     trace = IrradianceTrace(t=np.arange(61) * 60.0, g=np.zeros(61))
-    ess = EssConfig(storage=StorageModel(capacitance=1.0, v_init=1.5,
+    ess = EssConfig(storage=StorageModel(capacitance=1.0, v_init=v_init,
                                          leak_resistance=5e4))
     cfg = SimConfig(dt_quiescent=0.2, end_policy="hard_stop")
-    calls = _count_steps(monkeypatch)
     plain = simulate(trace, None, ess, preset("TMP1"), cfg)
-    plain_steps = len(calls)
     skip = simulate(trace, None, ess, preset("TMP1"),
                     replace(cfg, skip_nights=True))
-    skip_steps = len(calls) - plain_steps
-    assert plain_steps >= len(plain.activity) == len(skip.activity) == 18000
-    assert skip_steps <= 10
+    assert plain.stats.steps >= len(plain.activity) == len(skip.activity) \
+        == 18000
+    assert skip.stats.steps <= 10
     assert abs(skip.v_cap_final - plain.v_cap_final) <= 1e-6
+
+
+def test_skip_nights_adds_the_dark_off_spans():
+    _dark_hour_plain_and_skipped(1.5)
+
+
+def test_skip_nights_spans_resume_after_a_level_crossing():
+    # From 1.7 V the store leaks through the tracker's bypass level, where
+    # the spans hand a few bins to the general step and then take over
+    # again: skip_nights never steps the rest of the night.
+    _dark_hour_plain_and_skipped(1.7)
 
 
 def test_checkpoint_starts_in_the_bin_the_oracle_starts_it():
