@@ -16,11 +16,11 @@ from .ess import (EfficiencyCurve, HarvesterModel, MpptModel, StorageModel,
 from .app import (AppSpec, AppState, ActivityProfile, app_step,
                   apply_frequency_scaling, preset, PRESETS)
 from .engine import (SimConfig, EnergyLedger, EnergyStack, EnergyStackProfile,
-                     SimResult, simulate, run_with_skip_nights, finalize_stack)
+                     SimResult, simulate, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
                       build_experiment, predict_throughput, rescale_timeline)
-from .metrics import (ApeReport, throughput_error, dtw_align, compute_ape,
+from .metrics import (ApeReport, throughput_error, compute_ape,
                       mismatch_spans)
 
 __version__ = "0.1.0"

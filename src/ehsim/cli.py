@@ -25,9 +25,10 @@ from .config import (HarnessConfig, _write_csvs, build_app, build_ess,
 from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
-from .scaling import (PlanError, PowerProfile, ScalingPlan, build_experiment,
-                      compute_sf, max_speedup, predict_throughput,
-                      profile_application, rescale_timeline)
+from .scaling import (MODES, PlanError, PowerProfile, ScalingPlan,
+                      build_experiment, compute_sf, max_speedup,
+                      predict_throughput, profile_application,
+                      rescale_timeline)
 from .traces import TraceError
 
 _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
@@ -331,20 +332,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Trace-driven evaluation harness for battery-less IoT nodes")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each command takes only the flags it reads.
     def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the event-generator seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker count (sweep)")
+
+    def mode(p):
         p.add_argument("--mode", default=None,
-                       choices=["realtime", "st-sp", "st-sp-sn", "st-up"],
+                       choices=[m.replace("_", "-") for m in MODES],
                        help="evaluation mode override")
 
     p = sub.add_parser("simulate", help="run one simulation")
     common(p)
+    seed(p)
+    mode(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("profile", help="profile the app at constant supply")
@@ -353,6 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="compute a scaling plan")
     common(p)
+    mode(p)
     p.add_argument("--profile", default=None, help="profile.json to reuse")
     p.add_argument("--s-tp", dest="s_tp", default=None,
                    help="target time/power factor or 'max'")
@@ -370,6 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="design-space sweep over the config grid")
     common(p)
+    seed(p)
+    mode(p)
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel worker count")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stacks", help="re-render a stored energy stack")

@@ -9,6 +9,7 @@ they round-trip through serialization losslessly.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
 import math
@@ -63,11 +64,21 @@ class HarnessConfig:
         return rel if os.path.isabs(rel) else os.path.join(self.base_dir, rel)
 
 
+# The top-level blocks a config may hold.
+_BLOCKS = ("trace", "events", "ess", "app", "sim", "plan", "profile", "sweep")
+
+
 def load_config(path: str) -> HarnessConfig:
+    """Read a JSON config; an unknown top-level block is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    for key in raw:
+        if key not in _BLOCKS:
+            near = difflib.get_close_matches(key, _BLOCKS, n=1)
+            raise ConfigError(f"{key}: unknown config block"
+                              + (f" ({near[0]}?)" if near else ""))
     return HarnessConfig(raw=raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -137,16 +148,12 @@ def build_app(cfg: HarnessConfig) -> tuple[AppSpec, float]:
         spec = preset(name)
         s_i = preset_irradiance_scale(name)
         if block:  # field overrides on top of a preset
-            spec = AppSpec(**{**_spec_fields(spec), **block})
+            spec = AppSpec(**{**asdict(spec), **block})
     else:
         spec = AppSpec(**block)
     plan_block = cfg.raw.get("plan", {})
     s_i = float(plan_block.get("s_i", s_i))
     return spec, s_i
-
-
-def _spec_fields(spec: AppSpec) -> dict:
-    return asdict(spec)
 
 
 def build_sim(cfg: HarnessConfig, overrides: dict | None = None) -> SimConfig:

@@ -15,12 +15,13 @@ constant irradiance sample, no event due and no fine window open, are
 advanced in closed form over whole aggregation bins (see :func:`_advance_span`).
 A plain run takes every lit span with the node off and every idle span;
 compared with stepping those spans, this changes the energy figures of
-non-ideal runs in their last digits, by design. Dark bins with the node off
-are stepped, as a platform replaying the trace in real time spends them,
-but by their own evaluator (see :func:`_step_dark_span`), which repeats
-only what the general step does there, bit for bit; ``skip_nights`` swaps
-in the closed form for them. Runs are deterministic: identical inputs
-produce identical results.
+non-ideal runs in their last digits, by design. Dark bins (irradiance
+exactly 0) with the node off are stepped, as a platform replaying the trace
+in real time spends them, but by their own evaluator (see
+:func:`_step_dark_span`), which repeats only what the general step does
+there, bit for bit; ``SimConfig.skip_nights`` (the ``st_sp_sn`` plan sets
+it) swaps in the closed form for them. Runs are deterministic: identical
+inputs produce identical results.
 
 Profiling runs (``SimConfig.supply_override``) take the same step loop with
 an ideal source as the supply model: the source pins the bus at the given
@@ -48,7 +49,7 @@ from .app import (
 )
 from .ess import (
     ConverterModel, EfficiencyCurve, EssConfig, EssState, MODE_BYPASS,
-    MODE_COLD_START, MODE_SATURATED, converter_next_state,
+    MODE_SATURATED, converter_next_state,
     harvester_mpp_power, harvester_power, mppt_next_mode, mppt_step,
     residual_energy, solve_load_current, storage_step,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "ClosureError",
     "LEDGER_ACTIVITIES",
     "simulate",
-    "run_with_skip_nights",
     "finalize_stack",
 ]
 
@@ -103,7 +103,6 @@ class SimConfig:
     end_policy: str = "drain_until_converter_off"
     skip_nights: bool = False
     supply_override: float | None = None
-    dark_threshold: float = 0.0
     max_extension_s: float = 14 * 86400.0
 
     def __post_init__(self):
@@ -111,9 +110,8 @@ class SimConfig:
         for name in ("dt_active", "dt_quiescent", "aggregation_step"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be a finite time > 0")
-        for name in ("dark_threshold", "max_extension_s"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if not self.max_extension_s >= 0:
+            raise ConfigError("max_extension_s must be >= 0")
         if self.dt_active > self.dt_quiescent:
             raise ConfigError("dt_active must not exceed dt_quiescent")
         ratio = self.aggregation_step / self.dt_quiescent
@@ -277,12 +275,12 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
 class _Bins:
     """Growable per-aggregation-step columns, zeroed at allocation.
 
-    The engine derives the voltage timeline in :func:`_package`; only the
-    step-loop oracle of the differential tests still writes ``volt_t``.
+    The voltage timeline is not stored: :func:`_package` derives it from
+    the bin count.
     """
 
     _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
-                "volt_t", "volt_v", "labels")
+                "volt_v", "labels")
     __slots__ = _COLUMNS + ("n", "cap")
 
     def __init__(self, n_nominal: int):
@@ -336,19 +334,6 @@ def simulate(trace: IrradianceTrace, events: EventTrace | None,
     return replace(result, wall_time_s=time.perf_counter() - t_wall0)
 
 
-def run_with_skip_nights(trace: IrradianceTrace, events: EventTrace | None,
-                         ess: EssConfig, app: AppSpec, cfg: SimConfig,
-                         **kwargs) -> SimResult:
-    """Like :func:`simulate` with dark-interval fast-forwarding forced on.
-
-    Dark spans (irradiance at or below ``cfg.dark_threshold``) are then
-    also advanced in closed form while the converter, and hence the load,
-    is off; the reported timeline stays on the unskipped axis.
-    """
-    return simulate(trace, events, ess, app, replace(cfg, skip_nights=True),
-                    **kwargs)
-
-
 def _run_full(trace: IrradianceTrace, events: EventTrace | None,
               ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
               run_id: str, config_hash: str) -> SimResult:
@@ -391,6 +376,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     v_cap = state.v_cap
     v_bus = state.v_bus
     conv_on = state.converter_on
+    mppt_mode = state.mppt_mode
     # Plain lists: the loop reads them element by element, and a numpy
     # scalar would turn every sum it enters into slower numpy arithmetic.
     tr_t = trace.t.tolist()
@@ -416,7 +402,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     # Quiescent spans advance in closed form; dark ones with the node off
     # only under skip_nights. Profiling runs keep the per-step path.
     skip_dark = cfg.skip_nights
-    dark_thr = cfg.dark_threshold
     g_until = _constant_until(trace)
 
     ev_t = events.t.tolist() if events is not None else []
@@ -479,7 +464,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 and not (R > 0.0 and v_cap - R * prev_i_out < v_off)
                 if conv_on else phase == PHASE_OFF):
             g = 0.0 if draining else tr_g[tr_idx]
-            if conv_on or skip_dark or g > dark_thr:
+            if conv_on or skip_dark or g > 0.0:
                 if draining:
                     stop = extension_deadline
                 else:
@@ -489,10 +474,10 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 if ev_idx < n_events and ev_t[ev_idx] < stop:
                     stop = ev_t[ev_idx]
                 span = _advance_span(ess, app, ledger, bins, t0, agg, bin_idx,
-                                     t, stop, v_cap, v_bus, g,
-                                     state.mppt_mode, app_state)
+                                     t, stop, v_cap, v_bus, g, mppt_mode,
+                                     app_state)
                 if span is not None:
-                    (n, v_cap, v_bus, state.mppt_mode, prev_de_rate,
+                    (n, v_cap, v_bus, mppt_mode, prev_de_rate,
                      prev_i_out) = span
                     if phase != last_phase:
                         last_phase = phase
@@ -515,17 +500,17 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
                         tr_idx += 1
                     continue
-            elif g == 0.0:
+            else:
                 # Dark with the node off in a plain run (a drained one has
                 # stopped): whole bins of plain steps.
                 stop = t_end
                 if ev_idx < n_events and ev_t[ev_idx] < stop:
                     stop = ev_t[ev_idx]
-                (n, k, t, v_cap, v_bus, state.mppt_mode, prev_de_rate,
+                (n, k, t, v_cap, v_bus, mppt_mode, prev_de_rate,
                  prev_i_out, tr_idx, e_leak_tot, e_esr_tot,
                  sss["off"]) = _step_dark_span(
                     ess, app, dt_coarse, t0, agg, bins, bin_idx, t, stop,
-                    tr_t, tr_g, tr_idx, v_cap, v_bus, state.mppt_mode,
+                    tr_t, tr_g, tr_idx, v_cap, v_bus, mppt_mode,
                     prev_de_rate, prev_i_out, e_leak_tot, e_esr_tot,
                     sss["off"])
                 if n:
@@ -590,7 +575,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         # Load draw from the bus.
         if conv_on:
-            p_drawn = p_load / conv_eff.at(p_load, v_bus)
+            p_drawn = p_load / conv_eff.at(p_load)
         else:
             p_load = p_off if v_bus > _V_DEAD else 0.0
             p_drawn = p_load
@@ -604,21 +589,20 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         else:
             # Harvest through the MPPT.
             g = 0.0 if draining else tr_g[tr_idx]
-            state.v_cap = v_cap
             if g > 0.0:
                 if linear_harvester:
                     p_mpp = k_mpp * g
                 else:
-                    nm = mppt_next_mode(mppt, state.mppt_mode, v_cap)
+                    nm = mppt_next_mode(mppt, mppt_mode, v_cap)
                     if nm == "bypass":
                         p_mpp = harvester_power(harv, g, v_cap)
                     else:
                         p_mpp = harvester_mpp_power(harv, g)
-                p_sto, p_mloss, mode = mppt_step(mppt, state, p_mpp, dt)
-                state.mppt_mode = mode
+                p_sto, p_mloss, mppt_mode = mppt_step(mppt, mppt_mode, v_cap,
+                                                      p_mpp)
             else:
                 p_mpp = p_sto = p_mloss = 0.0
-                state.mppt_mode = mppt_next_mode(mppt, state.mppt_mode, v_cap)
+                mppt_mode = mppt_next_mode(mppt, mppt_mode, v_cap)
 
             bus_collapse = False
             if quadratic_bus:
@@ -640,7 +624,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     v_bus_new = v_max
                 p_mloss += excess / dt
                 p_sto -= excess / dt
-                state.mppt_mode = MODE_SATURATED
+                mppt_mode = MODE_SATURATED
 
         # Energy bookings. What the storage node actually supplied closes
         # the balance exactly; any gap versus the nominal draw (bus sag,
@@ -823,14 +807,7 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
             return None  # the IV surface's power depends on v_cap
         else:
             p_mpp = harvester_mpp_power(harv, g)
-        if mode == MODE_BYPASS:
-            eff = mppt.bypass_efficiency
-        elif mode == MODE_COLD_START:
-            eff = mppt.cold_start_efficiency
-        else:
-            eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
-                p_mpp, v_cap)
-        p_in = p_mpp * eff
+        p_in, _, mode = mppt_step(mppt, mode, v_cap, p_mpp)
 
     levels = [mppt.bypass_engage_v, mppt.bypass_release_v,
               mppt.cold_start_below_v, mppt.storage_v_max]
@@ -839,7 +816,7 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
                                          or v_cap >= app.checkpoint_v)):
             return None
         p_load = app.p_idle
-        p_drawn = p_load / conv.efficiency.at(p_load, v_bus)
+        p_drawn = p_load / conv.efficiency.at(p_load)
         bus_levels = (conv.v_off,)
         if not app_state.checkpointed:
             levels.append(app.checkpoint_v)

@@ -3,8 +3,8 @@
 The chain is harvester -> MPPT (with dynamic bypass and cold start) ->
 supercapacitor bank (with ESR, leakage, and an optional low-ESR buffer
 capacitor) -> output DC/DC converter with turn-on/turn-off hysteresis.
-All models are immutable configuration; :class:`EssState` is the mutable
-per-simulation electrical state. Their range checks are written as
+All models are immutable configuration; :class:`EssState` is a run's
+starting electrical state. Their range checks are written as
 ``not x > 0`` rather than ``x <= 0`` so that a NaN parameter fails them.
 
 Power accounting is exact by construction: every step partitions extracted
@@ -64,9 +64,7 @@ class EfficiencyCurve:
     """Piecewise-linear efficiency lookup keyed on power.
 
     A single point behaves as a flat efficiency. Queries outside the table
-    clamp to the end points. The voltage argument is accepted for
-    interface parity with measured two-variable tables but ignored by this
-    one-dimensional default.
+    clamp to the end points.
     """
 
     power_w: tuple[float, ...] = (1.0,)
@@ -86,7 +84,7 @@ class EfficiencyCurve:
     def flat(cls, eta: float) -> "EfficiencyCurve":
         return cls(power_w=(1.0,), eta=(eta,))
 
-    def at(self, power: float, voltage: float = 0.0) -> float:
+    def at(self, power: float) -> float:
         if len(self.eta) == 1:
             return self.eta[0]
         return float(np.interp(power, self.power_w, self.eta))
@@ -245,20 +243,17 @@ class ConverterModel:
     """Output DC/DC converter with turn-on/turn-off hysteresis.
 
     Turns on once the bus has charged to ``v_on`` and stays on until it
-    drops below ``v_off``; while on it regulates ``v_out`` for the load and
-    draws ``p_load / efficiency`` from the bus.
+    drops below ``v_off``; while on it draws ``p_load / efficiency`` from
+    the bus.
     """
 
     v_on: float = 2.0
     v_off: float = 0.7
-    v_out: float = 3.3
     efficiency: EfficiencyCurve = field(default_factory=lambda: EfficiencyCurve.flat(0.85))
 
     def __post_init__(self):
         if not self.v_off < self.v_on:
             raise EssError("v_off must be below v_on")
-        if not self.v_out > 0:
-            raise EssError("v_out must be > 0")
 
 
 @dataclass(frozen=True)
@@ -292,7 +287,8 @@ class EssConfig:
 
 @dataclass
 class EssState:
-    """Instantaneous electrical state owned by one simulation."""
+    """Electrical state of the chain: storage and bus voltages, tracker
+    mode and converter state; :meth:`initial` gives a run's start."""
 
     v_cap: float
     v_bus: float
@@ -334,16 +330,16 @@ def mppt_next_mode(mppt: MpptModel, mode: str, v_cap: float) -> str:
     return MODE_TRACKING
 
 
-def mppt_step(mppt: MpptModel, state: EssState, p_harvest_mpp: float,
-              dt: float) -> tuple[float, float, str]:
-    """One MPPT interval: split extracted harvest into storage input and loss.
+def mppt_step(mppt: MpptModel, mode: str, v_cap: float,
+              p_harvest_mpp: float) -> tuple[float, float, str]:
+    """Split extracted harvest into storage input and loss at ``v_cap``.
 
-    The identity ``p_into_storage + p_loss == p_harvest_mpp`` always holds;
-    the engine curtails a saturated store's surplus itself.
+    Returns ``(p_into_storage, p_loss, mode)`` with the tracker's mode
+    updated from ``mode`` by :func:`mppt_next_mode`. The identity
+    ``p_into_storage + p_loss == p_harvest_mpp`` always holds; the engine
+    curtails a saturated store's surplus itself.
     """
-    if dt <= 0:
-        raise EssError("dt must be > 0")
-    mode = mppt_next_mode(mppt, state.mppt_mode, state.v_cap)
+    mode = mppt_next_mode(mppt, mode, v_cap)
     if p_harvest_mpp <= 0.0:
         return 0.0, 0.0, mode
     if mode == MODE_BYPASS:
@@ -352,7 +348,7 @@ def mppt_step(mppt: MpptModel, state: EssState, p_harvest_mpp: float,
         eff = mppt.cold_start_efficiency
     else:
         eff = mppt.tracking_efficiency * mppt.converter_efficiency.at(
-            p_harvest_mpp, state.v_cap)
+            p_harvest_mpp)
     p_into = p_harvest_mpp * eff
     return p_into, p_harvest_mpp - p_into, mode
 

@@ -38,7 +38,6 @@ __all__ = [
     "ApeReport",
     "MetricError",
     "throughput_error",
-    "dtw_align",
     "dtw_path",
     "compute_ape",
     "mismatch_spans",
@@ -111,10 +110,11 @@ def _pad_equal(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _radius(window: float, step: float, n: int, error: str) -> int:
+def _radius(window: float, step: float, n: int) -> int:
     """Band radius in steps for a DTW window in seconds (``inf``: whole grid)."""
-    if window != math.inf and window < step:
-        raise MetricError(error)
+    if not window >= step:  # NaN fails it too
+        raise MetricError(f"window must be 0, >= one step, or inf; "
+                          f"got {window}")
     return n if window == math.inf else int(round(window / step))
 
 
@@ -327,27 +327,15 @@ def dtw_path(a: np.ndarray, b: np.ndarray, r: int
     return path_i, path_j, cost
 
 
-def dtw_align(a, b, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """Warp two activity profiles onto their optimal banded alignment.
-
-    ``window`` (seconds, or steps for raw arrays) bounds how far the
-    alignment may locally shift one profile against the other; it must be
-    at least one step. Profiles of unequal duration are padded with off.
-    Returns the two warped boolean sequences of equal (path) length.
-    """
-    x, y, step = _as_bool_pair(a, b)
-    x, y = _pad_equal(x, y)
-    r = _radius(window, step, len(x), "window must be >= one step (or inf)")
-    pi, pj, _ = dtw_path(x, y, r)
-    return x[pi], y[pj]
-
-
 def compute_ape(a, b, window: float = 0.0) -> ApeReport:
     """Activity profile error, optionally DTW-filtered.
 
     Window 0 disables warping: the raw per-step disagreement fraction.
     Otherwise profiles are banded-DTW aligned first and mismatches are
-    counted along the optimal path, normalized by path length.
+    counted along the optimal path, normalized by path length. The window
+    (seconds, or steps for raw arrays) bounds how far the alignment may
+    locally shift one profile against the other; it must be at least one
+    step, or inf. Profiles of unequal duration are padded with off.
     """
     x, y, step = _as_bool_pair(a, b)
     x, y = _pad_equal(x, y)
@@ -355,8 +343,7 @@ def compute_ape(a, b, window: float = 0.0) -> ApeReport:
         n_diff = int(np.count_nonzero(x != y))
         n_total = len(x)
     else:
-        r = _radius(window, step, len(x),
-                    "window must be 0, >= one step, or inf")
+        r = _radius(window, step, len(x))
         if np.array_equal(x, y):
             # identical profiles align on the diagonal with zero cost
             n_diff, n_total = 0, len(x)

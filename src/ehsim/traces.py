@@ -106,6 +106,13 @@ class EventTrace:
         return len(self.t)
 
 
+def _time_scale(time_unit: str) -> float:
+    """Seconds per unit of a trace or events file's time column."""
+    if time_unit not in ("s", "min"):
+        raise TraceError(f"unsupported time_unit {time_unit!r}")
+    return 60.0 if time_unit == "min" else 1.0
+
+
 def parse_irradiance(source, *, delimiter: str | None = None,
                      time_unit: str = "s") -> IrradianceTrace:
     """Parse a two-column (timestamp, irradiance) text stream.
@@ -117,8 +124,7 @@ def parse_irradiance(source, *, delimiter: str | None = None,
     Raises :class:`TraceParseError` with the line number for malformed rows
     and :class:`TraceError` for an empty or invalid trace.
     """
-    if time_unit not in ("s", "min"):
-        raise TraceError(f"unsupported time_unit {time_unit!r}")
+    scale = _time_scale(time_unit)
     if isinstance(source, (str, bytes)):
         stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
     else:
@@ -147,7 +153,6 @@ def parse_irradiance(source, *, delimiter: str | None = None,
         gs.append(g_val)
     if not ts:
         raise TraceError("empty trace")
-    scale = 60.0 if time_unit == "min" else 1.0
     return IrradianceTrace(t=np.asarray(ts) * scale, g=np.asarray(gs))
 
 
@@ -159,12 +164,15 @@ def write_irradiance(trace: IrradianceTrace, stream) -> None:
 
 
 def parse_events(source, *, time_unit: str = "s") -> EventTrace:
-    """Parse a one-column event CSV (seconds, one event per line).
+    """Parse a one-column event CSV (one event time per line).
 
-    Raises :class:`TraceParseError` with the line number for a line of
-    more than one field and for a non-numeric, non-finite or non-increasing
-    event time.
+    ``time_unit="min"`` converts minute-indexed inputs to seconds; any unit
+    but ``"s"`` and ``"min"`` is a :class:`TraceError`. Raises
+    :class:`TraceParseError` with the line number for a line of more than
+    one field and for a non-numeric, non-finite or non-increasing event
+    time.
     """
+    scale = _time_scale(time_unit)
     if isinstance(source, (str, bytes)):
         stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
     else:
@@ -186,7 +194,6 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
         if ts and t_val <= ts[-1]:
             raise TraceParseError(f"event time {t_val} not increasing", lineno)
         ts.append(t_val)
-    scale = 60.0 if time_unit == "min" else 1.0
     return EventTrace(t=np.asarray(ts, dtype=np.float64) * scale)
 
 

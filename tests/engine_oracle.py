@@ -129,7 +129,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     sss = ledger.sss_by_activity
     e_harvest = e_mppt = e_leak_tot = e_esr_tot = e_conv_tot = 0.0
 
-    dark_segments = (find_dark_segments(trace, cfg.dark_threshold)
+    dark_segments = (find_dark_segments(trace)
                      if cfg.skip_nights else [])
     dark_idx = 0
 
@@ -165,7 +165,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     b_sdelta = bins.sdelta
     b_on = bins.on_s
     b_labels = bins.labels
-    b_vt = bins.volt_t
     b_vv = bins.volt_v
 
     while True:
@@ -265,7 +264,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         # Load draw from the bus.
         if conv_on:
-            p_drawn = p_load / conv_eff.at(p_load, v_bus)
+            p_drawn = p_load / conv_eff.at(p_load)
         else:
             p_load = p_off if v_bus > _V_DEAD else 0.0
             p_drawn = p_load
@@ -289,7 +288,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                         p_mpp = harvester_power(harv, g, v_cap)
                     else:
                         p_mpp = harvester_mpp_power(harv, g)
-                p_sto, p_mloss, mode = mppt_step(mppt, state, p_mpp, dt)
+                p_sto, p_mloss, mode = mppt_step(mppt, state.mppt_mode,
+                                                 state.v_cap, p_mpp)
                 state.mppt_mode = mode
             else:
                 p_mpp = p_sto = p_mloss = 0.0
@@ -372,7 +372,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         if t >= t0 + (bin_idx + 1) * agg - 1e-9:
             mx = max(bin_label_s)
             b_labels[bin_idx] = bin_label_s.index(mx) if mx > 0.0 else 0
-            b_vt[bin_idx] = (bin_idx + 1) * agg
             b_vv[bin_idx] = v_cap
             for k in range(len(bin_label_s)):
                 bin_label_s[k] = 0.0
@@ -382,12 +381,11 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
                 b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
                 b_on, b_labels = bins.on_s, bins.labels
-                b_vt, b_vv = bins.volt_t, bins.volt_v
+                b_vv = bins.volt_v
 
     if max(bin_label_s) > 0.0:  # partial final bin (hard stop mid-bin)
         mx = max(bin_label_s)
         b_labels[bin_idx] = bin_label_s.index(mx)
-        b_vt[bin_idx] = (bin_idx + 1) * agg
         b_vv[bin_idx] = v_cap
         bins.n = bin_idx + 1
 
@@ -459,7 +457,6 @@ def _skip_span(t: float, stop: float, v_cap: float, v_bus: float,
     bins.soc[sl] += res_draw
     bins.sdelta[sl] -= res_draw
     bins.labels[sl] = PHASE_INDEX[PHASE_OFF]
-    bins.volt_t[sl] = (np.arange(bin_idx + 1, bin_idx + n_span + 1)) * agg
     bins.volt_v[sl] = np.sqrt(2.0 * e_edges[1:] / c_eff)
     bins.n = max(bins.n, bin_idx + n_span)
 

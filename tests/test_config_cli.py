@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehsim.cli import main
-from ehsim.config import (config_hash, load_config, load_result, save_result)
+from ehsim.config import (build_app, build_ess, build_sim, config_hash,
+                          load_config, load_result, save_result)
 from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
 from ehsim.app import PHASES, ActivityProfile, preset
@@ -486,7 +487,7 @@ def test_cmd_simulate_rejects_bad_supply_override(tmp_path, volts):
 
 @pytest.mark.parametrize("block,key", [("storage", "capacitance"),
                                        ("harvester", "k_mpp"),
-                                       ("converter", "v_out")])
+                                       ("converter", "v_on")])
 def test_cmd_simulate_rejects_nan_model_parameter_before_simulating(
         tmp_path, monkeypatch, block, key):
     cfg = write_fixture_config(tmp_path)
@@ -503,7 +504,7 @@ def test_cmd_simulate_rejects_nan_model_parameter_before_simulating(
 
 
 @pytest.mark.parametrize("key", ["dt_active", "dt_quiescent", "aggregation_step",
-                                 "dark_threshold", "max_extension_s"])
+                                 "max_extension_s"])
 def test_cmd_simulate_rejects_nan_sim_parameter(tmp_path, capsys, key):
     cfg = write_fixture_config(tmp_path)
     raw = json.loads(cfg.read_text())
@@ -512,4 +513,88 @@ def test_cmd_simulate_rejects_nan_sim_parameter(tmp_path, capsys, key):
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert f"ConfigError: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_simulate_rejects_an_unknown_event_time_unit(tmp_path, capsys):
+    cfg = write_fixture_config(tmp_path, extra={
+        "events": {"path": "events.csv", "time_unit": "ms"}})
+    (tmp_path / "events.csv").write_text("1\n2\n")
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "TraceError: unsupported time_unit 'ms'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, hint", [("pln", " (plan?)"), ("zzz", "")],
+                         ids=["pln", "zzz"])
+def test_unknown_config_block_exits_2_naming_it(tmp_path, capsys, key, hint):
+    cfg = write_fixture_config(tmp_path, extra={key: {"mode": "st_sp"}})
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {key}: unknown config block{hint}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_loads():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```")[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(block)
+        cfg = load_config(path)
+    build_ess(cfg)
+    build_app(cfg)
+    build_sim(cfg)
+
+
+def test_cmd_compare_rejects_a_nan_window(tmp_path, capsys):
+    cfg = write_fixture_config(tmp_path)
+    out = tmp_path / "base"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--baseline", str(out), "--scaled", str(out),
+                 "--plan", str(out / "plan.json"), "--out",
+                 str(tmp_path / "cmp"), "--window", "nan"]) == 2
+    assert "MetricError: window must be 0, >= one step, or inf; got nan" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.fixture(scope="module")
+def one_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("one_run")
+    cfg = write_fixture_config(tmp)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp / "res")]) == 0
+    return cfg, tmp / "res"
+
+
+# The flags each command does not read: argparse rejects them (exit 2)
+# instead of running the command with them ignored.
+_UNREAD_FLAGS = {"simulate": ("--workers",),
+                 "profile": ("--seed", "--workers", "--mode"),
+                 "plan": ("--seed", "--workers"),
+                 "compare": ("--seed", "--workers", "--mode"),
+                 "stacks": ("--seed", "--workers", "--mode")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c, flags in _UNREAD_FLAGS.items() for f in flags])
+def test_cli_rejects_a_flag_the_command_does_not_read(one_run, tmp_path,
+                                                      capsys, command, flag):
+    cfg, res = one_run
+    inputs = {"compare": ["--baseline", str(res), "--scaled", str(res),
+                          "--plan", str(res / "plan.json")],
+              "stacks": ["--result", str(res)]}.get(
+                  command, ["--config", str(cfg)])
+    value = {"--seed": "4", "--workers": "9", "--mode": "st-sp"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--out", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -12,7 +12,7 @@ from ehsim.config import (build_app, build_ess, build_sim, load_config,
 from ehsim import engine
 from ehsim.engine import (
     ClosureError, ConfigError, EnergyLedger, SimConfig, finalize_stack,
-    run_with_skip_nights, simulate,
+    simulate,
 )
 from ehsim.ess import (ConverterModel, EssConfig, HarvesterModel, MpptModel,
                        StorageModel)
@@ -238,7 +238,8 @@ def test_skip_nights_noop_without_dark():
     ess = EssConfig(storage=StorageModel(capacitance=0.4, leak_resistance=30e3))
     cfg = SimConfig(dt_quiescent=0.2)
     plain = simulate(tr, None, ess, small_app(), cfg)
-    skip = run_with_skip_nights(tr, None, ess, small_app(), cfg)
+    skip = simulate(tr, None, ess, small_app(),
+                    replace(cfg, skip_nights=True))
     assert plain.throughput_bytes == skip.throughput_bytes
     np.testing.assert_array_equal(plain.voltage_v, skip.voltage_v)
 
@@ -250,7 +251,7 @@ def test_skip_nights_all_dark_equals_leak_decay():
     app = small_app(p_off_residual=5e-7)
     cfg = SimConfig(dt_quiescent=0.2, end_policy="hard_stop")
     plain = simulate(tr, None, ess, app, cfg)
-    skip = run_with_skip_nights(tr, None, ess, app, cfg)
+    skip = simulate(tr, None, ess, app, replace(cfg, skip_nights=True))
     assert skip.throughput_bytes == plain.throughput_bytes == 0
     assert abs(skip.v_cap_final - plain.v_cap_final) / plain.v_cap_final < 1e-3
     assert abs(skip.stack.ledger.storage_loss_leak
@@ -265,7 +266,7 @@ def test_skip_nights_does_not_skip_while_converter_on():
     ess = EssConfig(storage=StorageModel(capacitance=2.0, v_init=2.5,
                                          leak_resistance=1e5))
     cfg = SimConfig(dt_quiescent=0.2, end_policy="hard_stop")
-    res = run_with_skip_nights(tr, None, ess, small_app(), cfg)
+    res = simulate(tr, None, ess, small_app(), replace(cfg, skip_nights=True))
     assert res.throughput_bytes > 0
     assert res.activity.on_off[:100].all()
 
@@ -341,8 +342,7 @@ def test_event_outside_trace_rejected():
 
 
 @pytest.mark.parametrize("field", ["dt_active", "dt_quiescent",
-                                   "aggregation_step", "dark_threshold",
-                                   "max_extension_s"])
+                                   "aggregation_step", "max_extension_s"])
 def test_sim_config_rejects_nan_naming_the_field(field):
     with pytest.raises(ConfigError, match=field):
         SimConfig(**{field: math.nan})

@@ -322,10 +322,11 @@ def assert_same_bits(new, old):
 
 @st.composite
 def dark_off_inputs(draw):
-    """Mostly dark runs: dark bins, dim ones (lit, but under the dark
-    threshold), dark events, trace samples off the bin grid and a trace end
-    mid-bin. Either the node stays off throughout, or a charged store
-    browns out under short, heavy bursts and boots again in the dark."""
+    """Mostly dark runs: dark bins, dim pulses of light too short for a
+    closed-form span, dark events, trace samples off and on the bin grid
+    and a trace end mid-bin. Either the node stays off throughout, or a
+    charged store browns out under short, heavy bursts and boots again in
+    the dark."""
     brownout = draw(st.booleans())
     duration = draw(st.floats(30.0, 200.0) if brownout
                     else st.floats(60.0, 900.0))
@@ -333,13 +334,25 @@ def dark_off_inputs(draw):
     inner = np.arange(draw(st.floats(0.01, 0.99)), duration / cadence,
                       1.0) * cadence
     t = np.concatenate(([0.0], inner[inner < duration - 1e-3], [duration]))
-    dark_thr = draw(st.sampled_from([0.0, 1.0]))
-    lit = np.array(draw(st.lists(st.booleans(), min_size=len(t),
-                                 max_size=len(t))))
-    g = np.where(lit, draw(st.floats(0.0, 1.0)) * dark_thr, 0.0)
+    agg = SimConfig().aggregation_step
+    if draw(st.booleans()):
+        # samples on bin edges, which the dark evaluator steps across
+        t = np.unique(np.round(t / agg) * agg)
+    # A lit sample is followed by a dark one within fewer than
+    # _SPAN_MIN_BINS bins, which both loops step: the dark evaluator hands
+    # each bin the light reaches back to the general step.
+    lit = np.array(draw(st.lists(st.booleans(), min_size=len(t) - 1,
+                                 max_size=len(t) - 1)), dtype=bool)
+    pulse = draw(st.floats(0.01, 0.95)) * engine._SPAN_MIN_BINS * agg
+    ends = (t[:-1] + np.minimum(pulse, np.diff(t) / 2))[lit]
+    g = np.concatenate((np.where(lit, draw(st.floats(0.0, 1.0)), 0.0), [0.0],
+                        np.zeros(len(ends))))
+    t = np.concatenate((t, ends))
+    order = np.argsort(t)
+    t, g = t[order], g[order]
     ev_permille = sorted(draw(st.sets(st.integers(1, 998), max_size=6)))
     events = EventTrace(t=np.array(ev_permille, dtype=float) / 1000.0
-                        * duration)
+                        * t[-1])
     # No small ESR without a buffer: the oracle keeps the old bus-collapse
     # test, which its rounding trips on such stores (see CHANGES.md). Nor a
     # buffer without ESR on a store that may saturate, where the oracle's
@@ -373,7 +386,6 @@ def dark_off_inputs(draw):
             storage=StorageModel(v_init=draw(st.floats(0.0, 2.0)), **storage),
             converter=ConverterModel(v_on=2.5))
     cfg = SimConfig(dt_quiescent=draw(st.sampled_from([0.2, 0.1])),
-                    dark_threshold=dark_thr,
                     end_policy=draw(st.sampled_from(
                         ["hard_stop", "drain_until_converter_off"])))
     return IrradianceTrace(t=t, g=g), events, ess, app, cfg

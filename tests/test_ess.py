@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ehsim.app import preset
 from ehsim.engine import SimConfig, simulate
 from ehsim.ess import (
-    ConverterModel, EfficiencyCurve, EssConfig, EssError, EssState,
+    ConverterModel, EfficiencyCurve, EssConfig, EssError,
     HarvesterModel, MpptModel, StorageModel, IvGridWarning,
     MODE_BYPASS, MODE_COLD_START, MODE_TRACKING,
     converter_next_state, harvester_mpp_power,
@@ -67,14 +67,12 @@ def test_harvester_iv_monotonicity_enforced():
 
 def test_mppt_hysteresis_walk():
     mppt = MpptModel()
-    state = EssState(v_cap=1.5, v_bus=1.5, mppt_mode=MODE_BYPASS)
-    _, _, mode = mppt_step(mppt, state, 1e-3, 1e-3)
+    _, _, mode = mppt_step(mppt, MODE_BYPASS, 1.5, 1e-3)
     assert mode == MODE_BYPASS
-    state.v_cap, state.mppt_mode = 1.8, mode
-    _, _, mode = mppt_step(mppt, state, 1e-3, 1e-3)
+    _, _, mode = mppt_step(mppt, mode, 1.8, 1e-3)
     assert mode == MODE_TRACKING
-    state.v_cap, state.mppt_mode = 1.7, mode  # above engage, hysteresis holds
-    _, _, mode = mppt_step(mppt, state, 1e-3, 1e-3)
+    # above engage, hysteresis holds
+    _, _, mode = mppt_step(mppt, mode, 1.7, 1e-3)
     assert mode == MODE_TRACKING
 
 
@@ -82,21 +80,17 @@ def test_mppt_cold_start_without_bypass():
     # Bypass window far below the cold-start boundary: charging up from
     # bypass passes through cold start until 1.77 V, then tracks.
     mppt = MpptModel(bypass_engage_v=0.1, bypass_release_v=0.2)
-    state = EssState(v_cap=1.0, v_bus=1.0, mppt_mode=MODE_BYPASS)
-    p_in, p_loss, mode = mppt_step(mppt, state, 1.0, 1e-3)
+    p_in, p_loss, mode = mppt_step(mppt, MODE_BYPASS, 1.0, 1.0)
     assert mode == MODE_COLD_START
     assert p_in == pytest.approx(mppt.cold_start_efficiency)
-    state.mppt_mode, state.v_cap = mode, 1.78
-    _, _, mode = mppt_step(mppt, state, 1.0, 1e-3)
+    _, _, mode = mppt_step(mppt, mode, 1.78, 1.0)
     assert mode == MODE_TRACKING
-    state.mppt_mode, state.v_cap = mode, 1.5  # falling: stays tracking
-    _, _, mode = mppt_step(mppt, state, 1.0, 1e-3)
+    _, _, mode = mppt_step(mppt, mode, 1.5, 1.0)  # falling: stays tracking
     assert mode == MODE_TRACKING
 
 
 def test_mppt_no_input():
-    state = EssState(v_cap=2.0, v_bus=2.0, mppt_mode=MODE_TRACKING)
-    p_in, p_loss, _ = mppt_step(MpptModel(), state, 0.0, 1e-3)
+    p_in, p_loss, _ = mppt_step(MpptModel(), MODE_TRACKING, 2.0, 0.0)
     assert p_in == 0.0 and p_loss == 0.0
 
 
@@ -104,8 +98,7 @@ def test_mppt_no_input():
        v=st.floats(min_value=0.0, max_value=2.9))
 @settings(max_examples=100, deadline=None)
 def test_mppt_power_conservation(p, v):
-    state = EssState(v_cap=v, v_bus=v, mppt_mode=MODE_TRACKING)
-    p_in, p_loss, _ = mppt_step(MpptModel(), state, p, 1e-3)
+    p_in, p_loss, _ = mppt_step(MpptModel(), MODE_TRACKING, v, p)
     assert p_in + p_loss == pytest.approx(p, rel=1e-12, abs=1e-15)
     assert p_in >= 0.0 and p_loss >= 0.0
 
@@ -304,7 +297,7 @@ def _nan_case(cls, **kwargs):
         "capacitance", "esr", "leak_resistance", "v_init",
         "buffer_capacitance")],
     *[_nan_case(ConverterModel, **{name: math.nan})
-      for name in ("v_on", "v_off", "v_out")],
+      for name in ("v_on", "v_off")],
 ])
 def test_nan_model_parameters_are_rejected(cls, kwargs):
     with pytest.raises(EssError):

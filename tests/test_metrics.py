@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ehsim.app import ActivityProfile, PHASE_INDEX
-from ehsim.metrics import (MetricError, compute_ape, dtw_align, dtw_path,
-                           mismatch_spans, throughput_error)
+from ehsim.metrics import (MetricError, compute_ape, dtw_path, mismatch_spans,
+                           throughput_error)
 
 
 def brute_force_dtw(a, b, r):
@@ -85,8 +85,8 @@ def test_shift_within_window_fully_warped():
     base = np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
     shifted = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)
     assert brute_force_dtw(tuple(shifted), tuple(base), 3) == 0
-    a, b = dtw_align(shifted, base, 3.0)
-    assert np.count_nonzero(a != b) == 0
+    pi, pj, _ = dtw_path(shifted, base, 3)
+    assert np.count_nonzero(shifted[pi] != base[pj]) == 0
     rep = compute_ape(shifted, base, 3.0)
     assert rep.epsilon == 0.0
     assert compute_ape(shifted, base, 0.0).epsilon > 0.0
@@ -128,9 +128,10 @@ def test_infinite_window_minimizes_over_all_alignments():
         n = int(rng.integers(2, 10))
         a = rng.random(n) < 0.5
         b = rng.random(n) < 0.5
-        aw, bw = dtw_align(a, b, math.inf)
-        assert np.count_nonzero(aw != bw) == brute_force_dtw(
-            tuple(a), tuple(b), n - 1)
+        want = brute_force_dtw(tuple(a), tuple(b), n - 1)
+        pi, pj, _ = dtw_path(a, b, n)
+        assert np.count_nonzero(a[pi] != b[pj]) == want
+        assert compute_ape(a, b, math.inf).n_diff == want
 
 
 def test_raw_ape_bounds_dtw_ape():
@@ -165,7 +166,7 @@ def test_unequal_lengths_padded_with_off():
 def test_window_below_step_rejected():
     p = profile_of([1, 0, 1])
     with pytest.raises(MetricError):
-        dtw_align(p, p, 0.05)
+        compute_ape(p, p, 0.05)
 
 
 def test_mismatch_spans():

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehsim.app import PRESETS, AppSpec, preset
-from ehsim.engine import SimConfig, run_with_skip_nights, simulate
+from ehsim.engine import SimConfig, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
     max_speedup, predict_throughput, profile_application,
@@ -317,7 +318,7 @@ def test_st_sp_sn_plan_equals_run_with_skip_nights():
     plan = ScalingPlan(mode="st_sp_sn", s_tp=3.0, s_f=3.4, s_i=0.02)
     tr_x, _, app_x, cfg_x = build_experiment(plan, trace, None, app, cfg)
     via_plan = simulate(tr_x, None, ess, app_x, cfg_x)
-    direct = run_with_skip_nights(tr_x, None, ess, app_x, cfg)
+    direct = simulate(tr_x, None, ess, app_x, replace(cfg, skip_nights=True))
     assert via_plan.stack.as_dict() == direct.stack.as_dict()
     for name in ("throughput_bytes", "boots", "on_time_s", "duration_s",
                  "v_cap_final", "converter_on_final"):

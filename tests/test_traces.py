@@ -57,6 +57,13 @@ def test_parse_minute_indexed_input():
     assert tr.t[1] == 60.0
 
 
+def test_parse_events_time_units():
+    np.testing.assert_array_equal(
+        parse_events("1\n2\n", time_unit="min").t, [60.0, 120.0])
+    with pytest.raises(TraceError, match="time_unit 'ms'"):
+        parse_events("1\n2\n", time_unit="ms")
+
+
 def test_parse_whitespace_and_crlf():
     tr = parse_irradiance("0 1\r\n10 2\r\n")
     assert len(tr) == 2
