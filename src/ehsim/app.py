@@ -304,8 +304,8 @@ class ActivityProfile:
         lab = np.asarray(self.labels, dtype=np.int8)
         object.__setattr__(self, "on_off", on)
         object.__setattr__(self, "labels", lab)
-        if self.step_len <= 0:
-            raise AppError("step_len must be > 0")
+        if not 0 < self.step_len < math.inf:  # NaN fails it too
+            raise AppError("step_len must be a finite time > 0")
         if len(on) != len(lab):
             raise AppError("on_off and labels must have equal length")
 

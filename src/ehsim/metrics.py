@@ -21,7 +21,9 @@ per day cost almost nothing, whatever the window. The traceback answers
 each in-stripe value query in O(1) from those rows and takes long straight
 or diagonal segments in one vectorized stride, so its cost follows the
 path's segments rather than its length. Costs are unit per on/off mismatch
-and zero per match, held in integers, so all arithmetic is exact.
+and zero per match, held in integers, so all arithmetic is exact. Where
+several predecessors tie, the traceback moves diagonally, then up, then
+left, on every row; the path length it gives is the APE denominator.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ _DIAG, _UP, _LEFT = (1, 1), (1, 0), (0, 1)  # backward (row, col) steps
 # cell by cell.
 _STRIDE_AFTER = 8
 _MIN_STRIDE = 64
-# On rows that are positive multiples of this, ties resolve left-first. That
-# is the tie-break of the checkpointed traceback that first defined this
-# metric (2048 was its checkpoint interval); keeping it keeps every reported
-# path length, the APE denominator, unchanged.
-_LEFT_FIRST_ROWS = 2048
 
 
 class MetricError(ValueError):
@@ -183,7 +180,7 @@ def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
 
 def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                cost: int) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal path (0,0) -> (n-1,n-1) under the tie-break of ``dtw_path``."""
+    """Optimal path (0,0) -> (n-1,n-1); ties go diagonal, then up, then left."""
     n = len(a)
     am, bm = memoryview(a.view(np.uint8)), memoryview(b.view(np.uint8))
     steps: list[list] = []  # [(di, dj), count] walking back from (n-1, n-1)
@@ -235,9 +232,7 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
             Sm, Zm = memoryview(S[st.v]), memoryview(Z[st.v])
         if run >= _STRIDE_AFTER:
             mv = steps[-1][0]
-            left_first = i % _LEFT_FIRST_ROWS == 0
-            # vertical strides stop above the next left-first row
-            floor = max(r0, 1, i // _LEFT_FIRST_ROWS * _LEFT_FIRST_ROWS + 1)
+            floor = max(r0, 1)
             if mv is _DIAG:
                 cap = min(i - floor, j) + 1
             elif mv is _UP:
@@ -250,14 +245,10 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                 ii, jj = i - mv[0] * ks, j - mv[1] * ks
                 dd = at_vec(ii, jj)
                 cc = (b[jj] != st.v).astype(np.int32)
-                if left_first:  # then mv is _LEFT: the cells share row i
-                    good = ((jj > max(i - r, 0))
-                            & (at_vec(ii, jj - 1) + cc == dd))
-                else:
-                    good = (jj > 0) & (at_vec(ii - 1, jj - 1) + cc == dd)
-                    if mv is not _DIAG:
-                        up = (jj - ii < r) & (at_vec(ii - 1, jj) + cc == dd)
-                        good = ~good & (up if mv is _UP else ~up)
+                good = (jj > 0) & (at_vec(ii - 1, jj - 1) + cc == dd)
+                if mv is not _DIAG:
+                    up = (jj - ii < r) & (at_vec(ii - 1, jj) + cc == dd)
+                    good = ~good & (up if mv is _UP else ~up)
                 taken = m if good.all() else int(np.argmin(good))
                 if taken:
                     steps[-1][1] += taken
@@ -267,10 +258,7 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                 run = 0
                 continue
         c = am[i] ^ bm[j]
-        if (i % _LEFT_FIRST_ROWS == 0 and j > 0 and j > i - r
-                and (p := at(i, j - 1)) + c == d):
-            mv, d = _LEFT, p
-        elif j and (p := at(i - 1, j - 1)) + c == d:
+        if j and (p := at(i - 1, j - 1)) + c == d:
             mv, d = _DIAG, p
         elif j - i < r and (p := at(i - 1, j)) + c == d:
             mv, d = _UP, p
@@ -300,9 +288,8 @@ def dtw_path(a: np.ndarray, b: np.ndarray, r: int
 
     Returns (path_i, path_j, cost) with the path running (0,0) -> (n-1,n-1)
     monotonically inside the band |i - j| <= r; cost is the minimal mismatch
-    count. Ties resolve diagonal-first, then up, then left, except on rows
-    that are positive multiples of 2048, where a tied left move comes first;
-    results are deterministic.
+    count. Ties resolve diagonal-first, then up, then left, so results are
+    deterministic.
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)

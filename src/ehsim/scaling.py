@@ -21,6 +21,7 @@ map results back to the real-time axis and predict real-time throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,12 @@ class PlanError(ValueError):
     """Infeasible or degenerate scaling request."""
 
 
+# Every range check below is written so that a NaN fails it.
+def _check_s_tp(s_tp: float) -> None:
+    if not 1.0 <= s_tp < math.inf:
+        raise PlanError(f"s_tp must be a finite number >= 1; got {s_tp}")
+
+
 @dataclass(frozen=True)
 class PowerProfile:
     """Constant-supply application profile.
@@ -68,13 +75,16 @@ class PowerProfile:
     t_profiling: float
 
     def __post_init__(self):
-        if self.p_active_avg <= 0:
-            raise PlanError("profile has no periodic active tasks; "
-                            "purely event-driven apps cannot be time-scaled")
-        if self.p_idle_avg < 0:
-            raise PlanError("p_idle_avg must be >= 0")
-        if not self.t_active < self.t_app_period:
-            raise PlanError("t_active must be below the application period")
+        if not 0 < self.p_active_avg < math.inf:
+            raise PlanError("p_active_avg must be finite and > 0: purely "
+                            "event-driven apps cannot be time-scaled")
+        if not 0 <= self.p_idle_avg < math.inf:
+            raise PlanError("p_idle_avg must be finite and >= 0")
+        if not 0 <= self.t_active < self.t_app_period < math.inf:
+            raise PlanError("t_active must be >= 0 and below the application "
+                            "period t_app_period, which must be finite")
+        if not 0 < self.t_profiling < math.inf:
+            raise PlanError("t_profiling must be a finite time > 0")
 
 
 @dataclass(frozen=True)
@@ -96,10 +106,11 @@ class ScalingPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
-        if self.s_tp < 1.0:
-            raise PlanError("s_tp must be >= 1")
-        if self.s_i <= 0:
-            raise PlanError("s_i must be > 0")
+        _check_s_tp(self.s_tp)
+        if not 1.0 <= self.s_f < math.inf:
+            raise PlanError(f"s_f must be a finite number >= 1; got {self.s_f}")
+        if not 0 < self.s_i < math.inf:
+            raise PlanError(f"s_i must be finite and > 0; got {self.s_i}")
         if self.mode == "realtime" and (self.s_tp != 1.0 or self.s_f != 1.0):
             raise PlanError("realtime mode runs unscaled")
         if self.mode == "st_up" and self.s_f != 1.0:
@@ -148,8 +159,7 @@ def compute_sf(profile: PowerProfile, s_tp: float) -> float:
     Round trip: plugging the result into :func:`scaled_average_power`
     recovers ``s_tp * (p_active_avg + p_idle_avg)``.
     """
-    if s_tp < 1.0:
-        raise PlanError("s_tp must be >= 1")
+    _check_s_tp(s_tp)
     pa, pi = profile.p_active_avg, profile.p_idle_avg
     T, ta = profile.t_app_period, profile.t_active
     den = (T - ta) * pa - ta * pi
@@ -248,8 +258,6 @@ def predict_throughput(plan: ScalingPlan, result: SimResult,
         return plan.s_tp * result.throughput_bytes
     if profile is None:
         raise PlanError("scaled-power prediction needs the power profile")
-    if profile.t_profiling <= 0:
-        raise PlanError("profile has zero duration")
     return (plan.s_tp * result.on_time_s / profile.t_profiling
             * profile.theta_profiling)
 
@@ -276,8 +284,7 @@ def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
     redistributed conservatively, on/off by majority overlap) and the
     voltage series is re-timed.
     """
-    if s_tp < 1.0:
-        raise PlanError("s_tp must be >= 1")
+    _check_s_tp(s_tp)
     if s_tp == 1.0:
         return result
     act = result.activity

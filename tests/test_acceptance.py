@@ -299,6 +299,7 @@ def test_criterion_6_skip_nights_equivalence():
 # --------------------------------------------------------------------------
 
 def brute_dtw(a, b, r):
+    """Exhaustive banded DTW: (path_i, path_j, cost) by memoised recursion."""
     @functools.lru_cache(maxsize=None)
     def go(i, j):
         if abs(i - j) > r:
@@ -315,9 +316,22 @@ def brute_dtw(a, b, r):
             best = min(best, go(i - 1, j - 1))
         return c + best
 
-    out = go(len(a) - 1, len(b) - 1)
+    # walk back from the corner, ties going diagonal, then up, then left
+    i, j = len(a) - 1, len(b) - 1
+    cost = go(i, j)
+    path = [(i, j)]
+    while i or j:
+        c = int(a[i] != b[j])
+        if i and j and go(i - 1, j - 1) + c == go(i, j):
+            i, j = i - 1, j - 1
+        elif i and go(i - 1, j) + c == go(i, j):
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
     go.cache_clear()
-    return out
+    path_i, path_j = zip(*path[::-1])
+    return list(path_i), list(path_j), cost
 
 
 def test_criterion_7_ape_metric_suite():
@@ -340,17 +354,18 @@ def test_criterion_7_ape_metric_suite():
         r = n  # full band
         for ia, a in enumerate(seqs):
             for ib, b in enumerate(seqs):
-                _, _, cost = dtw_path(a, b, r)
-                assert cost == brute_dtw(tuples[ia], tuples[ib],
-                                         max(n - 1, 0))
+                pi, pj, cost = dtw_path(a, b, r)
+                assert ((pi.tolist(), pj.tolist(), cost)
+                        == brute_dtw(tuples[ia], tuples[ib], max(n - 1, 0)))
                 pairs += 1
     for _ in range(300):
         a = rng.random(12) < 0.5
         b = rng.random(12) < 0.5
         r = int(rng.integers(1, 13))
-        _, _, cost = dtw_path(a, b, r)
-        assert cost == brute_dtw(tuple(map(int, a)), tuple(map(int, b)),
-                                 min(r, 11))
+        pi, pj, cost = dtw_path(a, b, r)
+        assert ((pi.tolist(), pj.tolist(), cost)
+                == brute_dtw(tuple(map(int, a)), tuple(map(int, b)),
+                             min(r, 11)))
         pairs += 1
 
     # raw >= warped on 1000 random pairs
@@ -363,7 +378,8 @@ def test_criterion_7_ape_metric_suite():
         assert warped <= raw + 1e-12
         assert 0.0 <= warped <= 1.0
     report(7, "ape metric suite",
-           f"identity/complement hold; banded == exhaustive on {pairs} pairs; "
+           f"identity/complement hold; banded == exhaustive (cost and "
+           f"path) on {pairs} pairs; "
            f"raw bounds warped on 1000 pairs")
 
 

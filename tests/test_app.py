@@ -3,9 +3,9 @@ import math
 import pytest
 
 from ehsim.app import (
-    AppError, AppSpec, AppState, PHASES, PHASE_BOOT, PHASE_COMM, PHASE_IDLE,
-    PHASE_OFF, PHASE_SAMPLING, PHASE_BACKUP, app_step, apply_frequency_scaling,
-    preset, time_to_transition,
+    ActivityProfile, AppError, AppSpec, AppState, PHASES, PHASE_BOOT,
+    PHASE_COMM, PHASE_IDLE, PHASE_OFF, PHASE_SAMPLING, PHASE_BACKUP, app_step,
+    apply_frequency_scaling, preset, time_to_transition,
 )
 
 
@@ -157,3 +157,9 @@ def test_presets_available():
 def test_nan_app_parameters_are_rejected(name):
     with pytest.raises(AppError):
         simple_spec(**{name: math.nan})
+
+
+@pytest.mark.parametrize("step_len", [math.nan, math.inf, 0.0, -0.2])
+def test_activity_profile_rejects_a_bad_step_len(step_len):
+    with pytest.raises(AppError, match="step_len"):
+        ActivityProfile(step_len=step_len, on_off=[True], labels=[0])

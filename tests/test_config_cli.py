@@ -304,6 +304,33 @@ def test_cmd_plan_reuses_profile_file(tmp_path):
     assert plan["s_tp"] == 2.0
 
 
+@pytest.mark.parametrize("s_tp", ["nan", "inf"])
+def test_cmd_plan_rejects_a_non_finite_s_tp(tmp_path, capsys, s_tp):
+    cfg = write_fixture_config(tmp_path)
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--s-tp", s_tp]) == 2
+    assert (f"PlanError: s_tp must be a finite number >= 1; got {s_tp}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["p_active_avg_w", "p_idle_avg_w",
+                                 "t_active_s", "t_app_period_s",
+                                 "t_profiling_s"])
+def test_cmd_plan_rejects_a_nan_profile_field(tmp_path, capsys, key):
+    cfg = write_fixture_config(tmp_path)
+    profile = {"p_active_avg_w": 2e-3, "p_idle_avg_w": 1e-4,
+               "t_active_s": 1.0, "t_app_period_s": 20.0,
+               "theta_profiling_bytes": 1200, "t_profiling_s": 3600.0,
+               key: math.nan}
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--profile", str(tmp_path / "profile.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PlanError: ") and key.rsplit("_", 1)[0] in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_compare_self_is_zero_error(tmp_path):
     cfg = write_fixture_config(tmp_path)
     out = tmp_path / "base"

@@ -1,7 +1,9 @@
 """Differential tests: the run-length block DTW against the cell-level oracle.
 
-``dtw_path`` must return the oracle's exact ``(path_i, path_j, cost)``,
-tie-break included, because the path length is the APE denominator.
+The oracle is a plain banded DP that walks back cell by cell, ties going
+diagonal, then up, then left. ``dtw_path`` must return its exact
+``(path_i, path_j, cost)``, tie-break included, because the path length is
+the APE denominator.
 """
 
 import math
@@ -88,8 +90,8 @@ def test_dtw_path_matches_oracle(data):
 
 
 def test_dtw_path_matches_oracle_on_long_run_profiles():
-    # several 2048-row boundaries, long diagonal and straight strides, and
-    # bands from one step to the whole grid: the shape of real day profiles
+    # thousands of rows, long diagonal and straight strides, and bands from
+    # one step to the whole grid: the shape of real day profiles
     rng = np.random.default_rng(7)
     for n, r in ((9000, 300), (5000, 5000), (6145, 64), (4097, 1)):
         a = _from_runs(rng.integers(200, 3000, size=12), True, n)

@@ -80,6 +80,18 @@ def test_identical_alignment_is_diagonal():
     np.testing.assert_array_equal(pj, np.arange(5))
 
 
+def test_identical_long_profiles_align_on_the_diagonal():
+    # four 1500-step runs: the diagonal on every row, and compute_ape's
+    # identical-profile shortcut reports what the kernel gives
+    a = np.repeat([True, False, True, False], 1500)
+    pi, pj, cost = dtw_path(a, a, 300)
+    assert cost == 0
+    np.testing.assert_array_equal(pi, np.arange(6000))
+    np.testing.assert_array_equal(pj, np.arange(6000))
+    rep = compute_ape(profile_of(a), profile_of(a), 60.0)
+    assert (rep.n_diff, rep.n_total) == (cost, len(pi))
+
+
 def test_shift_within_window_fully_warped():
     # an on-pulse shifted by 2 steps, off at both ends: a +-3 band absorbs it
     base = np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
@@ -182,8 +194,9 @@ def test_profile_step_mismatch_rejected():
         compute_ape(a, b, 0.0)
 
 
-def test_checkpointed_traceback_long_sequence():
-    # longer than the checkpoint interval: exercises block recomputation
+def test_traceback_long_sequence():
+    # dense i.i.d. bits: one stripe per run, and a traceback over thousands
+    # of short segments
     rng = np.random.default_rng(31)
     n = 5000
     a = rng.random(n) < 0.5
