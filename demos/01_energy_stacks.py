@@ -23,7 +23,7 @@ trace_x, _, app_x, cfg = build_experiment(plan, trace, None, app,
                                           SimConfig(dt_quiescent=0.2))
 
 result = simulate(trace_x, None, EssConfig(), app_x, cfg)
-led = result.stack.ledger
+led = result.ledger
 
 print(f"TOF on a 2-day synthetic trace "
       f"(panel scale {s_i:g}, storage {EssConfig().storage.capacitance} F)")

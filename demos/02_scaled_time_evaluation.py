@@ -62,7 +62,7 @@ for mode in ("st_up", "st_sp", "st_sp_sn"):
     print(f"  {mode:9s} predicted={predicted:8.0f} B  "
           f"thr_err={err:6.1%}  dtw_ape={ape.epsilon:6.2%}  "
           f"wall_speedup={speedup:4.1f}x  "
-          f"residual={res.stack.ledger.storage_residual:6.3f} J")
+          f"residual={res.ledger.storage_residual:6.3f} J")
 print("\nUnscaled power keeps the slow charge/discharge times of the "
       "real-time run inside a compressed trace: stretched back to the "
       "real-time axis, its activity profile is visibly distorted (high "

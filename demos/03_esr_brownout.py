@@ -32,7 +32,7 @@ def run(buffer_capacitance):
 
 for label, buf in (("no buffer", 0.0), ("400 uF ceramic buffer", 400e-6)):
     res = run(buf)
-    sss = res.stack.ledger.sss_by_activity
+    sss = res.ledger.sss_by_activity
     peak_current = app.p_sample / 0.85 / 2.0
     print(f"{label} (worst-case dip ~ {6.9 * peak_current:.2f} V):")
     print(f"  throughput        {res.throughput_bytes:8d} B")

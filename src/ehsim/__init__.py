@@ -15,8 +15,8 @@ from .ess import (EfficiencyCurve, HarvesterModel, MpptModel, StorageModel,
                   mppt_step, storage_step, residual_energy)
 from .app import (AppSpec, AppState, ActivityProfile, app_step,
                   apply_frequency_scaling, preset, PRESETS)
-from .engine import (SimConfig, EnergyLedger, EnergyStack, EnergyStackProfile,
-                     SimResult, simulate, finalize_stack)
+from .engine import (SimConfig, EnergyLedger, EnergyStackProfile, SimResult,
+                     simulate, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
                       build_experiment, predict_throughput, rescale_timeline)

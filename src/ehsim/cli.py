@@ -55,7 +55,7 @@ def _profile_from_dict(d: dict) -> PowerProfile:
                         p_idle_avg=d["p_idle_avg_w"],
                         t_active=d["t_active_s"],
                         t_app_period=d["t_app_period_s"],
-                        theta_profiling=int(d["theta_profiling_bytes"]),
+                        theta_profiling=d["theta_profiling_bytes"],
                         t_profiling=d["t_profiling_s"])
 
 
@@ -103,12 +103,11 @@ def _resolve_plan(cfg: HarnessConfig, app: AppSpec, s_i: float,
                         binding=binding), profile)
 
 
-def _run_experiment(trace, events, ess, app, sim_cfg, plan: ScalingPlan,
-                    config_hash: str) -> SimResult:
+def _run_experiment(trace, events, ess, app, sim_cfg,
+                    plan: ScalingPlan) -> SimResult:
     trace_x, events_x, app_x, sim_x = build_experiment(plan, trace, events,
                                                        app, sim_cfg)
-    return simulate(trace_x, events_x, ess, app_x, sim_x,
-                    config_hash=config_hash)
+    return simulate(trace_x, events_x, ess, app_x, sim_x)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -133,11 +132,11 @@ def cmd_simulate(args) -> int:
     app, s_i = build_app(cfg)
     sim_cfg = build_sim(cfg)
     plan, profile = _resolve_plan(cfg, app, s_i, args.mode)
-    result = _run_experiment(trace, events, ess, app, sim_cfg, plan, cfg.hash)
+    result = _run_experiment(trace, events, ess, app, sim_cfg, plan)
     out = args.out or "out"
-    save_result(result, out)
+    save_result(result, out, cfg.hash)
     _write_plan(out, plan, profile, cfg.hash)
-    led = result.stack.ledger
+    led = result.ledger
     print(f"simulate[{plan.mode}] throughput={result.throughput_bytes}B "
           f"harvest={led.harvest_input:.3f}J sss={led.sss_total:.3f}J "
           f"residual={led.storage_residual:.3f}J "
@@ -205,8 +204,8 @@ def cmd_compare(args) -> int:
                     "n_total": ape_raw.n_total},
         "ape_dtw": {"epsilon": ape_dtw.epsilon, "n_diff": ape_dtw.n_diff,
                     "n_total": ape_dtw.n_total, "window_s": window},
-        "baseline_residual_j": baseline.stack.ledger.storage_residual,
-        "scaled_residual_j": scaled.stack.ledger.storage_residual,
+        "baseline_residual_j": baseline.ledger.storage_residual,
+        "scaled_residual_j": scaled.ledger.storage_residual,
     })
     spans = np.asarray(spans, dtype=float).reshape(-1, 2)
     _write_csvs([(os.path.join(out, "mismatch_spans.csv"),
@@ -225,8 +224,8 @@ def _sweep_cell(payload) -> dict:
         ess_cell = replace(ess, storage=replace(ess.storage, capacitance=cap))
         plan_cell = replace(plan, s_i=s_i)
         result = _run_experiment(trace, events, ess_cell, app, sim_cfg,
-                                 plan_cell, cfg_hash)
-        save_result(result, out_dir)
+                                 plan_cell)
+        save_result(result, out_dir, cfg_hash)
         offered = max(result.events_offered, 1)
         predicted = predict_throughput(plan_cell, result, profile)
         return {
@@ -237,7 +236,7 @@ def _sweep_cell(payload) -> dict:
             "detection_fraction": result.events_detected_at_event / offered,
             "throughput_bytes": result.throughput_bytes,
             "predicted_rt_throughput_bytes": predicted,
-            "storage_residual_j": result.stack.ledger.storage_residual,
+            "storage_residual_j": result.ledger.storage_residual,
         }
     except Exception as exc:  # cell failures stay isolated
         return {"capacitance_f": cap, "s_i": s_i, "status": "error",
@@ -301,7 +300,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stacks(args) -> int:
     result = load_result(args.result)
-    led = result.stack.ledger
+    led = result.ledger
     rows = [("harvest_input", led.harvest_input),
             ("initial_storage", led.initial_storage),
             ("mppt_loss", led.mppt_loss),

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .app import AppSpec, PRESETS, preset, preset_irradiance_scale
-from .engine import (EnergyLedger, EnergyStack, EnergyStackProfile, RunStats,
-                     SimConfig, SimResult, ConfigError, LEDGER_ACTIVITIES)
+from .engine import (EnergyLedger, EnergyStackProfile, RunStats, SimConfig,
+                     SimResult, ConfigError, LEDGER_ACTIVITIES)
 from .app import ActivityProfile, PHASES
 from .ess import (ConverterModel, EfficiencyCurve, EssConfig, HarvesterModel,
                   MpptModel, StorageModel)
@@ -311,9 +311,11 @@ def _write_npy(out_dir: str, name: str, columns) -> None:
             fh.write(col.data)
 
 
-def save_result(result: SimResult, out_dir: str) -> None:
+def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
     """Write the result files: JSON scalars/stack, ``.npy`` tables, CSV views.
 
+    ``config_hash`` is the provenance ``result.json`` records: the hash of
+    the config that produced the run (:attr:`HarnessConfig.hash`).
     ``result.json`` is byte-stable for identical runs; wall-clock metadata
     (the run's and ``save_s``, the time spent writing these files) and the
     step loop's :class:`~ehsim.engine.RunStats` go to ``run_meta.json``,
@@ -324,8 +326,7 @@ def save_result(result: SimResult, out_dir: str) -> None:
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     payload = {
-        "config_hash": result.stack.config_hash,
-        "run_id": result.stack.run_id,
+        "config_hash": config_hash,
         "duration_s": result.duration_s,
         "step_len": result.activity.step_len,
         "throughput_bytes": result.throughput_bytes,
@@ -339,7 +340,7 @@ def save_result(result: SimResult, out_dir: str) -> None:
         },
         "final": {"v_cap": result.v_cap_final,
                   "converter_on": result.converter_on_final},
-        "stack": result.stack.as_dict(),
+        "stack": result.ledger.as_dict(),
     }
     with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -396,7 +397,8 @@ def load_result(out_dir: str) -> SimResult:
     """Reconstruct a result exactly from ``result.json`` and its ``.npy`` tables.
 
     The run's stats come from ``run_meta.json`` when it holds them; the
-    wall time is not read back. Raises :class:`ConfigError`, naming the
+    wall time and the config hash are not read back, nor is the ``run_id``
+    key of older files. Raises :class:`ConfigError`, naming the
     file, for a missing or malformed table.
     """
     json_path = os.path.join(out_dir, "result.json")
@@ -419,10 +421,6 @@ def load_result(out_dir: str) -> SimResult:
         sss_by_activity={k: stack_d["sss_by_activity_j"].get(k, 0.0)
                          for k in LEDGER_ACTIVITIES},
     )
-    stack = EnergyStack(ledger=ledger, duration_s=payload["duration_s"],
-                        run_id=payload.get("run_id", ""),
-                        config_hash=payload.get("config_hash", ""))
-
     prof = _load_npy(out_dir, "profile")
     act = _load_npy(out_dir, "activity")
     volt = _load_npy(out_dir, "voltage")
@@ -443,7 +441,7 @@ def load_result(out_dir: str) -> SimResult:
     activity = ActivityProfile(step_len=step, on_off=on, labels=labels)
 
     return SimResult(
-        stack=stack, profile=profile, activity=activity,
+        ledger=ledger, profile=profile, activity=activity,
         throughput_bytes=int(payload["throughput_bytes"]),
         boots=int(payload["boots"]),
         events_offered=int(payload["events"]["offered"]),

@@ -58,7 +58,6 @@ from .traces import EventTrace, IrradianceTrace
 __all__ = [
     "SimConfig",
     "EnergyLedger",
-    "EnergyStack",
     "EnergyStackProfile",
     "SimResult",
     "RunStats",
@@ -127,7 +126,8 @@ class SimConfig:
 
 @dataclass
 class EnergyLedger:
-    """Cumulative per-category energy bookkeeping in joules."""
+    """Cumulative per-category energy bookkeeping in joules: the whole-run
+    energy stack."""
 
     harvest_input: float = 0.0
     mppt_loss: float = 0.0
@@ -157,29 +157,18 @@ class EnergyLedger:
                 - self.mppt_loss - self.storage_loss - self.storage_residual
                 - self.converter_loss - self.sss_total)
 
-
-@dataclass(frozen=True)
-class EnergyStack:
-    """Whole-run energy breakdown with provenance metadata."""
-
-    ledger: EnergyLedger
-    duration_s: float
-    run_id: str = ""
-    config_hash: str = ""
-
     def as_dict(self) -> dict:
-        led = self.ledger
         return {
-            "harvest_input_j": led.harvest_input,
-            "initial_storage_j": led.initial_storage,
-            "mppt_loss_j": led.mppt_loss,
-            "storage_loss_j": led.storage_loss,
-            "storage_loss_leak_j": led.storage_loss_leak,
-            "storage_loss_esr_j": led.storage_loss_esr,
-            "storage_residual_j": led.storage_residual,
-            "converter_loss_j": led.converter_loss,
-            "sss_by_activity_j": dict(led.sss_by_activity),
-            "closure_error_j": led.closure_error(),
+            "harvest_input_j": self.harvest_input,
+            "initial_storage_j": self.initial_storage,
+            "mppt_loss_j": self.mppt_loss,
+            "storage_loss_j": self.storage_loss,
+            "storage_loss_leak_j": self.storage_loss_leak,
+            "storage_loss_esr_j": self.storage_loss_esr,
+            "storage_residual_j": self.storage_residual,
+            "converter_loss_j": self.converter_loss,
+            "sss_by_activity_j": dict(self.sss_by_activity),
+            "closure_error_j": self.closure_error(),
         }
 
 
@@ -222,9 +211,14 @@ class RunStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Everything one run produces."""
+    """Everything one run produces.
 
-    stack: EnergyStack
+    ``ledger`` is the whole-run energy stack; ``duration_s`` is the run's
+    simulated span, drain included. Provenance, such as the config hash, is
+    the result file's business (:func:`ehsim.config.save_result`).
+    """
+
+    ledger: EnergyLedger
     profile: EnergyStackProfile
     activity: ActivityProfile
     throughput_bytes: int
@@ -244,11 +238,9 @@ class SimResult:
     stats: RunStats
 
 
-def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
-                   converter_on_final: bool, storage, *,
+def finalize_stack(ledger: EnergyLedger, v_cap_final: float, storage, *,
                    v_bus_final: float | None = None,
-                   duration_s: float = 0.0, run_id: str = "",
-                   config_hash: str = "", tolerance: float = 1e-3) -> EnergyStack:
+                   tolerance: float = 1e-3) -> None:
     """Book the stranded storage energy and re-validate ledger closure.
 
     The residual is the main capacitor's half-C-V-squared at the final
@@ -268,8 +260,6 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float,
         raise ClosureError(
             f"energy ledger closure error {err:.3e} J exceeds "
             f"{tolerance:.1e} of input {scale:.3e} J")
-    return EnergyStack(ledger=ledger, duration_s=duration_s,
-                       run_id=run_id, config_hash=config_hash)
 
 
 class _Bins:
@@ -312,8 +302,7 @@ def _resolution_guard(app: AppSpec, cfg: SimConfig) -> None:
 
 
 def simulate(trace: IrradianceTrace, events: EventTrace | None,
-             ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
-             *, run_id: str = "", config_hash: str = "") -> SimResult:
+             ess: EssConfig | None, app: AppSpec, cfg: SimConfig) -> SimResult:
     """Run one deterministic simulation over the trace.
 
     With ``cfg.supply_override`` set, an ideal source at that voltage
@@ -330,13 +319,12 @@ def simulate(trace: IrradianceTrace, events: EventTrace | None,
             events.t[0] < trace.t[0] - 1e-9 or events.t[-1] > trace.t[-1] + 1e-9):
         raise ConfigError("event times must lie within the trace span")
     t_wall0 = time.perf_counter()
-    result = _run_full(trace, events, ess, app, cfg, run_id, config_hash)
+    result = _run_full(trace, events, ess, app, cfg)
     return replace(result, wall_time_s=time.perf_counter() - t_wall0)
 
 
 def _run_full(trace: IrradianceTrace, events: EventTrace | None,
-              ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
-              run_id: str, config_hash: str) -> SimResult:
+              ess: EssConfig | None, app: AppSpec, cfg: SimConfig) -> SimResult:
     # Profiling: an ideal source pins the bus at the supply voltage and
     # feeds the load through a lossless converter that never switches off.
     ideal = cfg.supply_override is not None
@@ -733,10 +721,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     # An ideal source stores nothing, so it strands nothing.
     v_left, v_bus_left = (0.0, 0.0) if ideal else (v_cap, v_bus)
-    stack = finalize_stack(ledger, v_left, conv_on, sto, v_bus_final=v_bus_left,
-                           duration_s=t - t0, run_id=run_id,
-                           config_hash=config_hash)
-    return _package(stack, bins, app_state, total_bytes, observed_total,
+    finalize_stack(ledger, v_left, sto, v_bus_final=v_bus_left)
+    return _package(ledger, bins, app_state, total_bytes, observed_total,
                     detected_at_event, on_time, t - t0, v_cap, conv_on,
                     event_log, agg,
                     stats=RunStats(n_steps, n_spans, n_span_bins))
@@ -1090,12 +1076,13 @@ def _write_dark_rows(bins: _Bins, lo: int, socs: list, volts: list) -> None:
     bins.sdelta[nz] = -soc
 
 
-def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,
+def _package(ledger: EnergyLedger, bins: _Bins, app_state: AppState,
              total_bytes: int, observed_total: int, detected_at_event: int,
              on_time: float, duration: float, v_cap: float, conv_on: bool,
              event_log: list, agg: float,
              stats: RunStats = RunStats()) -> SimResult:
     # The step-loop oracle of the differential tests passes no stats.
+    # The bin columns are handed out as views: nothing else holds them.
     n = bins.n
     # Bin k starts at k agg and its voltage is sampled at (k + 1) agg;
     # built in place, with no integer temporary.
@@ -1106,19 +1093,19 @@ def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,
     profile = EnergyStackProfile(
         step_len=agg,
         t_start=t_start,
-        harvest=bins.harvest[:n].copy(),
-        mppt_loss=bins.mppt[:n].copy(),
-        converter_loss=bins.conv[:n].copy(),
-        soc_energy=bins.soc[:n].copy(),
-        sensor_energy=bins.sensor[:n].copy(),
-        storage_delta=bins.sdelta[:n].copy(),
+        harvest=bins.harvest[:n],
+        mppt_loss=bins.mppt[:n],
+        converter_loss=bins.conv[:n],
+        soc_energy=bins.soc[:n],
+        sensor_energy=bins.sensor[:n],
+        storage_delta=bins.sdelta[:n],
     )
     activity = ActivityProfile(step_len=agg,
                                on_off=bins.on_s[:n] >= 0.5 * agg,
-                               labels=bins.labels[:n].copy())
+                               labels=bins.labels[:n])
     log = np.asarray(event_log, dtype=float).reshape(-1, 2)
     return SimResult(
-        stack=stack,
+        ledger=ledger,
         profile=profile,
         activity=activity,
         throughput_bytes=total_bytes,
@@ -1133,7 +1120,7 @@ def _package(stack: EnergyStack, bins: _Bins, app_state: AppState,
         v_cap_final=v_cap,
         converter_on_final=conv_on,
         voltage_t=volt_t,
-        voltage_v=bins.volt_v[:n].copy(),
+        voltage_v=bins.volt_v[:n],
         event_log=log,
         stats=stats,
     )

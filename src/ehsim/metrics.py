@@ -330,14 +330,8 @@ def compute_ape(a, b, window: float = 0.0) -> ApeReport:
         n_diff = int(np.count_nonzero(x != y))
         n_total = len(x)
     else:
-        r = _radius(window, step, len(x))
-        if np.array_equal(x, y):
-            # identical profiles align on the diagonal with zero cost
-            n_diff, n_total = 0, len(x)
-        else:
-            pi, pj, cost = dtw_path(x, y, r)
-            n_diff = cost
-            n_total = len(pi)
+        pi, _, n_diff = dtw_path(x, y, _radius(window, step, len(x)))
+        n_total = len(pi)
     return ApeReport(epsilon=n_diff / n_total, n_diff=n_diff,
                      n_total=n_total, dtw_window=window)
 

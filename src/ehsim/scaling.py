@@ -22,6 +22,7 @@ map results back to the real-time axis and predict real-time throughput.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,8 +64,8 @@ class PowerProfile:
 
     ``p_active_avg`` is the energy of sampling+processing and communication
     tasks divided by total profiling time; ``p_idle_avg`` likewise for the
-    sleep share. ``theta_profiling`` bytes were produced over
-    ``t_profiling`` seconds.
+    sleep share. ``theta_profiling`` bytes, a whole number kept as
+    ``int``, were produced over ``t_profiling`` seconds.
     """
 
     p_active_avg: float
@@ -85,6 +86,12 @@ class PowerProfile:
                             "period t_app_period, which must be finite")
         if not 0 < self.t_profiling < math.inf:
             raise PlanError("t_profiling must be a finite time > 0")
+        theta = self.theta_profiling
+        if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+                or not (0 <= theta < math.inf and theta == math.floor(theta))):
+            raise PlanError(f"theta_profiling must be a whole number of "
+                            f"bytes >= 0; got {theta!r}")
+        object.__setattr__(self, "theta_profiling", int(theta))
 
 
 @dataclass(frozen=True)
@@ -122,26 +129,23 @@ class ScalingPlan:
 
 
 def profile_application(app: AppSpec, duration: float = 3600.0, *,
-                        supply_v: float = 3.3,
-                        aggregation_step: float = 0.2) -> PowerProfile:
+                        supply_v: float = 3.3) -> PowerProfile:
     """Profile the application at a constant supply voltage.
 
     Runs the engine on an ideal source at ``supply_v`` in place of the
-    supply chain and extracts the average active and idle power, the timing
-    parameters, and the produced throughput. ``duration`` must cover at
-    least one application period.
+    supply chain, over ``duration`` seconds in 0.2 s bins (an ideal-source
+    run stops at the trace end), and extracts the average active and idle
+    power, the timing parameters, and the produced throughput. ``duration``
+    must cover at least one application period.
     """
     if duration < app.t_app_period:
         raise PlanError(
             f"profiling duration {duration:g} s is below one application "
             f"period ({app.t_app_period:g} s)")
     trace = IrradianceTrace(t=np.array([0.0, duration]), g=np.array([0.0, 0.0]))
-    cfg = SimConfig(supply_override=supply_v,
-                    aggregation_step=aggregation_step,
-                    dt_quiescent=aggregation_step,
-                    end_policy="hard_stop")
+    cfg = SimConfig(supply_override=supply_v, dt_quiescent=0.2)
     result = simulate(trace, None, None, app, cfg)
-    sss = result.stack.ledger.sss_by_activity
+    sss = result.ledger.sss_by_activity
     e_active = sss["sampling_processing"] + sss["communicating"]
     return PowerProfile(
         p_active_avg=e_active / duration,
@@ -281,8 +285,9 @@ def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
 
     Every time step is stretched by ``s_tp``; activity and stack profiles
     are re-binned onto the standard grid on the real-time axis (energies
-    redistributed conservatively, on/off by majority overlap) and the
-    voltage series is re-timed.
+    redistributed conservatively, on/off by majority overlap), the voltage
+    series is re-timed and the duration stretched. The whole-run ledger is
+    kept as it is.
     """
     _check_s_tp(s_tp)
     if s_tp == 1.0:
@@ -303,13 +308,11 @@ def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
     profile = EnergyStackProfile(step_len=prof.step_len,
                                  t_start=np.arange(n_out) * prof.step_len,
                                  **energies)
-    duration = result.duration_s * s_tp
     return replace(
         result,
         activity=activity,
         profile=profile,
-        duration_s=duration,
-        stack=replace(result.stack, duration_s=duration),
+        duration_s=result.duration_s * s_tp,
         on_time_s=result.on_time_s * s_tp,
         voltage_t=result.voltage_t * s_tp,
         event_log=(result.event_log * np.array([s_tp, 1.0])

@@ -19,17 +19,16 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def save_result(result: SimResult, out_dir: str) -> None:
+def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
     """Write the result files: JSON scalars/stack plus CSV companions.
 
     ``result.json`` is byte-stable for identical runs; wall-clock metadata
     goes to ``run_meta.json`` so hashes and diffs stay meaningful.
     """
     os.makedirs(out_dir, exist_ok=True)
-    led = result.stack.ledger
+    led = result.ledger
     payload = {
-        "config_hash": result.stack.config_hash,
-        "run_id": result.stack.run_id,
+        "config_hash": config_hash,
         "duration_s": result.duration_s,
         "throughput_bytes": result.throughput_bytes,
         "on_time_s": result.on_time_s,
@@ -42,7 +41,7 @@ def save_result(result: SimResult, out_dir: str) -> None:
         },
         "final": {"v_cap": result.v_cap_final,
                   "converter_on": result.converter_on_final},
-        "stack": result.stack.as_dict(),
+        "stack": result.ledger.as_dict(),
     }
     with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -58,21 +58,19 @@ def find_dark_segments(trace: IrradianceTrace,
 
 
 def simulate(trace: IrradianceTrace, events: EventTrace | None,
-             ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
-             *, run_id: str = "", config_hash: str = "") -> SimResult:
+             ess: EssConfig | None, app: AppSpec, cfg: SimConfig) -> SimResult:
     """``ehsim.engine.simulate`` with the oracle step loop."""
     _resolution_guard(app, cfg)
     if events is not None and len(events.t) and (
             events.t[0] < trace.t[0] - 1e-9 or events.t[-1] > trace.t[-1] + 1e-9):
         raise ConfigError("event times must lie within the trace span")
     t_wall0 = time.perf_counter()
-    result = _run_full(trace, events, ess, app, cfg, run_id, config_hash)
+    result = _run_full(trace, events, ess, app, cfg)
     return replace(result, wall_time_s=time.perf_counter() - t_wall0)
 
 
 def _run_full(trace: IrradianceTrace, events: EventTrace | None,
-              ess: EssConfig | None, app: AppSpec, cfg: SimConfig,
-              run_id: str, config_hash: str) -> SimResult:
+              ess: EssConfig | None, app: AppSpec, cfg: SimConfig) -> SimResult:
     # Profiling: an ideal source pins the bus at the supply voltage and
     # feeds the load through a lossless converter that never switches off.
     ideal = cfg.supply_override is not None
@@ -397,10 +395,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
     # An ideal source stores nothing, so it strands nothing.
     v_left, v_bus_left = (0.0, 0.0) if ideal else (v_cap, v_bus)
-    stack = finalize_stack(ledger, v_left, conv_on, sto, v_bus_final=v_bus_left,
-                           duration_s=t - t0, run_id=run_id,
-                           config_hash=config_hash)
-    return _package(stack, bins, app_state, total_bytes, observed_total,
+    finalize_stack(ledger, v_left, sto, v_bus_final=v_bus_left)
+    return _package(ledger, bins, app_state, total_bytes, observed_total,
                     detected_at_event, on_time, t - t0, v_cap, conv_on,
                     event_log, agg)
 

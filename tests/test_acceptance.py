@@ -85,7 +85,7 @@ def test_criterion_1_energy_closure_randomized():
                         else "drain_until_converter_off"),
             max_extension_s=900.0)
         res = simulate(trace, None, ess, app, cfg)
-        led = res.stack.ledger
+        led = res.ledger
         err = abs(led.closure_error())
         assert err <= 1e-3 * led.harvest_input + 1e-9, (k, err)
         worst = max(worst, err / max(led.harvest_input, 1e-9))
@@ -247,8 +247,8 @@ def test_criterion_5_unscaled_power_error_trend():
                               baseline.throughput_bytes)
     err_up = throughput_error(predict_throughput(up_plan, up, prof),
                               baseline.throughput_bytes)
-    res_up = up.stack.ledger.storage_residual
-    res_base = baseline.stack.ledger.storage_residual
+    res_up = up.ledger.storage_residual
+    res_base = baseline.ledger.storage_residual
     assert err_up >= 2.0 * err_sp, (err_up, err_sp)
     assert res_up > res_base
     report(5, "unscaled-power trend",
@@ -407,8 +407,8 @@ def test_criterion_8_esr_brownout_case_study():
 
     broken = run(0.0)
     fixed = run(400e-6)
-    sens_broken = broken.stack.ledger.sss_by_activity["sampling_processing"]
-    comm_broken = broken.stack.ledger.sss_by_activity["communicating"]
+    sens_broken = broken.ledger.sss_by_activity["sampling_processing"]
+    comm_broken = broken.ledger.sss_by_activity["communicating"]
     # failure signature: sensor-phase energy accrues without completions
     assert sens_broken > 1.0
     assert comm_broken == 0.0

@@ -108,11 +108,9 @@ def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path,
                                       res.activity.labels[:0]),
         profile=EnergyStackProfile(0.5, *(np.empty(0) for _ in range(7))),
         voltage_t=np.empty(0), voltage_v=np.empty(0))
-    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart,
-    # and the stack carries the one stretched duration result.json stores.
+    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart.
     rescaled = rescale_timeline(res, 4.0)
     assert rescaled.voltage_t[0] == 2.0
-    assert rescaled.stack.duration_s == rescaled.duration_s
     for name, r in (("one", res), ("empty", empty), ("rescaled", rescaled)):
         save_result(r, str(tmp_path / name))
         back = load_result(str(tmp_path / name))
@@ -141,11 +139,10 @@ def test_load_result_inverts_save_result_bit_for_bit(one_row_result, n, n_ev,
         return rng.choice(np.asarray(SPECIAL + pool, dtype=float), size=k)
 
     res = one_row_result
-    ledger = dataclasses.replace(res.stack.ledger, harvest_input=scalar,
+    ledger = dataclasses.replace(res.ledger, harvest_input=scalar,
                                  storage_residual=-scalar)
     r = dataclasses.replace(
-        res, stack=dataclasses.replace(res.stack, ledger=ledger,
-                                       duration_s=scalar),
+        res, ledger=ledger,
         profile=EnergyStackProfile(step, *(col(n) for _ in range(7))),
         activity=ActivityProfile(step, on_off=rng.random(n) < 0.5,
                                  labels=rng.integers(0, len(PHASES), n)),
@@ -331,6 +328,36 @@ def test_cmd_plan_rejects_a_nan_profile_field(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("theta", [-5, 1.5, math.nan])
+def test_cmd_plan_rejects_a_malformed_theta_profiling(tmp_path, capsys, theta):
+    cfg = write_fixture_config(tmp_path)
+    profile = {"p_active_avg_w": 2e-3, "p_idle_avg_w": 1e-4,
+               "t_active_s": 1.0, "t_app_period_s": 20.0,
+               "theta_profiling_bytes": theta, "t_profiling_s": 3600.0}
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--profile", str(tmp_path / "profile.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PlanError: ") and "theta_profiling" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_hash_reaches_every_result_file(tmp_path):
+    cfg = write_fixture_config(tmp_path)
+    want = load_config(str(cfg)).hash
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "s")]) == 0
+    assert main(["profile", "--config", str(cfg), "--out",
+                 str(tmp_path / "p")]) == 0
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "q"),
+                 "--profile", str(tmp_path / "p" / "profile.json")]) == 0
+    for path in ("s/result.json", "s/plan.json", "p/profile.json",
+                 "q/plan.json"):
+        payload = json.loads((tmp_path / path).read_text())
+        assert payload["config_hash"] == want, path
+    assert "run_id" not in (tmp_path / "s" / "result.json").read_text()
+
+
 def test_cmd_compare_self_is_zero_error(tmp_path):
     cfg = write_fixture_config(tmp_path)
     out = tmp_path / "base"
@@ -393,6 +420,14 @@ def test_cmd_sweep_worker_count_invariant(tmp_path):
                  "--workers", "2"]) == 0
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
+    # Each cell's result file records the config hash, whichever process
+    # wrote it.
+    want = load_config(str(cfg)).hash
+    for out in (out1, out2):
+        cells = sorted(out.glob("cell_*/result.json"))
+        assert len(cells) == 4
+        for path in cells:
+            assert json.loads(path.read_text())["config_hash"] == want, path
 
 
 def test_cmd_sweep_isolates_cell_failures(tmp_path, capsys):

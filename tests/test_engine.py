@@ -41,7 +41,7 @@ def test_zero_irradiance_never_turns_on():
     res = simulate(tr, None, ess, small_app(), SimConfig(dt_quiescent=0.2))
     assert res.throughput_bytes == 0
     assert res.boots == 0
-    led = res.stack.ledger
+    led = res.ledger
     assert led.harvest_input == 0.0
     sss = led.sss_by_activity
     assert sss["off"] > 0.0
@@ -120,7 +120,7 @@ def test_constant_supply_reactive_run_matches_recorded(end_policy):
     labels = np.full(9000, PHASE_INDEX["idle"])
     labels[0] = PHASE_INDEX["communicating"]  # boot, sample, event report
     np.testing.assert_array_equal(res.activity.labels, labels)
-    assert res.stack.ledger.sss_by_activity == {
+    assert res.ledger.sss_by_activity == {
         "off": 0.0, "boot": 0.0004, "sampling_processing": 0.019200000000000002,
         "communicating": 0.005999999999999999, "backup_restore": 0.0,
         "idle": 0.009501847046999608}
@@ -131,7 +131,7 @@ def test_constant_supply_ledger_closes_on_the_source_energy():
     cfg = SimConfig(supply_override=3.3, dt_quiescent=0.2,
                     end_policy="hard_stop")
     res = simulate(tr, None, None, preset("TMP1"), cfg)
-    led = res.stack.ledger
+    led = res.ledger
     # the source delivers exactly what the application consumes
     assert led.sss_total > 9.0
     assert abs(led.closure_error()) <= 1e-12 * led.sss_total
@@ -145,7 +145,7 @@ def test_constant_supply_ledger_closes_on_the_source_energy():
     lossy = EssConfig(storage=StorageModel(capacitance=0.1, esr=3.0,
                                            leak_resistance=1e3, v_init=0.0))
     again = simulate(tr, None, lossy, preset("TMP1"), cfg)
-    assert again.stack.as_dict() == res.stack.as_dict()
+    assert again.ledger.as_dict() == res.ledger.as_dict()
     np.testing.assert_array_equal(again.profile.harvest, prof.harvest)
 
 
@@ -153,7 +153,7 @@ def test_ideal_configuration_conserves_energy():
     tr = synthetic_solar_trace(days=1, peak=8.0, cadence_s=300)
     ess = EssConfig.ideal(capacitance=1.0, k_mpp=1e-4)
     res = simulate(tr, None, ess, small_app(), SimConfig(dt_quiescent=0.2))
-    led = res.stack.ledger
+    led = res.ledger
     assert led.mppt_loss == 0.0
     assert led.storage_loss == 0.0
     assert led.converter_loss <= 1e-9  # floating-point wobble only
@@ -172,7 +172,7 @@ def test_determinism_bit_identical():
     a = simulate(tr, ev, ess, app, cfg)
     b = simulate(tr, ev, ess, app, cfg)
     assert a.throughput_bytes == b.throughput_bytes
-    assert a.stack.ledger.closure_error() == b.stack.ledger.closure_error()
+    assert a.ledger.closure_error() == b.ledger.closure_error()
     np.testing.assert_array_equal(a.voltage_v, b.voltage_v)
     np.testing.assert_array_equal(a.profile.storage_delta, b.profile.storage_delta)
     np.testing.assert_array_equal(a.activity.on_off, b.activity.on_off)
@@ -191,7 +191,7 @@ def test_multirate_matches_uniform_fine_stepping():
                     SimConfig(dt_active=1e-3, dt_quiescent=0.1))
     assert abs(fine.throughput_bytes - adap.throughput_bytes) \
         <= 0.01 * fine.throughput_bytes
-    lf, la = fine.stack.ledger, adap.stack.ledger
+    lf, la = fine.ledger, adap.ledger
     scale = lf.total_input()
     for field in ("harvest_input", "mppt_loss", "storage_loss_leak",
                   "storage_loss_esr", "converter_loss", "storage_residual"):
@@ -207,7 +207,7 @@ def test_aggregation_profile_matches_run_totals():
     ess = EssConfig(storage=StorageModel(capacitance=0.4, esr=0.8,
                                          leak_resistance=30e3))
     res = simulate(tr, None, ess, small_app(), SimConfig(dt_quiescent=0.2))
-    led = res.stack.ledger
+    led = res.ledger
     prof = res.profile
     tol = 1e-9 * max(led.total_input(), 1.0)
     assert abs(prof.harvest.sum() - led.harvest_input) <= tol
@@ -254,9 +254,9 @@ def test_skip_nights_all_dark_equals_leak_decay():
     skip = simulate(tr, None, ess, app, replace(cfg, skip_nights=True))
     assert skip.throughput_bytes == plain.throughput_bytes == 0
     assert abs(skip.v_cap_final - plain.v_cap_final) / plain.v_cap_final < 1e-3
-    assert abs(skip.stack.ledger.storage_loss_leak
-               - plain.stack.ledger.storage_loss_leak) \
-        <= 1e-3 * plain.stack.ledger.storage_loss_leak + 1e-9
+    assert abs(skip.ledger.storage_loss_leak
+               - plain.ledger.storage_loss_leak) \
+        <= 1e-3 * plain.ledger.storage_loss_leak + 1e-9
     assert len(skip.profile) == len(plain.profile)
 
 
@@ -285,7 +285,7 @@ def test_drain_policy_extends_until_converter_off():
     assert not drain.converter_on_final
     assert drain.v_cap_final < ess.converter.v_on
     # the drained run converts most stored energy into work instead of residual
-    assert drain.stack.ledger.storage_residual < hard.stack.ledger.storage_residual
+    assert drain.ledger.storage_residual < hard.ledger.storage_residual
 
 
 def test_undersupplied_run_books_large_residual():
@@ -295,7 +295,7 @@ def test_undersupplied_run_books_large_residual():
                     storage=StorageModel(capacitance=1.0, v_init=0.75,
                                          leak_resistance=1e6))
     res = simulate(tr, None, ess, small_app(), SimConfig(dt_quiescent=0.2))
-    led = res.stack.ledger
+    led = res.ledger
     assert res.throughput_bytes == 0
     assert res.v_cap_final < ess.converter.v_on
     assert led.storage_residual > 0.5 * led.total_input()
@@ -304,14 +304,14 @@ def test_undersupplied_run_books_large_residual():
 def test_finalize_residual_values_and_closure_guard():
     sto = StorageModel(capacitance=2.2, buffer_capacitance=0.0)
     led = EnergyLedger(harvest_input=9.251, initial_storage=0.0)
-    stack = finalize_stack(led, 2.9, False, sto)
-    assert stack.ledger.storage_residual == pytest.approx(9.251)
+    finalize_stack(led, 2.9, sto)
+    assert led.storage_residual == pytest.approx(9.251)
     led2 = EnergyLedger(harvest_input=0.0)
-    stack2 = finalize_stack(led2, 0.0, False, sto)
-    assert stack2.ledger.storage_residual == 0.0
+    finalize_stack(led2, 0.0, sto)
+    assert led2.storage_residual == 0.0
     bad = EnergyLedger(harvest_input=100.0)
     with pytest.raises(ClosureError):
-        finalize_stack(bad, 0.5, False, sto)
+        finalize_stack(bad, 0.5, sto)
 
 
 @pytest.mark.parametrize("ledger", [
@@ -323,7 +323,7 @@ def test_finalize_residual_values_and_closure_guard():
 def test_closure_guard_rejects_non_finite_ledger(ledger):
     sto = StorageModel(capacitance=2.2, buffer_capacitance=0.0)
     with pytest.raises(ClosureError):
-        finalize_stack(ledger, 0.0, False, sto)
+        finalize_stack(ledger, 0.0, sto)
 
 
 def test_resolution_guard_rejects_coarse_active_step():
@@ -424,10 +424,10 @@ def test_esr_free_buffer_saturation_curtails_as_mppt_loss():
                                              v_init=2.9,
                                              buffer_capacitance=cb))
         runs[esr, cb] = simulate(trace, None, ess, preset("TMP1"), cfg)
-    bare = runs[0.0, 0.0].stack.ledger
+    bare = runs[0.0, 0.0].ledger
     v_max = MpptModel().storage_v_max
     for key in ((0.0, 400e-6), (1e-6, 400e-6)):
-        led = runs[key].stack.ledger
+        led = runs[key].ledger
         assert led.converter_loss == pytest.approx(bare.converter_loss,
                                                    rel=1e-6), key
         assert led.mppt_loss == pytest.approx(bare.mppt_loss, rel=1e-9), key
@@ -535,7 +535,7 @@ def _result_digest(res):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
-    led = res.stack.ledger
+    led = res.ledger
     h.update(repr((res.throughput_bytes, res.boots, res.events_offered,
                    res.events_detected, res.events_detected_at_event,
                    res.events_observed)).encode())

@@ -136,7 +136,7 @@ def assert_matches_oracle(new, old):
 
 
 def ledger_values(res):
-    led = res.stack.ledger
+    led = res.ledger
     return {**{f: getattr(led, f) for f in LEDGER_FIELDS},
             **led.sss_by_activity}
 
@@ -148,12 +148,12 @@ def assert_ledger_close(new, old, slack=0.0, spread=None):
     """
     vn, vo = ledger_values(new), ledger_values(old)
     vs = ledger_values(spread) if spread is not None else vo
-    scale = old.stack.ledger.total_input()
+    scale = old.ledger.total_input()
     for name in vo:
         tol = (max(0.01 * abs(vo[name]), 2e-3 * scale) + slack
                + 2 * abs(vs[name] - vo[name]))
         assert abs(vn[name] - vo[name]) <= tol, name
-    assert abs(new.stack.ledger.closure_error()) <= 1e-9 * max(scale, 1.0)
+    assert abs(new.ledger.closure_error()) <= 1e-9 * max(scale, 1.0)
 
 
 @pytest.mark.parametrize("mode", ["realtime", "st_sp", "st_sp_sn"])
@@ -196,7 +196,7 @@ def test_brownout_cycle_matches_oracle_within_its_own_sensitivity():
                          compute_ape(nudged.activity, old.activity, 0.0).epsilon)
     assert spread_boots >= 1 and spread_ape > 1e-3
     assert new.throughput_bytes == old.throughput_bytes == 0
-    assert new.stack.ledger.sss_by_activity["communicating"] == 0.0
+    assert new.ledger.sss_by_activity["communicating"] == 0.0
     assert abs(new.boots - old.boots) <= 2 * spread_boots
     assert compute_ape(new.activity, old.activity, 0.0).epsilon \
         <= 2 * spread_ape

@@ -238,7 +238,7 @@ def test_converter_draw_arithmetic():
     app = preset("TMP1")
     res = simulate(trace, None, ess, app,
                    SimConfig(dt_quiescent=0.2, end_policy="hard_stop"))
-    led = res.stack.ledger
+    led = res.ledger
     load = led.sss_total - led.sss_by_activity["off"]
     assert res.boots == 1 and load > 0.1
     assert led.converter_loss == pytest.approx(0.25 * load, rel=1e-9)

@@ -71,9 +71,21 @@ def test_profile_requires_one_period():
         profile_application(preset("TMP1"), 1.0)
 
 
-def hand_profile(pa=2e-3, pi=1e-4, ta=1.0, T=20.0):
+@pytest.mark.parametrize("theta", [-5, 1.5, math.nan, math.inf, True, "12"])
+def test_power_profile_rejects_a_malformed_theta(theta):
+    with pytest.raises(PlanError, match="theta_profiling"):
+        hand_profile(theta=theta)
+
+
+def test_power_profile_stores_a_whole_theta_as_int():
+    for theta in (1200, 1200.0, np.int64(1200), np.float64(1200.0)):
+        stored = hand_profile(theta=theta).theta_profiling
+        assert type(stored) is int and stored == 1200
+
+
+def hand_profile(pa=2e-3, pi=1e-4, ta=1.0, T=20.0, theta=1200):
     return PowerProfile(p_active_avg=pa, p_idle_avg=pi, t_active=ta,
-                        t_app_period=T, theta_profiling=1200,
+                        t_app_period=T, theta_profiling=theta,
                         t_profiling=3600.0)
 
 
@@ -319,7 +331,7 @@ def test_st_sp_sn_plan_equals_run_with_skip_nights():
     tr_x, _, app_x, cfg_x = build_experiment(plan, trace, None, app, cfg)
     via_plan = simulate(tr_x, None, ess, app_x, cfg_x)
     direct = simulate(tr_x, None, ess, app_x, replace(cfg, skip_nights=True))
-    assert via_plan.stack.as_dict() == direct.stack.as_dict()
+    assert via_plan.ledger.as_dict() == direct.ledger.as_dict()
     for name in ("throughput_bytes", "boots", "on_time_s", "duration_s",
                  "v_cap_final", "converter_on_final"):
         assert getattr(via_plan, name) == getattr(direct, name), name
