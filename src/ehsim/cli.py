@@ -9,6 +9,7 @@ reproducible and diffable. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -278,10 +279,13 @@ def cmd_sweep(args) -> int:
               "detected_at_event", "detected_at_next_sample",
               "detection_fraction", "throughput_bytes",
               "predicted_rt_throughput_bytes", "storage_residual_j", "error"]
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(f, "")) for f in fields) + "\n")
+    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8",
+              newline="") as fh:
+        # Minimal quoting: only a field holding a comma, quote or newline
+        # (an error message) is quoted.
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([str(row.get(f, "")) for f in fields] for row in rows)
     with open(os.path.join(out, "heatmap.csv"), "w", encoding="utf-8") as fh:
         fh.write("capacitance_f\\s_i," + ",".join(f"{s:g}" for s in sis) + "\n")
         it = iter(rows)

@@ -10,6 +10,7 @@ they round-trip through serialization losslessly.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import json
 import math
@@ -193,9 +194,138 @@ def load_events(cfg: HarnessConfig, seed_override: int | None = None
 
 
 # Rows per formatted block: large enough that the per-block cost vanishes,
-# small enough that a block's Python objects (about 1.7 MB for the seven
-# profile columns) stay far below the result arrays' own memory.
+# small enough that a block's byte matrices (a peak of about 1.7 MB for
+# the seven profile columns) stay far below the result arrays' own memory.
 _BLOCK_ROWS = 4096
+
+# The encoder's slot bytes for one value, as six little-endian words:
+# "-0.e", then "00" d0 ... d9 (the ten digits of the mantissa, in three
+# words), then the exponent's sign and three digits, then four NULs. A
+# field is a row of these slots taken in the order its shape lists.
+_SLOT_BYTES = 24
+_NUL_SLOT = 20
+_EXP_BIAS = 330  # exponent-indexed tables cover -330 ... 330
+_POW_BIAS = 300  # the power table covers 1e-300 ... 1e300
+_TIE_MARGIN = 1e-4
+
+
+@functools.cache
+def _g10_tables():
+    """The encoder's lookup tables, built on first use (about 0.6 ms, 0.2 MB).
+
+    ``pow10``: correctly rounded powers ``float("1e<k>")``. ``quad``: the
+    four ASCII digits of 0 ... 9999 as one word each; ``sig``: how many of
+    those digits are significant (trailing zeros dropped). ``expw``: the
+    exponent word of each exponent; ``form``: each exponent's shape row
+    (fixed with that exponent, or exponent form with two or three digits)
+    times 11. ``layouts[code]``: the slots of the shape ``code = form + nd
+    (+ 176 if negative)``, padded with NUL; ``lengths``: its length.
+    """
+    pow10 = np.array([float(f"1e{k}")
+                      for k in range(-_POW_BIAS, _POW_BIAS + 1)])
+    i = np.arange(10000, dtype="<u4")
+    quad = (0x30303030 + i // 1000 + (i // 100 % 10 << 8)
+            + (i // 10 % 10 << 16) + (i % 10 << 24))
+    sig = 4 - sum(i % 10 ** k == 0 for k in range(1, 5))
+    e = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
+    expw = (quad[np.abs(e)] & 0xFFFFFF00) | np.where(e < 0, 45, 43).astype("<u4")
+    form = 11 * np.where((e >= -4) & (e < 10), e + 4,
+                         np.where(np.abs(e) < 100, 14, 15))
+    layouts = []
+    for f in range(16):
+        for nd in range(11):
+            digits = list(range(6, 6 + nd))
+            if f < 4:        # 0.000ddd: fixed, exponent -4 ... -1
+                slots = [1, 2] + [1] * (3 - f) + digits
+            elif f < 14:     # ddd.ddd: fixed, exponent 0 ... 9
+                slots = list(range(6, f + 3))
+                if nd > f - 3:
+                    slots += [2] + digits[f - 3:]
+            else:            # d.ddde+XX or e+XXX
+                slots = digits[:1] + [2] * (nd > 1) + digits[1:] + [3, 16]
+                slots += [17, 18, 19] if f == 15 else [18, 19]
+            layouts.append(slots + [_NUL_SLOT] * (17 - len(slots)))
+    layouts = np.array(layouts)
+    # Negative values: the same shapes after a "-" (slot 0).
+    layouts = np.concatenate(
+        (layouts, np.column_stack((np.zeros(len(layouts), int),
+                                   layouts[:, :-1]))))
+    lengths = (layouts != _NUL_SLOT).sum(axis=1)
+    return pow10, quad, sig, expw, form, layouts, lengths
+
+
+def _g10_fallback(x: float) -> bytes:
+    """``%.10g`` of one value the vectorised encoder declines."""
+    return b"%.10g" % x
+
+
+_HEAD_WORD = np.frombuffer(b"-0.e", "<u4")[0]
+
+
+def _g10(x: np.ndarray) -> np.ndarray:
+    """``b"%.10g" % v`` of each float64 ``v``, as NUL-padded rows of bytes.
+
+    Returns an ``(n, width)`` uint8 matrix. A finite ``v`` with
+    ``1e-290 <= |v| <= 1e290``, or a zero, is encoded here: its exponent
+    ``e`` comes from ``log10`` and one correction, so that ``s = |v| *
+    1e(9-e)`` lies in ``[1e9, 1e10)``, and its ten digits are ``rint(s)``.
+    The two roundings in ``s`` (the table's power and the product) leave it
+    within about 2.3e-6 of the exact scaled value, so ``rint`` picks the
+    correctly rounded mantissa unless ``s`` lies within ``_TIE_MARGIN`` of a
+    half-integer. Such values, and every value outside the range above
+    (non-finite, tiny, huge), go to :func:`_g10_fallback`.
+    """
+    pow10, quad, sig, expw, form, layouts, lengths = _g10_tables()
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * pow10[_POW_BIAS + 9 - e]
+    e += s >= 1e10
+    e -= s < 1e9
+    s = a * pow10[_POW_BIAS + 9 - e]
+    # Near a power of ten, s may still sit a rounding outside [1e9, 1e10)
+    # after the correction. Within 0.01 of either edge, rint(s) is still
+    # the right mantissa: 1e9, or 1e10, which carries below.
+    ok = (fast & (s >= 1e9 - 0.01) & (s <= 1e10 + 0.01)
+          & (np.abs(s - np.floor(s) - 0.5) > _TIE_MARGIN))
+    m = np.rint(s)
+    carry = m == 1e10
+    m[carry] = 1e9
+    e += carry
+    m[~ok] = 0.0
+    e[~ok] = 0
+    # m < 1e10 is an exact float: split it into 2 + 4 + 4 digits.
+    q = np.floor(m / 1e4)
+    top = np.floor(q / 1e4)
+    lo = (m - q * 1e4).astype(np.intp)
+    mid = (q - top * 1e4).astype(np.intp)
+    top = top.astype(np.intp)
+    words = np.empty((n, 6), "<u4")
+    words[:, 0] = _HEAD_WORD
+    words[:, 1] = quad.take(top)
+    words[:, 2] = quad.take(mid)
+    words[:, 3] = quad.take(lo)
+    words[:, 4] = expw.take(e + _EXP_BIAS)
+    words[:, 5] = 0
+    nd = np.where(lo, 6 + sig.take(lo),
+                  np.where(mid, 2 + sig.take(mid), sig.take(top) - 2))
+    nd[~ok] = 1
+    code = form.take(e + _EXP_BIAS) + nd
+    code += 176 * np.signbit(x)
+    declined = np.flatnonzero(~ok & ~zero)
+    slow = [_g10_fallback(v) for v in x[declined].tolist()]
+    width = max([int(lengths.take(code).max(initial=1))]
+                + [len(field) for field in slow])
+    slots = layouts[:, :width].take(code, axis=0)
+    slots += np.arange(0, _SLOT_BYTES * n, _SLOT_BYTES)[:, None]
+    out = words.view(np.uint8).ravel().take(slots)
+    for i, field in zip(declined.tolist(), slow):
+        out[i] = 0
+        out[i, :len(field)] = np.frombuffer(field, np.uint8)
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,7 +333,7 @@ class _Grid:
     """A CSV time column that may be the bin grid ``(k + shift) * step``.
 
     In each block where the bits of ``values`` equal the grid's, the
-    column takes the grid's strings; elsewhere it is formatted like any
+    column takes the grid's fields; elsewhere it is formatted like any
     other column. ``values=None`` is the grid itself.
     """
 
@@ -211,27 +341,44 @@ class _Grid:
     shift: int = 0
 
 
-def _strings(seg: np.ndarray, names=None) -> list[str]:
-    """The CSV fields of ``seg``, each run of equal bits formatted once.
+def _fields(seg: np.ndarray, names=None) -> np.ndarray:
+    """The CSV fields of ``seg`` as NUL-padded rows of a uint8 matrix.
 
-    Floats are written ``%.10g`` (the bytes of ``f"{x:.10g}"``), integers
-    and booleans ``%d``, and codes with ``names`` as ``names[code]``. Runs
-    are found on the raw bits, not by value: ``0.0`` and ``-0.0`` print
-    differently, and NaN never equals itself.
+    Floats are written ``%.10g`` (by :func:`_g10`), integers and booleans
+    ``%d``, and codes with ``names`` as ``names[code]``. Each run of equal
+    bits is formatted once: runs are found on the raw bits, not by value,
+    as ``0.0`` and ``-0.0`` print differently and NaN never equals itself.
     """
+    if names is not None:
+        table = np.array([name.encode() for name in names])
+        return table.take(seg).view(np.uint8).reshape(len(seg), -1)
     bits = seg.view(f"u{seg.itemsize}")
     starts = np.empty(len(seg), dtype=bool)
     starts[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    vals = seg[starts].tolist()
-    if names is not None:
-        strs = [names[v] for v in vals]
+    vals = seg[starts]
+    if seg.dtype.kind == "f":
+        fields = _g10(vals)
     else:
-        fmt = "%.10g" if seg.dtype.kind == "f" else "%d"
-        strs = [fmt % v for v in vals]
-    if len(strs) == len(seg):
-        return strs
-    return np.array(strs, dtype=object)[np.cumsum(starts) - 1].tolist()
+        fields = np.array([b"%d" % v for v in vals.tolist()])
+        fields = fields.view(np.uint8).reshape(len(vals), -1)
+    if len(vals) == len(seg):
+        return fields
+    return fields.take(np.cumsum(starts) - 1, axis=0)
+
+
+def _rows(fields) -> bytes:
+    """CSV rows of equal-length field matrices: ``,`` between, NULs dropped."""
+    widths = [f.shape[1] + 1 for f in fields]
+    out = np.empty((len(fields[0]), sum(widths)), np.uint8)
+    end = 0
+    for f, width in zip(fields, widths):
+        out[:, end:end + width - 1] = f
+        end += width
+        out[:, end - 1] = ord(",")
+    out[:, -1] = ord("\n")
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _column(col) -> tuple:
@@ -255,23 +402,23 @@ def _write_csvs(tables, step: float = 0.0) -> None:
     row per index of the columns. A column is an array, a
     ``(codes, names)`` pair, or a :class:`_Grid` time column on the bin
     grid ``k * step``. Each block formats its stretch of the grid at most
-    once, for every table, and only one block of strings is alive at a
-    time.
+    once, for every table, lays each table's rows out as one byte matrix
+    and writes it; only one block's bytes are alive at a time.
     """
     tables = [(path, header, [_column(c) for c in columns])
               for path, header, columns in tables]
     rows = [max(len(v) for v, _, _ in cols if v is not None)
             for _, _, cols in tables]
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8"))
+        files = [stack.enter_context(open(path, "wb"))
                  for path, _, _ in tables]
         for fh, (_, header, _) in zip(files, tables):
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
         n_max = max(rows, default=0)
         for lo in range(0, n_max, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_max)
             grid = np.arange(lo, hi + 1) * step
-            grid_strs = None
+            grid_fields = None
             for fh, (_, _, cols), n in zip(files, tables, rows):
                 m = min(hi, n) - lo
                 if m <= 0:
@@ -281,12 +428,12 @@ def _write_csvs(tables, step: float = 0.0) -> None:
                     seg = None if values is None else values[lo:lo + m]
                     if shift is not None and (
                             seg is None or _same_bits(seg, grid[shift:shift + m])):
-                        if grid_strs is None:
-                            grid_strs = _strings(grid)
-                        block.append(grid_strs[shift:shift + m])
+                        if grid_fields is None:
+                            grid_fields = _fields(grid)
+                        block.append(grid_fields[shift:shift + m])
                     else:
-                        block.append(_strings(seg, names))
-                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+                        block.append(_fields(seg, names))
+                fh.write(_rows(block))
 
 
 # Exact binary twins of the result tables: file stem -> (dtype, columns).

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from ehsim.cli import main
 from ehsim.config import (build_app, build_ess, build_sim, config_hash,
                           load_config, load_result, save_result)
-from ehsim.engine import EnergyStackProfile, SimConfig, simulate
+from ehsim.engine import (ConfigError, EnergyStackProfile, SimConfig,
+                          _resolution_guard, simulate)
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
 from ehsim.app import PHASES, ActivityProfile, preset
 from ehsim.scaling import rescale_timeline
@@ -438,6 +440,28 @@ def test_cmd_sweep_isolates_cell_failures(tmp_path, capsys):
     assert len(lines) == 3
     assert "error" in lines[1]
     assert ",ok," in lines[2]
+
+
+def test_cmd_sweep_summary_quotes_error_text(tmp_path):
+    """A failed cell's message holds commas; summary.csv still parses."""
+    sim = {"dt_quiescent": 0.2, "dt_active": 0.2}
+    cfg = write_fixture_config(tmp_path, extra={
+        "sim": sim, "sweep": {"capacitance": [0.5, 1.0], "s_i": [1.0]}})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with pytest.raises(ConfigError) as exc:
+        _resolution_guard(preset("TMP1"), SimConfig(**sim))
+    want = f"ConfigError: {exc.value}"
+    assert "," in want
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(row) == 11 for row in rows)
+    header = rows[0]
+    for row in rows[1:]:
+        cell = dict(zip(header, row))
+        assert cell["status"] == "error"
+        assert cell["error"] == want
 
 
 def test_cmd_stacks_renders(tmp_path, capsys):
