@@ -49,7 +49,7 @@ from .app import (
 )
 from .ess import (
     ConverterModel, EfficiencyCurve, EssConfig, EssState, MODE_BYPASS,
-    MODE_SATURATED, converter_next_state,
+    MODE_COLD_START, MODE_SATURATED, MODE_TRACKING, converter_next_state,
     harvester_mpp_power, harvester_power, mppt_next_mode, mppt_step,
     residual_energy, solve_load_current, storage_step,
 )
@@ -207,6 +207,7 @@ class RunStats:
     steps: int = 0      # integrated steps
     spans: int = 0      # closed-form quiescent spans
     span_bins: int = 0  # aggregation bins those spans covered
+    dark_steps: int = 0  # the steps the dark evaluator took, among ``steps``
 
 
 @dataclass(frozen=True)
@@ -408,7 +409,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     # The open bin's sums; written to the arrays once, as it closes.
     a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = a_on = 0.0
     bin_label_s = [0.0] * len(PHASES)
-    n_steps = n_spans = n_span_bins = 0
+    n_steps = n_spans = n_span_bins = n_dark_steps = 0
     on_time = 0.0
     total_bytes = 0
     phase_entry_t = t0
@@ -504,6 +505,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 if n:
                     app_state.event_observed = False
                     n_steps += k
+                    n_dark_steps += k
                     bin_idx += n
                     bins.n = bin_idx
                     bin_open_t = t
@@ -725,7 +727,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     return _package(ledger, bins, app_state, total_bytes, observed_total,
                     detected_at_event, on_time, t - t0, v_cap, conv_on,
                     event_log, agg,
-                    stats=RunStats(n_steps, n_spans, n_span_bins))
+                    stats=RunStats(n_steps, n_spans, n_span_bins,
+                                   n_dark_steps))
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
@@ -947,17 +950,26 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
 
     In the dark, with the converter off, a step only moves the storage:
     its leak, and the off-residual draw while the bus is above
-    ``_V_DEAD``. Each step is ``min(dt_step, t_edge - t)`` long and calls
-    the step's own models (:func:`mppt_next_mode`, the bus current from
-    :func:`solve_load_current` and :func:`_bus_collapses` or Ohm's law,
-    :func:`storage_step`), and every running total (the leak and ESR
-    losses, the off draw ``e_off``, the bin's load) adds the step's terms
-    in the step's order, so the results are bit for bit those of the
-    general step. A bin is stepped only whole; it is left to the general
-    step where that step would do anything else: irradiance not exactly
-    zero, a trace sample inside the bin, the bin reaching past ``stop``
-    (the next event or the trace end), the bus at ``v_on``, a rising
-    store (the crossing clip), or a store past ``storage_v_max``.
+    ``_V_DEAD``. Each step is ``min(dt_step, t_edge - t)`` long. It
+    computes the tracker's latch (:func:`mppt_next_mode`) inline, and on a
+    buffered chain (ESR and buffer both non-zero) also the bus current and
+    :func:`storage_step`'s two-branch update, the decay factor again only
+    when the step length changes. The inlined arithmetic
+    mirrors ``storage_step``'s expressions in its order of operations, with
+    no charger input (its ``e_in`` of 0.0 adds nothing); a change to
+    ``storage_step`` must be made here too, and the dark differential test
+    fails until it is. A store that the step exhausts, a demand beyond the
+    short-circuit current, and the chains without ESR or without a buffer
+    call :func:`storage_step` (and, behind an ESR with no buffer,
+    :func:`solve_load_current` and :func:`_bus_collapses`) as the general
+    step does. Every running total (the leak and ESR losses, the off draw
+    ``e_off``, the bin's load) adds the step's terms in the step's order,
+    so the results are bit for bit those of the general step. A bin is
+    stepped only whole; it is left to the general step where that step
+    would do anything else: irradiance not exactly zero, a trace sample
+    inside the bin, the bin reaching past ``stop`` (the next event or the
+    trace end), the bus at ``v_on``, a rising store (the crossing clip), or
+    a store past ``storage_v_max``.
 
     Writes the stepped bins' rows, in chunks of at most
     ``_SPAN_MAX_BINS``. Returns ``(n_bins, n_steps, t, v_cap, v_bus, mode,
@@ -966,7 +978,15 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
     """
     mppt, sto = ess.mppt, ess.storage
     C, Cb, R = sto.capacitance, sto.buffer_capacitance, sto.esr
+    r_leak = sto.leak_resistance
+    half_c, half_cb = 0.5 * C, 0.5 * Cb
+    buffered = R > 0.0 and Cb > 0.0
     quadratic_bus = Cb == 0.0 and R > 0.0
+    tau = R * Cb
+    half_tau = tau / 2.0
+    dt_a = 0.0  # the step length the decay factors were computed for
+    engage_v, release_v = mppt.bypass_engage_v, mppt.bypass_release_v
+    cold_v = mppt.cold_start_below_v
     v_max = mppt.storage_v_max
     v_on = ess.converter.v_on
     p_off = app.p_off_residual
@@ -979,68 +999,88 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
     volts: list[float] = []  # written once per chunk
     nxt = tr_t[tr_idx + 1]
     edge_stop = stop if stop < nxt else nxt
+    t_edge = t0 + (bin_idx + 1) * agg
     ok = (tr_g[tr_idx] == 0.0 and v_bus < v_on and de_rate <= 1e-15
-          and v_cap <= v_max)
-    while ok and bin_idx < last_bin:
-        t_edge = t0 + (bin_idx + 1) * agg
-        if t_edge > edge_stop:
-            break
-        a_soc = 0.0
-        saved = None  # the bin's opening state, once a step leaves it open
-        while True:
-            dt = t_edge - t
-            if dt_step < dt:
-                dt = dt_step
-            if dt < 1e-9:
-                dt = 1e-9
-            p_drawn = p_off if v_bus > v_dead else 0.0
-            m = mppt_next_mode(mppt, mode, v_cap)
+          and v_cap <= v_max and t_edge <= edge_stop and bin_idx < last_bin)
+    a_soc = 0.0
+    saved = None  # the open bin's opening state, once a step leaves it open
+    while ok:
+        dt = t_edge - t
+        if dt_step < dt:
+            dt = dt_step
+        if dt < 1e-9:
+            dt = 1e-9
+        p_drawn = p_off if v_bus > v_dead else 0.0
+        if v_cap < (release_v if mode == MODE_BYPASS else engage_v):
+            m = MODE_BYPASS
+        elif v_cap < cold_v and (mode == MODE_BYPASS
+                                 or mode == MODE_COLD_START):
+            m = MODE_COLD_START
+        else:
+            m = MODE_TRACKING
+        vv = v_cap * v_cap
+        if buffered:
+            io = p_drawn / v_bus if v_bus > 1e-9 else 0.0
+            e_cap = half_c * v_cap * v_cap
+            e_leak = vv / r_leak * dt
+            if e_leak > e_cap:
+                e_leak = e_cap
+            v_inf = v_cap - R * io
+            if dt != dt_a:
+                dt_a = dt
+                a = math.exp(-dt / tau)
+                one_a = 1.0 - a
+                one_aa = 1.0 - a * a
+            di = (v_cap - v_bus) / R - io
+            e_out = v_cap * (io * dt + di * tau * one_a)
+        if buffered and not ((v_inf < 0.0 and io > 0.0)
+                             or e_out > e_cap - e_leak):
+            e_esr = R * (io * io * dt + 2.0 * io * di * tau * one_a
+                         + di * di * half_tau * one_aa)
+            vb = v_inf + (v_bus - v_inf) * a
+            if vb < 0.0:
+                vb = 0.0
+            vc = math.sqrt(max(vv + 2.0 * (0.0 - e_leak - e_out) / C, 0.0))
+        else:  # storage_step's rare branches; the chains it is not inlined for
             if quadratic_bus:
                 io = solve_load_current(v_cap, R, p_drawn)
-                collapse = _bus_collapses(v_cap, R, p_drawn)
             else:
                 io = p_drawn / v_bus if v_bus > 1e-9 else 0.0
-                collapse = False
             vc, e_leak, e_esr, vb = storage_step(sto, v_cap, 0.0, io, dt,
                                                  v_bus_prev=v_bus)
-            if collapse:
+            if quadratic_bus and _bus_collapses(v_cap, R, p_drawn):
                 vb = 0.0
-            if vc > v_max:
-                ok = False  # saturation: the general step curtails
-                break
-            de = 0.5 * C * (vc * vc - v_cap * v_cap)
-            e_load = 0.0 - e_leak - e_esr - (
-                de + 0.5 * Cb * (vb * vb - v_bus * v_bus))
-            if e_load < 0.0:
-                e_load = 0.0
-            t_new = t + dt
-            closes = t_new >= t_edge - 1e-9
-            if saved is None and not closes:
-                saved = (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot,
-                         e_esr_tot, e_off, n_steps)
-            e_leak_tot += e_leak
-            e_esr_tot += e_esr
-            e_off += e_load
-            a_soc += e_load
-            de_rate = de / dt
-            i_out = io
-            v_cap = vc
-            v_bus = vb
-            mode = m
-            t = t_new
-            n_steps += 1
-            # whether the next step would switch the converter on or clip
-            ok = v_bus < v_on and de_rate <= 1e-15
-            if closes or not ok:
-                break
-        if t < t_edge - 1e-9:
-            # The bin did not close here: the general step takes it whole.
-            if saved is not None:
-                (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot,
-                 e_esr_tot, e_off, n_steps) = saved
-            break
+        if vc > v_max:
+            break  # saturation: the general step curtails
+        de = half_c * (vc * vc - vv)
+        e_load = 0.0 - e_leak - e_esr - (
+            de + half_cb * (vb * vb - v_bus * v_bus))
+        if e_load < 0.0:
+            e_load = 0.0
+        t_new = t + dt
+        closes = t_new >= t_edge - 1e-9
+        if not closes and saved is None:
+            saved = (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot,
+                     e_esr_tot, e_off, n_steps)
+        e_leak_tot += e_leak
+        e_esr_tot += e_esr
+        e_off += e_load
+        a_soc += e_load
+        de_rate = de / dt
+        i_out = io
+        v_cap = vc
+        v_bus = vb
+        mode = m
+        t = t_new
+        n_steps += 1
+        # whether the next step would switch the converter on or clip
+        ok = v_bus < v_on and de_rate <= 1e-15
+        if not closes:
+            continue
         socs.append(a_soc)
         volts.append(v_cap)
+        a_soc = 0.0
+        saved = None
         bin_idx += 1
         if len(volts) == _SPAN_MAX_BINS:
             _write_dark_rows(bins, row0, socs, volts)
@@ -1054,6 +1094,13 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
             nxt = tr_t[tr_idx + 1]
             edge_stop = stop if stop < nxt else nxt
             ok = ok and tr_g[tr_idx] == 0.0
+        t_edge = t0 + (bin_idx + 1) * agg
+        if t_edge > edge_stop or bin_idx >= last_bin:
+            break
+    if saved is not None:
+        # The open bin did not close: the general step takes it whole.
+        (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot, e_esr_tot,
+         e_off, n_steps) = saved
     if volts:
         _write_dark_rows(bins, row0, socs, volts)
     return (bin_idx - bin0, n_steps, t, v_cap, v_bus, mode, de_rate, i_out,

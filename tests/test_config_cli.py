@@ -227,12 +227,28 @@ def test_cmd_simulate_writes_run_stats_to_run_meta_only(tmp_path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     stats = json.loads((out / "run_meta.json").read_text())["stats"]
-    assert sorted(stats) == ["span_bins", "spans", "steps"]
+    assert sorted(stats) == ["dark_steps", "span_bins", "spans", "steps"]
     n_bins = len(load_result(str(out)).activity)
     assert stats["steps"] > 0 and 0 < stats["span_bins"] < n_bins
     # every bin is spanned or closed by at least one step
     assert stats["steps"] + stats["span_bins"] >= n_bins
+    assert 0 <= stats["dark_steps"] <= stats["steps"]
     assert "span_bins" not in (out / "result.json").read_text()
+
+
+def test_load_result_reads_run_meta_without_dark_steps(tmp_path):
+    # run_meta.json files written before the dark step count load as 0
+    cfg = write_fixture_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta_path = out / "run_meta.json"
+    meta = json.loads(meta_path.read_text())
+    stats = meta["stats"]
+    del stats["dark_steps"]
+    meta_path.write_text(json.dumps(meta))
+    loaded = load_result(str(out)).stats
+    assert loaded.dark_steps == 0
+    assert dataclasses.asdict(loaded) == {**stats, "dark_steps": 0}
 
 
 def test_save_result_records_its_time_in_run_meta_written_last(tmp_path):

@@ -586,6 +586,7 @@ def test_run_stats_reconcile_with_the_bins():
     assert res.boots == 0
     assert stats.steps >= 6000 and stats.spans >= 1
     assert stats.steps + stats.span_bins == len(res.activity) == 12000
+    assert stats.dark_steps == 6000
 
 
 def test_dark_evaluator_hands_back_a_bin_it_cannot_close():

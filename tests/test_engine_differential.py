@@ -14,6 +14,7 @@ off the engine steps in its own evaluator, every result bit must match.
 
 import importlib.util
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from ehsim.config import (build_app, build_ess, build_sim, load_config,
                           load_events, load_trace)
 from ehsim.engine import SimConfig, simulate
 from ehsim.ess import (ConverterModel, EssConfig, HarvesterModel, MpptModel,
-                       StorageModel)
+                       StorageModel, storage_step)
 from ehsim.metrics import compute_ape
 from ehsim.scaling import (ScalingPlan, build_experiment, compute_sf,
                            max_speedup, profile_application)
@@ -399,6 +400,41 @@ def test_dark_off_runs_match_oracle_bit_for_bit(inputs):
     new = simulate(*inputs)
     old = engine_oracle.simulate(*inputs)
     assert_same_bits(new, old)
+
+
+@pytest.mark.parametrize("dt_quiescent", [0.1, 0.2])
+@pytest.mark.parametrize("esr, buffer", [(0.5, 4e-4), (0.5, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("v_init, leak, fallbacks", [(0.1, 5e4, 1),
+                                                     (0.04, 1e3, 0)])
+def test_dark_store_emptied_within_a_step_matches_oracle(
+        monkeypatch, esr, buffer, dt_quiescent, v_init, leak, fallbacks):
+    # A tiny store emptied within its first dark step: by the off-residual
+    # draw, which on a buffered chain sends that one step from the dark
+    # evaluator's inlined update to storage_step's exhaustion branch; or,
+    # below the dead-node cut-off, by its leak alone, which the inlined
+    # update clamps to the stored energy. The chains without a buffer or
+    # ESR call storage_step on every dark step.
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return storage_step(*args, **kw)
+
+    monkeypatch.setattr(engine, "storage_step", counted)
+    trace = IrradianceTrace(t=np.array([0.0, 60.0]), g=np.zeros(2))
+    ess = EssConfig(storage=StorageModel(
+        capacitance=1e-4, esr=esr, leak_resistance=leak, v_init=v_init,
+        buffer_capacitance=buffer))
+    app = AppSpec(t_sample_period=10.0, t_sample=0.5, t_comm=0.3,
+                  p_off_residual=1e-3, name="emptied")
+    cfg = SimConfig(dt_quiescent=dt_quiescent, end_policy="hard_stop")
+    new = simulate(trace, None, ess, app, cfg)
+    assert_same_bits(new, engine_oracle.simulate(trace, None, ess, app, cfg))
+    assert new.v_cap_final < 1e-3
+    n_steps = round(60.0 / dt_quiescent)
+    assert new.stats.dark_steps == new.stats.steps == n_steps
+    dark_calls = calls.count("_step_dark_span")
+    assert dark_calls == (fallbacks if buffer else n_steps)
 
 
 def test_quiescent_spans_are_taken():
