@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .metrics import compute_ape, mismatch_spans, throughput_error
 from .scaling import (MODES, PlanError, PowerProfile, ScalingPlan,
                       build_experiment, compute_sf, max_speedup,
                       predict_throughput, profile_application,
-                      rescale_timeline)
+                      rescale_activity)
 from .traces import TraceError
 
 _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
@@ -189,10 +188,10 @@ def cmd_compare(args) -> int:
 
     predicted = predict_throughput(plan, scaled, profile)
     thr_err = throughput_error(predicted, baseline.throughput_bytes)
-    rescaled = rescale_timeline(scaled, plan.s_tp)
-    ape_raw = compute_ape(baseline.activity, rescaled.activity, 0.0)
-    ape_dtw = compute_ape(baseline.activity, rescaled.activity, window)
-    spans = mismatch_spans(baseline.activity, rescaled.activity)
+    rescaled = rescale_activity(scaled.activity, plan.s_tp)
+    ape_raw = compute_ape(baseline.activity, rescaled, 0.0)
+    ape_dtw = compute_ape(baseline.activity, rescaled, window)
+    spans = mismatch_spans(baseline.activity, rescaled)
 
     out = args.out or "out"
     _write_json(os.path.join(out, "report.json"), {
@@ -271,6 +270,9 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         rows = [_sweep_cell(j) for j in jobs]
     else:
+        # Imported here: it pulls in multiprocessing, which no other
+        # command needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
 

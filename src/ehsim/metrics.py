@@ -20,10 +20,17 @@ per a-run, so time and memory are O(n + a-runs x band width): a few runs
 per day cost almost nothing, whatever the window. The traceback answers
 each in-stripe value query in O(1) from those rows and takes long straight
 or diagonal segments in one vectorized stride, so its cost follows the
-path's segments rather than its length. Costs are unit per on/off mismatch
-and zero per match, held in integers, so all arithmetic is exact. Where
-several predecessors tie, the traceback moves diagonally, then up, then
-left, on every row; the path length it gives is the APE denominator.
+path's segments rather than its length. While every move of a stride repeats
+the last one, D along the stride falls by the cost of each cell it leaves,
+so a stride evaluates only its cells' predecessors, once along a line: for a
+diagonal or up stride the predecessor on the line is the next cell of the
+stride (an up stride also evaluates the column to its left for the diagonal
+predecessor), and for a left stride both predecessors lie on the row above.
+Costs are unit per on/off mismatch and zero per match, held in integers, so
+all arithmetic is exact. Where several predecessors tie, the traceback moves
+diagonally, then up, then left, on every row. It returns the path's moves
+run-length coded; the path length, the APE denominator, is counted from
+them without building the path.
 """
 
 from __future__ import annotations
@@ -179,11 +186,15 @@ def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
 
 
 def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
-               cost: int) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal path (0,0) -> (n-1,n-1); ties go diagonal, then up, then left."""
+               cost: int) -> list[list]:
+    """Optimal path (0,0) -> (n-1,n-1); ties go diagonal, then up, then left.
+
+    Returns the path's moves run-length coded, ``[(di, dj), count]``,
+    walking back from (n-1, n-1).
+    """
     n = len(a)
     am, bm = memoryview(a.view(np.uint8)), memoryview(b.view(np.uint8))
-    steps: list[list] = []  # [(di, dj), count] walking back from (n-1, n-1)
+    steps: list[list] = []
     i = j = n - 1
     d = cost
     k = len(stripes)
@@ -241,13 +252,28 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                 cap = j - max(0, i - r) + 1
             m = min(stride, cap)
             if m >= _MIN_STRIDE:
-                ks = np.arange(m)
+                # The stride's m cells and the one after them along mv.
+                ks = np.arange(m + 1)
                 ii, jj = i - mv[0] * ks, j - mv[1] * ks
-                dd = at_vec(ii, jj)
-                cc = (b[jj] != st.v).astype(np.int32)
-                good = (jj > 0) & (at_vec(ii - 1, jj - 1) + cc == dd)
+                cc = (b[jj[:m]] != st.v).astype(np.int32)
+                # D at the stride's cells while every earlier move was mv:
+                # each move takes off the cost of the cell it leaves.
+                dd = d - np.cumsum(cc) + cc
+                # Only the predecessors are evaluated. Along a DIAG or UP
+                # stride, (i-1, j-1) or (i-1, j) is the next cell on the
+                # line; along a LEFT stride both lie on row i - 1.
+                if mv is _LEFT:
+                    prev = at_vec(ii - 1, jj)
+                    up_d, diag_d = prev[:-1], prev[1:]
+                elif mv is _UP:
+                    up_d = at_vec(ii[1:], jj[1:])
+                    diag_d = at_vec(ii[1:], jj[1:] - 1)
+                else:
+                    diag_d = at_vec(ii[1:], jj[1:])
+                ii, jj = ii[:m], jj[:m]
+                good = (jj > 0) & (diag_d + cc == dd)
                 if mv is not _DIAG:
-                    up = (jj - ii < r) & (at_vec(ii - 1, jj) + cc == dd)
+                    up = (jj - ii < r) & (up_d + cc == dd)
                     good = ~good & (up if mv is _UP else ~up)
                 taken = m if good.all() else int(np.argmin(good))
                 if taken:
@@ -271,26 +297,11 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
         else:
             steps.append([mv, 1])
             run = 1
-
-    counts = [c for _, c in steps]
-    path = []
-    for axis in (0, 1):
-        moves = np.repeat([mv[axis] for mv, _ in steps], counts)[::-1]
-        out = np.zeros(len(moves) + 1, dtype=np.intp)
-        np.cumsum(moves, out=out[1:])
-        path.append(out)
-    return path[0], path[1]
+    return steps
 
 
-def dtw_path(a: np.ndarray, b: np.ndarray, r: int
-             ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Banded optimal alignment of two equal-length boolean sequences.
-
-    Returns (path_i, path_j, cost) with the path running (0,0) -> (n-1,n-1)
-    monotonically inside the band |i - j| <= r; cost is the minimal mismatch
-    count. Ties resolve diagonal-first, then up, then left, so results are
-    deterministic.
-    """
+def _dtw_moves(a: np.ndarray, b: np.ndarray, r: int) -> tuple[list[list], int]:
+    """The optimal path's run-length moves (see :func:`_traceback`) and cost."""
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
     n = len(a)
@@ -310,8 +321,27 @@ def dtw_path(a: np.ndarray, b: np.ndarray, r: int
         np.where(b == v, cols, np.int32(-2))))) for v in (False, True))
 
     stripes, cost = _forward(a, r, S, Z)
-    path_i, path_j = _traceback(a, b, r, stripes, S, Z, cost)
-    return path_i, path_j, cost
+    return _traceback(a, b, r, stripes, S, Z, cost), cost
+
+
+def dtw_path(a: np.ndarray, b: np.ndarray, r: int
+             ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Banded optimal alignment of two equal-length boolean sequences.
+
+    Returns (path_i, path_j, cost) with the path running (0,0) -> (n-1,n-1)
+    monotonically inside the band |i - j| <= r; cost is the minimal mismatch
+    count. Ties resolve diagonal-first, then up, then left, so results are
+    deterministic.
+    """
+    steps, cost = _dtw_moves(a, b, r)
+    counts = [c for _, c in steps]
+    path = []
+    for axis in (0, 1):
+        moves = np.repeat([mv[axis] for mv, _ in steps], counts)[::-1]
+        out = np.zeros(len(moves) + 1, dtype=np.intp)
+        np.cumsum(moves, out=out[1:])
+        path.append(out)
+    return path[0], path[1], cost
 
 
 def compute_ape(a, b, window: float = 0.0) -> ApeReport:
@@ -330,8 +360,8 @@ def compute_ape(a, b, window: float = 0.0) -> ApeReport:
         n_diff = int(np.count_nonzero(x != y))
         n_total = len(x)
     else:
-        pi, _, n_diff = dtw_path(x, y, _radius(window, step, len(x)))
-        n_total = len(pi)
+        steps, n_diff = _dtw_moves(x, y, _radius(window, step, len(x)))
+        n_total = 1 + sum(c for _, c in steps)
     return ApeReport(epsilon=n_diff / n_total, n_diff=n_diff,
                      n_total=n_total, dtw_window=window)
 

@@ -42,6 +42,7 @@ __all__ = [
     "max_speedup",
     "build_experiment",
     "predict_throughput",
+    "rescale_activity",
     "rescale_timeline",
 ]
 
@@ -280,28 +281,42 @@ def _rebin_sum(values: np.ndarray, s_tp: float, n_out: int
     return np.diff(cum_at), np.diff(edges)
 
 
-def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
-    """Map a scaled run back to the real-time axis.
+def rescale_activity(activity: ActivityProfile, s_tp: float
+                     ) -> ActivityProfile:
+    """Map a scaled run's activity profile back to the real-time axis.
 
-    Every time step is stretched by ``s_tp``; activity and stack profiles
-    are re-binned onto the standard grid on the real-time axis (energies
-    redistributed conservatively, on/off by majority overlap), the voltage
-    series is re-timed and the duration stretched. The whole-run ledger is
-    kept as it is.
+    Every step is stretched by ``s_tp`` and re-binned onto the standard
+    grid: a bin is on where the stretched on-time covers at least half of
+    it, and takes the label of the scaled bin under its centre. At
+    ``s_tp == 1`` the profile itself is returned.
     """
     _check_s_tp(s_tp)
     if s_tp == 1.0:
-        return result
-    act = result.activity
-    prof = result.profile
-    n_out = int(round(len(act) * s_tp))
-    on_sum, width = _rebin_sum(act.on_off.astype(float), s_tp, n_out)
+        return activity
+    n_out = int(round(len(activity) * s_tp))
+    on_sum, width = _rebin_sum(activity.on_off.astype(float), s_tp, n_out)
     on_frac = np.divide(on_sum, width, out=np.zeros(n_out), where=width > 0)
     centers = (np.arange(n_out) + 0.5) / s_tp
-    src = np.minimum(centers.astype(int), len(act) - 1)
-    activity = ActivityProfile(step_len=act.step_len,
-                               on_off=on_frac >= 0.5,
-                               labels=act.labels[src])
+    src = np.minimum(centers.astype(int), len(activity) - 1)
+    return ActivityProfile(step_len=activity.step_len,
+                           on_off=on_frac >= 0.5,
+                           labels=activity.labels[src])
+
+
+def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
+    """Map a scaled run back to the real-time axis.
+
+    Every time step is stretched by ``s_tp``; the activity profile is
+    re-binned by :func:`rescale_activity` and the stack profile onto the
+    same grid (energies redistributed conservatively), the voltage series
+    is re-timed and the duration stretched. The whole-run ledger is kept as
+    it is.
+    """
+    if s_tp == 1.0:
+        return result
+    activity = rescale_activity(result.activity, s_tp)
+    prof = result.profile
+    n_out = len(activity)
     energies = {name: _rebin_sum(getattr(prof, name), s_tp, n_out)[0]
                 for name in ("harvest", "mppt_loss", "converter_loss",
                              "soc_energy", "sensor_energy", "storage_delta")}

@@ -7,7 +7,6 @@ the APE denominator.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import dtw_oracle
 from ehsim import metrics
 from ehsim.app import ActivityProfile
-from ehsim.metrics import compute_ape, dtw_path, mismatch_spans
+from ehsim.metrics import ApeReport, compute_ape, dtw_path, mismatch_spans
 
 
 def mismatch_spans_loop(a, b):
@@ -80,6 +79,19 @@ def assert_same_path(a, b, r):
     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+    return want
+
+
+def longest_segments(path_i, path_j):
+    """The longest run of each move, DIAG, UP and LEFT, along a path."""
+    moves = 2 * np.diff(path_i) + np.diff(path_j)  # 3 DIAG, 2 UP, 1 LEFT
+    starts = np.flatnonzero(np.diff(moves, prepend=-1))
+    lengths = np.diff(np.append(starts, len(moves)))
+    longest = dict.fromkeys(("DIAG", "UP", "LEFT"), 0)
+    for move, length in zip(moves[starts].tolist(), lengths.tolist()):
+        name = {3: "DIAG", 2: "UP", 1: "LEFT"}[move]
+        longest[name] = max(longest[name], length)
+    return longest
 
 
 @given(data=st.data())
@@ -93,12 +105,16 @@ def test_dtw_path_matches_oracle_on_long_run_profiles():
     # thousands of rows, long diagonal and straight strides, and bands from
     # one step to the whole grid: the shape of real day profiles
     rng = np.random.default_rng(7)
+    longest = dict.fromkeys(("DIAG", "UP", "LEFT"), 0)
     for n, r in ((9000, 300), (5000, 5000), (6145, 64), (4097, 1)):
         a = _from_runs(rng.integers(200, 3000, size=12), True, n)
         b = np.roll(a, int(rng.integers(-250, 250)))
         b[rng.integers(0, n, size=3)] ^= True
-        assert_same_path(a, b, r)
-        assert_same_path(a, ~a, r)
+        for want in (assert_same_path(a, b, r), assert_same_path(a, ~a, r)):
+            for move, length in longest_segments(*want[:2]).items():
+                longest[move] = max(longest[move], length)
+    # every kind of segment is long enough to be taken in strides
+    assert min(longest.values()) >= metrics._STRIDE_AFTER + metrics._MIN_STRIDE
 
 
 @given(data=st.data())
@@ -112,10 +128,22 @@ def test_compute_ape_matches_oracle(data):
     pb = ActivityProfile(step_len=step, on_off=b[:len(b) - cut],
                          labels=np.zeros(len(b) - cut, dtype=np.int8))
     steps = data.draw(st.sampled_from([1, 2, 7, 40]))
-    for window in (steps * step, math.inf):
-        with mock.patch.object(metrics, "dtw_path", dtw_oracle.dtw_path):
-            want = compute_ape(pa, pb, window)
+    padded = np.concatenate([b[:len(b) - cut], np.zeros(cut, dtype=bool)])
+    for window, r in ((steps * step, steps), (math.inf, len(a))):
+        path_i, _, cost = dtw_oracle.dtw_path(a, padded, r)
+        want = ApeReport(epsilon=cost / len(path_i), n_diff=cost,
+                         n_total=len(path_i), dtw_window=window)
         assert compute_ape(pa, pb, window) == want
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_compute_ape_counts_the_dtw_path(data):
+    a, b = data.draw(sequence_pairs())
+    r = data.draw(st.integers(1, len(a) + 5))
+    path_i, _, cost = dtw_path(a, b, r)
+    ape = compute_ape(a, b, float(r))
+    assert (ape.n_total, ape.n_diff) == (len(path_i), cost)
 
 
 @given(data=st.data())

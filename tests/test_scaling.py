@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehsim.app import PRESETS, AppSpec, preset
-from ehsim.engine import SimConfig, simulate
+from ehsim.app import PHASES, PRESETS, ActivityProfile, AppSpec, preset
+from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
-    max_speedup, predict_throughput, profile_application,
+    max_speedup, predict_throughput, profile_application, rescale_activity,
     rescale_timeline, scaled_average_power,
 )
 from ehsim.ess import EssConfig, StorageModel
@@ -307,6 +307,50 @@ def test_fractional_rescale_binning():
     assert len(out.activity) == int(round(len(res.activity) * 2.5))
     assert out.profile.soc_energy.sum() == pytest.approx(
         res.profile.soc_energy.sum(), rel=1e-9)
+
+
+def _short_run():
+    trace = IrradianceTrace(t=np.array([0.0, 60.0]), g=np.array([0.0, 0.0]))
+    return simulate(trace, None, EssConfig.ideal(capacitance=0.5),
+                    preset("TMP1"), SimConfig(dt_quiescent=0.2))
+
+
+@st.composite
+def activity_profiles(draw):
+    """Random on/off and label profiles: i.i.d. bits or alternating runs."""
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        on = rng.random(n) < draw(st.floats(0.0, 1.0))
+    else:
+        on = np.repeat(np.arange(n) % 2 == 0, rng.integers(1, 40, size=n))[:n]
+    labels = rng.integers(0, len(PHASES), size=n)
+    return ActivityProfile(step_len=draw(st.sampled_from([0.2, 1.0])),
+                           on_off=on, labels=labels)
+
+
+@given(act=activity_profiles(),
+       s_tp=st.sampled_from([1.0, 2.0, 2.5, 3.0, 7 / 3, 10.0]))
+@settings(max_examples=150, deadline=None)
+def test_rescale_activity_is_the_rescaled_timelines_activity(act, s_tp):
+    n = len(act)
+    rng = np.random.default_rng(n)
+    profile = EnergyStackProfile(
+        step_len=act.step_len, t_start=np.arange(n) * act.step_len,
+        **{name: rng.random(n) for name in (
+            "harvest", "mppt_loss", "converter_loss", "soc_energy",
+            "sensor_energy", "storage_delta")})
+    res = replace(_short_run(), activity=act, profile=profile,
+                  duration_s=n * act.step_len)
+    got = rescale_activity(act, s_tp)
+    want = rescale_timeline(res, s_tp).activity
+    assert got.step_len == want.step_len
+    assert got.on_off.dtype == want.on_off.dtype
+    assert got.labels.dtype == want.labels.dtype
+    np.testing.assert_array_equal(got.on_off, want.on_off)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    if s_tp == 1.0:
+        assert got is act
 
 
 def test_build_experiment_turns_skip_nights_on_for_st_sp_sn_only():
