@@ -3,8 +3,8 @@
 
 The four-step workflow on the TMP1 benchmark:
   1. profile the app at a constant 3.3 V supply,
-  2. solve for the largest feasible time/power factor and the matching
-     sampling-frequency factor,
+  2. plan each mode: the planner solves for the largest feasible time/power
+     factor and the matching sampling-frequency factor,
   3. run the accelerated experiment: one call turns the plan into the
      compressed and amplified trace, the faster-sampling app and the engine
      settings (st_sp_sn runs with skip-nights on),
@@ -16,10 +16,10 @@ fast-forwards the dark spans for additional wall-time savings at matching
 accuracy.
 """
 
-from ehsim import (EssConfig, ScalingPlan, SimConfig, StorageModel,
-                   build_experiment, compute_ape, preset, predict_throughput,
-                   profile_application, max_speedup, rescale_timeline,
-                   simulate, synthetic_solar_trace, throughput_error)
+from ehsim import (EssConfig, SimConfig, StorageModel, build_experiment,
+                   compute_ape, plan_run, preset, predict_throughput,
+                   profile_application, rescale_timeline, simulate,
+                   synthetic_solar_trace, throughput_error)
 from ehsim.app import PRESETS
 
 app = preset("TMP1")
@@ -30,19 +30,17 @@ ess = EssConfig(storage=StorageModel(capacitance=2.2, esr=0.5,
 cfg = SimConfig(dt_quiescent=0.2)
 
 profile = profile_application(app, 3600.0)
-s_tp, s_f, binding = max_speedup(profile, app)
+plans = {mode: plan_run(mode, app, lambda: profile, s_i=s_i)[0]
+         for mode in ("realtime", "st_up", "st_sp", "st_sp_sn")}
+sp = plans["st_sp"]
 print(f"step 1: profile  P_active={profile.p_active_avg * 1e3:.3f} mW  "
       f"P_idle={profile.p_idle_avg * 1e3:.3f} mW  "
       f"theta={profile.theta_profiling} B/h")
-print(f"step 2: plan     s_tp={s_tp:g}  s_f={s_f:.3f}  (bound: {binding})")
+print(f"step 2: plan     s_tp={sp.s_tp:g}  s_f={sp.s_f:.3f}  "
+      f"(bound: {sp.binding})")
 
 runs = {}
-for mode in ("realtime", "st_up", "st_sp", "st_sp_sn"):
-    plan = ScalingPlan(
-        mode=mode,
-        s_tp=1.0 if mode == "realtime" else s_tp,
-        s_f=1.0 if mode in ("realtime", "st_up") else s_f,
-        s_i=s_i)
+for mode, plan in plans.items():
     tr_x, _, app_x, cfg_x = build_experiment(plan, trace, None, app, cfg)
     res = simulate(tr_x, None, ess, app_x, cfg_x)
     runs[mode] = (plan, res)

@@ -19,8 +19,8 @@ from .engine import (SimConfig, EnergyLedger, EnergyStackProfile, SimResult,
                      simulate, finalize_stack)
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
-                      build_experiment, predict_throughput, rescale_activity,
-                      rescale_timeline)
+                      plan_run, build_experiment, predict_throughput,
+                      rescale_activity, rescale_timeline)
 from .metrics import (ApeReport, throughput_error, compute_ape,
                       mismatch_spans)
 

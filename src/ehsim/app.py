@@ -130,9 +130,10 @@ class AppSpec:
         return self.e_backup / self.t_backup
 
     @property
-    def min_sample_period(self) -> float:
-        """Back-to-back limit of the sampling period."""
-        return self.t_sample + self.t_comm
+    def max_sf(self) -> float:
+        """Schedulability bound on ``s_f``, with 1e-12 relative slack:
+        scaled bursts must not overlap back-to-back."""
+        return self.t_sample_period / (self.t_sample + self.t_comm) * (1 + 1e-12)
 
     def phase_power(self, phase: str) -> float:
         return _PHASE_POWER[phase](self)
@@ -273,17 +274,14 @@ def app_step(spec: AppSpec, state: AppState, power_good: bool, v_storage: float,
 def apply_frequency_scaling(spec: AppSpec, s_f: float) -> AppSpec:
     """Raise the sampling frequency by ``s_f``, leaving the program unmodified.
 
-    Only the sampling period changes; the schedulability bound
-    ``s_f <= t_sample_period / (t_sample + t_comm)`` keeps the scaled bursts
-    from overlapping back-to-back.
+    Only the sampling period changes, within :attr:`AppSpec.max_sf`.
     """
     if s_f < 1.0:
         raise AppError("s_f must be >= 1")
-    bound = spec.t_sample_period / spec.min_sample_period
-    if s_f > bound * (1 + 1e-12):
+    if s_f > spec.max_sf:
         raise AppError(
             f"s_f={s_f:.4g} exceeds schedulability bound "
-            f"T_S/(t_S+t_C)={bound:.4g}")
+            f"T_S/(t_S+t_C)={spec.max_sf:.4g}")
     return replace(spec, t_sample_period=spec.t_sample_period / s_f)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -26,9 +25,8 @@ from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
 from .scaling import (MODES, PlanError, PowerProfile, ScalingPlan,
-                      build_experiment, compute_sf, max_speedup,
-                      predict_throughput, profile_application,
-                      rescale_activity)
+                      build_experiment, plan_run, predict_throughput,
+                      profile_application, rescale_activity)
 from .traces import TraceError
 
 _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
@@ -43,64 +41,26 @@ def _profile_from_config(cfg: HarnessConfig, app: AppSpec) -> PowerProfile:
     return profile_application(app, duration, supply_v=supply)
 
 
-def _profile_to_dict(p: PowerProfile) -> dict:
-    return {"p_active_avg_w": p.p_active_avg, "p_idle_avg_w": p.p_idle_avg,
-            "t_active_s": p.t_active, "t_app_period_s": p.t_app_period,
-            "theta_profiling_bytes": p.theta_profiling,
-            "t_profiling_s": p.t_profiling}
-
-
-def _profile_from_dict(d: dict) -> PowerProfile:
-    return PowerProfile(p_active_avg=d["p_active_avg_w"],
-                        p_idle_avg=d["p_idle_avg_w"],
-                        t_active=d["t_active_s"],
-                        t_app_period=d["t_app_period_s"],
-                        theta_profiling=d["theta_profiling_bytes"],
-                        t_profiling=d["t_profiling_s"])
-
-
 def _resolve_plan(cfg: HarnessConfig, app: AppSpec, s_i: float,
                   mode_override: str | None, *, s_tp: str | None = None,
                   profile_path: str | None = None, accelerate: bool = False
                   ) -> tuple[ScalingPlan, PowerProfile | None]:
-    """Build the scaling plan from the config's plan block and CLI flags.
-
-    ``s_tp`` (``--s-tp``) overrides the block's target, a number or
-    ``"max"``; ``profile_path`` (``--profile``) replaces profiling the app.
-    With ``accelerate`` a realtime mode plans ``st_sp``. An explicit target
-    is checked against the schedulability bound and bound as "requested";
-    ``"max"`` takes the largest feasible scaled-power factor, which ``st_up``
-    runs with unscaled power.
-    """
+    """Plan what the plan block asks for, ``--mode``/``--s-tp`` overriding;
+    with ``accelerate`` realtime plans ``st_sp``. A profile the plan needs
+    is read from ``--profile`` or measured per the profile block."""
     block = cfg.raw.get("plan", {})
     mode = (mode_override or block.get("mode", "realtime")).replace("-", "_")
     if mode == "realtime" and accelerate:
         mode = "st_sp"
-    if mode == "realtime":
-        return ScalingPlan(mode="realtime", s_i=s_i), None
-    target = s_tp or block.get("s_tp", "max")
-    if mode == "st_up" and target != "max":
-        return ScalingPlan(mode="st_up", s_tp=float(target), s_i=s_i,
-                           binding="requested"), None
-    if profile_path:
+
+    def profile() -> PowerProfile:
+        if not profile_path:
+            return _profile_from_config(cfg, app)
         with open(profile_path, "r", encoding="utf-8") as fh:
-            profile = _profile_from_dict(json.load(fh))
-    else:
-        profile = _profile_from_config(cfg, app)
-    if target == "max":
-        s_tp, s_f, binding = max_speedup(profile, app)
-    else:
-        s_tp, binding = float(target), "requested"
-        s_f = compute_sf(profile, s_tp)
-        bound = app.t_sample_period / app.min_sample_period
-        if s_f > bound * (1 + 1e-12):
-            raise PlanError(
-                f"s_tp={s_tp:g} needs s_f={s_f:.4g} which exceeds the "
-                f"schedulability bound {bound:.4g}")
-    if mode == "st_up":
-        s_f = 1.0
-    return (ScalingPlan(mode=mode, s_tp=s_tp, s_f=s_f, s_i=s_i,
-                        binding=binding), profile)
+            return PowerProfile.from_dict(json.load(fh))
+
+    return plan_run(mode, app, profile, s_i=s_i,
+                    s_tp=s_tp or block.get("s_tp", "max"))
 
 
 def _run_experiment(trace, events, ess, app, sim_cfg,
@@ -121,7 +81,7 @@ def _write_plan(out: str, plan: ScalingPlan, profile: PowerProfile | None,
                 config_hash: str) -> None:
     _write_json(os.path.join(out, "plan.json"),
                 {**plan.as_dict(), "config_hash": config_hash,
-                 **({"profile": _profile_to_dict(profile)} if profile else {})})
+                 **({"profile": profile.as_dict()} if profile else {})})
 
 
 def cmd_simulate(args) -> int:
@@ -150,7 +110,7 @@ def cmd_profile(args) -> int:
     profile = _profile_from_config(cfg, app)
     out = args.out or "out"
     _write_json(os.path.join(out, "profile.json"),
-                {**_profile_to_dict(profile), "config_hash": cfg.hash,
+                {**profile.as_dict(), "config_hash": cfg.hash,
                  "app": app.name})
     print(f"profile app={app.name or 'custom'} "
           f"p_active_avg={profile.p_active_avg:.6g}W "
@@ -174,14 +134,9 @@ def cmd_plan(args) -> int:
 def cmd_compare(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan_d = json.load(fh)
-    plan = ScalingPlan(mode=plan_d["mode"], s_tp=plan_d["s_tp"],
-                       s_f=plan_d["s_f"], s_i=plan_d["s_i"],
-                       binding=plan_d.get("binding", ""))
-    profile = (_profile_from_dict(plan_d["profile"])
+    plan = ScalingPlan.from_dict(plan_d)
+    profile = (PowerProfile.from_dict(plan_d["profile"])
                if "profile" in plan_d else None)
-    if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            profile = _profile_from_dict(json.load(fh))
     baseline = load_result(args.baseline)
     scaled = load_result(args.scaled)
     window = float(args.window)
@@ -375,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True, help="baseline result dir")
     p.add_argument("--scaled", required=True, help="scaled result dir")
     p.add_argument("--plan", required=True, help="plan.json of the scaled run")
-    p.add_argument("--profile", default=None, help="profile.json override")
     p.add_argument("--window", default=3600.0, type=float,
                    help="DTW window in seconds")
     p.set_defaults(func=cmd_compare)

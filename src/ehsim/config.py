@@ -108,13 +108,8 @@ def _load_iv_surface(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gs, vs, grid
 
 
-def build_ess(cfg: HarnessConfig, overrides: dict | None = None) -> EssConfig:
+def build_ess(cfg: HarnessConfig) -> EssConfig:
     block = dict(cfg.raw.get("ess", {}))
-    if overrides:
-        for key, sub in overrides.items():
-            merged = dict(block.get(key, {}))
-            merged.update(sub)
-            block[key] = merged
     h = dict(block.get("harvester", {}))
     kind = h.pop("kind", "linear_mpp")
     if kind == "iv_surface":
@@ -157,11 +152,8 @@ def build_app(cfg: HarnessConfig) -> tuple[AppSpec, float]:
     return spec, s_i
 
 
-def build_sim(cfg: HarnessConfig, overrides: dict | None = None) -> SimConfig:
-    block = dict(cfg.raw.get("sim", {}))
-    if overrides:
-        block.update(overrides)
-    return SimConfig(**block)
+def build_sim(cfg: HarnessConfig) -> SimConfig:
+    return SimConfig(**cfg.raw.get("sim", {}))
 
 
 def load_trace(cfg: HarnessConfig) -> IrradianceTrace:

@@ -13,17 +13,19 @@ for measured averages ``Pa`` (active), ``Pi`` (idle), period ``T`` and
 active time ``ta``. The scaled-time/unscaled-power scheme (``st_up``) keeps
 power untouched and instead multiplies measured throughput by ``s_tp``.
 
-The workflow: profile the app at a constant supply, compute ``s_f`` (or the
-largest feasible ``s_tp``), turn the plan into the scaled trace, events, app
-and engine settings with one call (:func:`build_experiment`), run it, then
-map results back to the real-time axis and predict real-time throughput.
+The workflow: profile the app at a constant supply, plan the run with
+:func:`plan_run` (``s_f`` stays within the bound ``AppSpec.max_sf``), turn
+the plan into the scaled trace, events, app and engine settings with one
+call (:func:`build_experiment`), run it, then map results back to the
+real-time axis and predict real-time throughput.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "compute_sf",
     "scaled_average_power",
     "max_speedup",
+    "plan_run",
     "build_experiment",
     "predict_throughput",
     "rescale_activity",
@@ -57,6 +60,19 @@ class PlanError(ValueError):
 def _check_s_tp(s_tp: float) -> None:
     if not 1.0 <= s_tp < math.inf:
         raise PlanError(f"s_tp must be a finite number >= 1; got {s_tp}")
+
+
+def _get(d: dict, key: str, what: str):
+    if key not in d:
+        raise PlanError(f"{what} has no {key!r}")
+    return d[key]
+
+
+# PowerProfile field -> its key in profile.json (and plan.json's "profile")
+_PROFILE_KEYS = {"p_active_avg": "p_active_avg_w", "p_idle_avg": "p_idle_avg_w",
+                 "t_active": "t_active_s", "t_app_period": "t_app_period_s",
+                 "theta_profiling": "theta_profiling_bytes",
+                 "t_profiling": "t_profiling_s"}
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,15 @@ class PowerProfile:
                             f"bytes >= 0; got {theta!r}")
         object.__setattr__(self, "theta_profiling", int(theta))
 
+    def as_dict(self) -> dict:
+        return {key: getattr(self, f) for f, key in _PROFILE_KEYS.items()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> PowerProfile:
+        """Read :meth:`as_dict`'s form; a missing key is a PlanError."""
+        return cls(**{f: _get(d, key, "profile")
+                      for f, key in _PROFILE_KEYS.items()})
+
 
 @dataclass(frozen=True)
 class ScalingPlan:
@@ -125,8 +150,13 @@ class ScalingPlan:
             raise PlanError("st_up leaves the application unscaled (s_f == 1)")
 
     def as_dict(self) -> dict:
-        return {"mode": self.mode, "s_tp": self.s_tp, "s_f": self.s_f,
-                "s_i": self.s_i, "binding": self.binding}
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> ScalingPlan:
+        """Read :meth:`as_dict`'s form; only ``binding`` may be missing."""
+        return cls(*(_get(d, k, "plan") for k in ("mode", "s_tp", "s_f", "s_i")),
+                   binding=d.get("binding", ""))
 
 
 def profile_application(app: AppSpec, duration: float = 3600.0, *,
@@ -190,16 +220,15 @@ def max_speedup(profile: PowerProfile, spec: AppSpec,
                 peak_input: float | None = None) -> tuple[float, float, str]:
     """Largest feasible time-and-power factor and its frequency factor.
 
-    The schedulability bound ``s_f <= T_S / (t_sample + t_comm)`` always
-    applies; when ``env_power_cap`` is given (the highest input power the
-    emulated environment can produce, in the same unit as ``peak_input``,
-    the unscaled experiment's peak input), the scaled peak must stay under
-    it. Returns (s_tp, s_f, binding constraint name); (1, 1) when no
-    speed-up is admissible.
+    The schedulability bound ``spec.max_sf`` always applies; when
+    ``env_power_cap`` is given (the highest input power the emulated
+    environment can produce, in the same unit as ``peak_input``, the
+    unscaled experiment's peak input), the scaled peak must stay under it.
+    Returns (s_tp, s_f, binding constraint name); (1, 1) when no speed-up
+    is admissible.
     """
     if env_power_cap is not None and peak_input is None:
         raise PlanError("env_power_cap needs peak_input to compare against")
-    bound = spec.t_sample_period / spec.min_sample_period
     best = (1.0, 1.0)
     binding = "schedulability"
     s_tp = 1.0
@@ -209,7 +238,7 @@ def max_speedup(profile: PowerProfile, spec: AppSpec,
         except PlanError:
             binding = "degenerate_profile"
             break
-        if s_f > bound * (1 + 1e-12):
+        if s_f > spec.max_sf:
             binding = "schedulability"
             break
         if (env_power_cap is not None
@@ -219,6 +248,36 @@ def max_speedup(profile: PowerProfile, spec: AppSpec,
         best = (s_tp, s_f)
         s_tp += 1.0
     return best[0], best[1], binding
+
+
+def plan_run(mode: str, app: AppSpec, profile: Callable[[], PowerProfile], *,
+             s_i: float = 1.0, s_tp: float | str = "max"
+             ) -> tuple[ScalingPlan, PowerProfile | None]:
+    """Plan a run of ``mode`` towards ``s_tp``, a number or ``"max"``.
+
+    ``realtime`` and an explicit ``st_up`` target need no profile; every
+    other plan calls ``profile()`` once. ``"max"`` takes :func:`max_speedup`'s
+    factors; an explicit target binds as "requested" and its ``s_f`` must
+    stay within ``app.max_sf``. ``st_up`` runs at ``s_f = 1``. Returns the
+    plan and the profile it used, or None."""
+    if mode == "realtime":
+        return ScalingPlan(mode="realtime", s_i=s_i), None
+    if mode == "st_up" and s_tp != "max":
+        return ScalingPlan(mode="st_up", s_tp=float(s_tp), s_i=s_i,
+                           binding="requested"), None
+    prof = profile()
+    if s_tp == "max":
+        s_tp, s_f, binding = max_speedup(prof, app)
+    else:
+        s_tp, binding = float(s_tp), "requested"
+        s_f = compute_sf(prof, s_tp)
+        if s_f > app.max_sf:
+            raise PlanError(
+                f"s_tp={s_tp:g} needs s_f={s_f:.4g} which exceeds the "
+                f"schedulability bound {app.max_sf:.4g}")
+    return (ScalingPlan(mode=mode, s_tp=s_tp,
+                        s_f=1.0 if mode == "st_up" else s_f, s_i=s_i,
+                        binding=binding), prof)
 
 
 def build_experiment(plan: ScalingPlan, trace: IrradianceTrace,

@@ -113,6 +113,16 @@ def _time_scale(time_unit: str) -> float:
     return 60.0 if time_unit == "min" else 1.0
 
 
+def _data_lines(source):
+    """Numbered data lines of text, bytes or a stream: not blank, not '#'."""
+    if isinstance(source, (str, bytes)):
+        source = io.StringIO(source.decode() if isinstance(source, bytes) else source)
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_irradiance(source, *, delimiter: str | None = None,
                      time_unit: str = "s") -> IrradianceTrace:
     """Parse a two-column (timestamp, irradiance) text stream.
@@ -125,16 +135,9 @@ def parse_irradiance(source, *, delimiter: str | None = None,
     and :class:`TraceError` for an empty or invalid trace.
     """
     scale = _time_scale(time_unit)
-    if isinstance(source, (str, bytes)):
-        stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
-    else:
-        stream = source
     ts: list[float] = []
     gs: list[float] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(source):
         parts = line.split(delimiter) if delimiter else line.replace(",", " ").split()
         if len(parts) != 2:
             raise TraceParseError(f"expected 2 columns, got {len(parts)}", lineno)
@@ -173,15 +176,8 @@ def parse_events(source, *, time_unit: str = "s") -> EventTrace:
     time.
     """
     scale = _time_scale(time_unit)
-    if isinstance(source, (str, bytes)):
-        stream = io.StringIO(source.decode() if isinstance(source, bytes) else source)
-    else:
-        stream = source
     ts: list[float] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(source):
         parts = line.split(",")
         if len(parts) != 1:
             raise TraceParseError(f"expected 1 column, got {len(parts)}", lineno)

@@ -360,6 +360,23 @@ def test_cmd_plan_rejects_a_malformed_theta_profiling(tmp_path, capsys, theta):
     assert not (tmp_path / "o").exists()
 
 
+PROFILE_FILE = {"p_active_avg_w": 2e-3, "p_idle_avg_w": 1e-4,
+                "t_active_s": 1.0, "t_app_period_s": 20.0,
+                "theta_profiling_bytes": 1200, "t_profiling_s": 3600.0}
+
+
+@pytest.mark.parametrize("key", sorted(PROFILE_FILE))
+def test_cmd_plan_names_a_key_the_profile_file_lacks(tmp_path, capsys, key):
+    cfg = write_fixture_config(tmp_path)
+    profile = {k: v for k, v in PROFILE_FILE.items() if k != key}
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--profile", str(tmp_path / "profile.json")]) == 2
+    assert (f"error: PlanError: profile has no '{key}'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_hash_reaches_every_result_file(tmp_path):
     cfg = write_fixture_config(tmp_path)
     want = load_config(str(cfg)).hash
@@ -681,7 +698,7 @@ def one_run(tmp_path_factory):
 _UNREAD_FLAGS = {"simulate": ("--workers",),
                  "profile": ("--seed", "--workers", "--mode"),
                  "plan": ("--seed", "--workers"),
-                 "compare": ("--seed", "--workers", "--mode"),
+                 "compare": ("--seed", "--workers", "--mode", "--profile"),
                  "stacks": ("--seed", "--workers", "--mode")}
 
 
@@ -694,9 +711,30 @@ def test_cli_rejects_a_flag_the_command_does_not_read(one_run, tmp_path,
                           "--plan", str(res / "plan.json")],
               "stacks": ["--result", str(res)]}.get(
                   command, ["--config", str(cfg)])
-    value = {"--seed": "4", "--workers": "9", "--mode": "st-sp"}[flag]
+    value = {"--seed": "4", "--workers": "9", "--mode": "st-sp",
+             "--profile": "profile.json"}[flag]
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, "--out", str(tmp_path / "o"), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["mode", "s_tp", "s_f", "s_i",
+                                 "profile.p_idle_avg_w"])
+def test_cmd_compare_names_a_key_the_plan_file_lacks(one_run, tmp_path,
+                                                     capsys, key):
+    _, res = one_run
+    plan = {"mode": "st_sp", "s_tp": 2.0, "s_f": 2.2, "s_i": 1.0,
+            "binding": "requested", "profile": dict(PROFILE_FILE)}
+    *block, name = key.split(".")
+    del (plan[block[0]] if block else plan)[name]
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert main(["compare", "--baseline", str(res), "--scaled", str(res),
+                 "--plan", str(tmp_path / "plan.json"), "--out",
+                 str(tmp_path / "o")]) == 2
+    what = block[0] if block else "plan"
+    assert (f"error: PlanError: {what} has no '{name}'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()

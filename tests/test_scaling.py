@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from ehsim.app import PHASES, PRESETS, ActivityProfile, AppSpec, preset
 from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
-    max_speedup, predict_throughput, profile_application, rescale_activity,
-    rescale_timeline, scaled_average_power,
+    max_speedup, plan_run, predict_throughput, profile_application,
+    rescale_activity, rescale_timeline, scaled_average_power,
 )
 from ehsim.ess import EssConfig, StorageModel
 from ehsim.traces import EventTrace, IrradianceTrace, synthetic_solar_trace
@@ -170,6 +171,78 @@ def test_max_speedup_env_cap_binds_before_schedulability():
     assert s_tp == 10
     assert s_f == pytest.approx(12.3, abs=0.05)
     assert binding == "env_power_cap"
+
+
+# Per preset: s_i, the "max" plan's s_tp and s_f, and the s_f of s_tp 2, as
+# `ehsim plan --mode M --s-tp T` wrote them to plan.json for a config that
+# holds only {"app": {"preset": name}}, when the mode rules lived in the CLI.
+# st_up runs the same s_tp at s_f 1; no preset makes s_tp 2 infeasible.
+PRESET_PLANS = {
+    "TMP1": (0.02, 3.0, 3.3999743502911657, 2.199987175145583),
+    "TMP2": (0.015, 2.0, 2.5999699257727644, 2.5999699257727644),
+    "IMU": (0.015, 7.0, 10.899911614782381, 2.6499852691303967),
+    "PMS": (0.015, 6.0, 10.899994549032902, 2.979998909806581),
+    "TOF": (0.02, 1138.0, 1428.549592301877, 2.255540538524078),
+    "BIO": (0.03, 562.0, 599.4007086445325, 2.0666679298476516),
+    "PARKING": (0.06, 955.0, 1427.258064501592, 2.4950294177165535),
+}
+
+
+@functools.cache
+def _preset_profile(name):
+    return profile_application(preset(name), 3600.0)
+
+
+@pytest.mark.parametrize("target", ["max", 2])
+@pytest.mark.parametrize("mode", ["st_sp", "st_sp_sn", "st_up"])
+@pytest.mark.parametrize("name", sorted(PRESET_PLANS))
+def test_plan_run_reproduces_the_cli_plans(name, mode, target):
+    s_i, tp_max, sf_max, sf_2 = PRESET_PLANS[name]
+    calls = []
+
+    def profile():
+        calls.append(name)
+        return _preset_profile(name)
+
+    plan, used = plan_run(mode, preset(name), profile, s_i=s_i, s_tp=target)
+    s_tp, s_f = (tp_max, sf_max) if target == "max" else (2.0, sf_2)
+    assert plan.as_dict() == {
+        "mode": mode, "s_tp": s_tp, "s_f": 1.0 if mode == "st_up" else s_f,
+        "s_i": s_i,
+        "binding": "schedulability" if target == "max" else "requested"}
+    # an explicit st_up target is the one scaled plan that needs no profile
+    needs_profile = mode != "st_up" or target == "max"
+    assert len(calls) == needs_profile
+    assert used is (_preset_profile(name) if needs_profile else None)
+
+
+def test_plan_run_realtime_is_unscaled_and_never_profiles():
+    def profile():
+        raise AssertionError("realtime needs no profile")
+
+    plan, used = plan_run("realtime", preset("TMP1"), profile, s_i=0.5,
+                          s_tp=3)
+    assert plan == ScalingPlan(mode="realtime", s_i=0.5) and used is None
+
+
+def test_plan_run_rejects_a_target_past_the_schedulability_bound():
+    app = preset("TMP1")
+    with pytest.raises(PlanError, match="schedulability bound 4$"):
+        plan_run("st_sp", app, lambda: _preset_profile("TMP1"), s_tp=50)
+    # st_up leaves the application unscaled, so no bound applies
+    plan, _ = plan_run("st_up", app, lambda: _preset_profile("TMP1"), s_tp=50)
+    assert (plan.s_tp, plan.s_f) == (50.0, 1.0)
+
+
+def test_profile_and_plan_dicts_round_trip():
+    prof = _preset_profile("PMS")
+    assert PowerProfile.from_dict(prof.as_dict()) == prof
+    plan = ScalingPlan(mode="st_sp", s_tp=6.0, s_f=10.9, s_i=0.015,
+                       binding="schedulability")
+    assert ScalingPlan.from_dict(plan.as_dict()) == plan
+    d = plan.as_dict()
+    del d["binding"]
+    assert ScalingPlan.from_dict(d) == replace(plan, binding="")
 
 
 def test_plan_validation():
