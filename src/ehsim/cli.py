@@ -20,7 +20,7 @@ import numpy as np
 from .app import AppError, AppSpec
 from .config import (HarnessConfig, _write_csvs, build_app, build_ess,
                      build_sim, load_config, load_events, load_trace,
-                     save_result, load_result)
+                     save_result, load_result, load_summary)
 from .engine import (ClosureError, ConfigError, SimResult, simulate)
 from .ess import EssError
 from .metrics import compute_ape, mismatch_spans, throughput_error
@@ -131,14 +131,46 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    with open(args.plan, "r", encoding="utf-8") as fh:
+def _read_plan(path: str) -> tuple[ScalingPlan, PowerProfile | None]:
+    """The plan in a ``plan.json`` and the profile it embeds, if any."""
+    with open(path, "r", encoding="utf-8") as fh:
         plan_d = json.load(fh)
-    plan = ScalingPlan.from_dict(plan_d)
     profile = (PowerProfile.from_dict(plan_d["profile"])
                if "profile" in plan_d else None)
-    baseline = load_result(args.baseline)
-    scaled = load_result(args.scaled)
+    return ScalingPlan.from_dict(plan_d), profile
+
+
+def _plan_for(scaled_dir: str, plan_path: str | None
+              ) -> tuple[ScalingPlan, PowerProfile | None]:
+    """The plan to score ``scaled_dir`` by: ``plan_path``, checked against
+    the ``plan.json`` the run was made with, or that file itself.
+
+    The check compares the plan's factors and the embedded profile;
+    ``binding``, which only says what limited the factors, is not compared.
+    A mismatch is a PlanError that names the fields that differ.
+    """
+    recorded = os.path.join(scaled_dir, "plan.json")
+    plan, profile = _read_plan(recorded if plan_path is None else plan_path)
+    if plan_path is not None and os.path.exists(recorded):
+        ran, ran_profile = _read_plan(recorded)
+        differ = [k for k in ("mode", "s_tp", "s_f", "s_i")
+                  if getattr(plan, k) != getattr(ran, k)]
+        if (profile is None) != (ran_profile is None):
+            differ.append("profile")
+        elif profile is not None:
+            mine, theirs = profile.as_dict(), ran_profile.as_dict()
+            differ += [f"profile.{k}" for k in mine if mine[k] != theirs[k]]
+        if differ:
+            raise PlanError(f"{plan_path} differs from {recorded}, the plan "
+                            f"the scaled run was made with, in "
+                            f"{', '.join(differ)}")
+    return plan, profile
+
+
+def cmd_compare(args) -> int:
+    plan, profile = _plan_for(args.scaled, args.plan)
+    baseline = load_summary(args.baseline)
+    scaled = load_summary(args.scaled)
     window = float(args.window)
 
     predicted = predict_throughput(plan, scaled, profile)
@@ -329,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, config=False)
     p.add_argument("--baseline", required=True, help="baseline result dir")
     p.add_argument("--scaled", required=True, help="scaled result dir")
-    p.add_argument("--plan", required=True, help="plan.json of the scaled run")
+    p.add_argument("--plan", default=None,
+                   help="plan.json of the scaled run (default: the one in "
+                        "the --scaled directory)")
     p.add_argument("--window", default=3600.0, type=float,
                    help="DTW window in seconds")
     p.set_defaults(func=cmd_compare)

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "load_trace",
     "load_events",
     "save_result",
+    "ResultSummary",
+    "load_summary",
     "load_result",
 ]
 
@@ -532,13 +534,35 @@ def _load_npy(out_dir: str, name: str) -> np.ndarray:
     return arr
 
 
-def load_result(out_dir: str) -> SimResult:
-    """Reconstruct a result exactly from ``result.json`` and its ``.npy`` tables.
+@dataclass(frozen=True)
+class ResultSummary:
+    """A saved run without its bulk tables: ``result.json`` and the activity.
 
-    The run's stats come from ``run_meta.json`` when it holds them; the
-    wall time and the config hash are not read back, nor is the ``run_id``
-    key of older files. Raises :class:`ConfigError`, naming the
-    file, for a missing or malformed table.
+    The fields are :class:`~ehsim.engine.SimResult`'s of the same names;
+    :func:`load_summary` reads them, and :func:`load_result` adds the rest.
+    """
+
+    ledger: EnergyLedger
+    activity: ActivityProfile
+    throughput_bytes: int
+    boots: int
+    events_offered: int
+    events_detected: int
+    events_detected_at_event: int
+    events_observed: int
+    on_time_s: float
+    duration_s: float
+    v_cap_final: float
+    converter_on_final: bool
+
+
+def load_summary(out_dir: str) -> ResultSummary:
+    """Read a result's scalars, ledger and activity exactly.
+
+    Reads ``result.json`` and ``activity.npy`` only; the config hash and
+    the ``run_id`` key of older files are not read back. Raises
+    :class:`ConfigError`, naming the file, for a bad ``step_len`` or a
+    missing or malformed activity table.
     """
     json_path = os.path.join(out_dir, "result.json")
     with open(json_path, "r", encoding="utf-8") as fh:
@@ -547,7 +571,6 @@ def load_result(out_dir: str) -> SimResult:
     if not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
         raise ConfigError(f"{json_path}: step_len is {step!r}, not a positive "
                           f"number; re-run simulate")
-    step = float(step)
     stack_d = payload["stack"]
     ledger = EnergyLedger(
         harvest_input=stack_d["harvest_input_j"],
@@ -560,40 +583,55 @@ def load_result(out_dir: str) -> SimResult:
         sss_by_activity={k: stack_d["sss_by_activity_j"].get(k, 0.0)
                          for k in LEDGER_ACTIVITIES},
     )
-    prof = _load_npy(out_dir, "profile")
     act = _load_npy(out_dir, "activity")
-    volt = _load_npy(out_dir, "voltage")
-    ev = _load_npy(out_dir, "events")
-    if len(act) != len(prof):
-        raise ConfigError(f"{out_dir}: activity.npy has {len(act)} rows, "
-                          f"profile.npy {len(prof)}; re-run simulate")
     on, labels = act[:, 0], act[:, 1]
     if len(act) and (on.min() < 0 or on.max() > 1 or labels.min() < 0
                      or labels.max() >= len(PHASES)):
         raise ConfigError(f"{out_dir}: activity.npy holds an on flag or "
                           f"phase index out of range; re-run simulate")
-    profile = EnergyStackProfile(
-        step_len=step, t_start=prof[:, 0], harvest=prof[:, 1],
-        mppt_loss=prof[:, 2], converter_loss=prof[:, 3],
-        soc_energy=prof[:, 4], sensor_energy=prof[:, 5],
-        storage_delta=prof[:, 6])
-    activity = ActivityProfile(step_len=step, on_off=on, labels=labels)
-
-    return SimResult(
-        ledger=ledger, profile=profile, activity=activity,
+    events = payload["events"]
+    return ResultSummary(
+        ledger=ledger,
+        activity=ActivityProfile(step_len=float(step), on_off=on,
+                                 labels=labels),
         throughput_bytes=int(payload["throughput_bytes"]),
         boots=int(payload["boots"]),
-        events_offered=int(payload["events"]["offered"]),
-        events_detected=int(payload["events"]["detected"]),
-        events_detected_at_event=int(payload["events"]["detected_at_event"]),
-        events_observed=int(payload["events"]["detected_at_next_sample"]),
+        events_offered=int(events["offered"]),
+        events_detected=int(events["detected"]),
+        events_detected_at_event=int(events["detected_at_event"]),
+        events_observed=int(events["detected_at_next_sample"]),
         on_time_s=float(payload["on_time_s"]),
         duration_s=float(payload["duration_s"]),
-        wall_time_s=0.0,
         v_cap_final=float(payload["final"]["v_cap"]),
         converter_on_final=bool(payload["final"]["converter_on"]),
-        voltage_t=volt[:, 0], voltage_v=volt[:, 1],
-        event_log=ev,
+    )
+
+
+def load_result(out_dir: str) -> SimResult:
+    """Reconstruct a result exactly: :func:`load_summary` plus the tables.
+
+    Adds the profile, voltage and event tables, and the run's stats from
+    ``run_meta.json`` when it holds them; the wall time is not read back.
+    Raises :class:`ConfigError`, naming the file, for a missing or
+    malformed table.
+    """
+    summary = load_summary(out_dir)
+    prof = _load_npy(out_dir, "profile")
+    volt = _load_npy(out_dir, "voltage")
+    ev = _load_npy(out_dir, "events")
+    if len(summary.activity) != len(prof):
+        raise ConfigError(f"{out_dir}: activity.npy has "
+                          f"{len(summary.activity)} rows, profile.npy "
+                          f"{len(prof)}; re-run simulate")
+    profile = EnergyStackProfile(
+        step_len=summary.activity.step_len, t_start=prof[:, 0],
+        harvest=prof[:, 1], mppt_loss=prof[:, 2], converter_loss=prof[:, 3],
+        soc_energy=prof[:, 4], sensor_energy=prof[:, 5],
+        storage_delta=prof[:, 6])
+    return SimResult(
+        **{f.name: getattr(summary, f.name) for f in fields(summary)},
+        profile=profile, wall_time_s=0.0,
+        voltage_t=volt[:, 0], voltage_v=volt[:, 1], event_log=ev,
         stats=_load_stats(out_dir),
     )
 

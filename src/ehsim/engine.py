@@ -1040,7 +1040,8 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
             vb = v_inf + (v_bus - v_inf) * a
             if vb < 0.0:
                 vb = 0.0
-            vc = math.sqrt(max(vv + 2.0 * (0.0 - e_leak - e_out) / C, 0.0))
+            x = vv + 2.0 * (0.0 - e_leak - e_out) / C
+            vc = math.sqrt(0.0 if x < 0.0 else x)
         else:  # storage_step's rare branches; the chains it is not inlined for
             if quadratic_bus:
                 io = solve_load_current(v_cap, R, p_drawn)

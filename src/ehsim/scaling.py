@@ -25,13 +25,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .app import AppSpec, ActivityProfile, apply_frequency_scaling
 from .engine import (EnergyStackProfile, SimConfig, SimResult, simulate)
 from .traces import EventTrace, IrradianceTrace
+
+if TYPE_CHECKING:
+    from .config import ResultSummary
 
 __all__ = [
     "PowerProfile",
@@ -215,39 +218,56 @@ def scaled_average_power(profile: PowerProfile, s_f: float) -> float:
     return s_f * pa + (T - ta * s_f) / (T - ta) * pi
 
 
+# max_speedup tries the whole factors below this one.
+_S_TP_LIMIT = 1_000_000
+
+
 def max_speedup(profile: PowerProfile, spec: AppSpec,
                 env_power_cap: float | None = None, *,
                 peak_input: float | None = None) -> tuple[float, float, str]:
-    """Largest feasible time-and-power factor and its frequency factor.
+    """Largest feasible whole time-and-power factor and its frequency factor.
 
     The schedulability bound ``spec.max_sf`` always applies; when
     ``env_power_cap`` is given (the highest input power the emulated
     environment can produce, in the same unit as ``peak_input``, the
     unscaled experiment's peak input), the scaled peak must stay under it.
     Returns (s_tp, s_f, binding constraint name); (1, 1) when no speed-up
-    is admissible.
+    is admissible, and binding ``"s_tp_limit"`` when every factor below
+    1e6 is feasible.
+
+    When the checks pass at 1, they pass up to some factor and fail from
+    the next one on (:func:`compute_sf` and the scaled peak rise with
+    ``s_tp``), so that factor is found by bisection: about 20 checks, the
+    ones a search factor by factor would make at the two factors found.
     """
     if env_power_cap is not None and peak_input is None:
         raise PlanError("env_power_cap needs peak_input to compare against")
-    best = (1.0, 1.0)
-    binding = "schedulability"
-    s_tp = 1.0
-    while s_tp < 1e6:
+
+    def check(s_tp: float) -> tuple[float | None, str | None]:
+        """``(s_f, None)`` if ``s_tp`` is feasible, else ``(None, binding)``."""
         try:
             s_f = compute_sf(profile, s_tp)
         except PlanError:
-            binding = "degenerate_profile"
-            break
+            return None, "degenerate_profile"
         if s_f > spec.max_sf:
-            binding = "schedulability"
-            break
+            return None, "schedulability"
         if (env_power_cap is not None
                 and peak_input * s_tp > env_power_cap * (1 + 1e-12)):
-            binding = "env_power_cap"
-            break
-        best = (s_tp, s_f)
-        s_tp += 1.0
-    return best[0], best[1], binding
+            return None, "env_power_cap"
+        return s_f, None
+
+    s_f, binding = check(1.0)
+    if binding is not None:
+        return 1.0, 1.0, binding
+    lo, hi, binding = 1, _S_TP_LIMIT, "s_tp_limit"
+    while hi - lo > 1:  # lo is feasible; hi fails by binding
+        mid = (lo + hi) // 2
+        mid_s_f, mid_binding = check(float(mid))
+        if mid_binding is None:
+            lo, s_f = mid, mid_s_f
+        else:
+            hi, binding = mid, mid_binding
+    return float(lo), s_f, binding
 
 
 def plan_run(mode: str, app: AppSpec, profile: Callable[[], PowerProfile], *,
@@ -305,9 +325,12 @@ def build_experiment(plan: ScalingPlan, trace: IrradianceTrace,
     return trace, events, app, cfg
 
 
-def predict_throughput(plan: ScalingPlan, result: SimResult,
+def predict_throughput(plan: ScalingPlan, result: SimResult | ResultSummary,
                        profile: PowerProfile | None = None) -> float:
     """Real-time throughput predicted from a (scaled) run.
+
+    Only ``result.throughput_bytes`` and ``result.on_time_s`` are read, so
+    the light record :func:`ehsim.config.load_summary` returns serves too.
 
     Under scaled power the application was modified, so bytes measured in
     the experiment do not directly estimate the original application's

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ehsim.cli import main
 from ehsim.config import (build_app, build_ess, build_sim, config_hash,
-                          load_config, load_result, save_result)
+                          load_config, load_result, load_summary,
+                          save_result)
 from ehsim.engine import (ConfigError, EnergyStackProfile, SimConfig,
                           _resolution_guard, simulate)
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
@@ -184,13 +185,20 @@ def _without_step_len(path):
     path.write_text(json.dumps(payload))
 
 
-@pytest.mark.parametrize("name, damage", [
+_DAMAGES = [
     ("profile.npy", os.remove), ("activity.npy", _truncate),
     ("voltage.npy", _wrong_shape), ("events.npy", _pickled),
     ("activity.npy", lambda p: p.write_bytes(b"")),
-    ("result.json", _without_step_len),
-])
-@pytest.mark.parametrize("command", ["compare", "stacks"])
+    ("result.json", _without_step_len), ("activity.npy", os.remove),
+]
+# The files of a result directory compare reads; it never opens the others.
+_COMPARE_READS = ("result.json", "activity.npy", "plan.json")
+
+
+@pytest.mark.parametrize("command, name, damage", [
+    (command, name, damage) for command in ("compare", "stacks")
+    for name, damage in _DAMAGES
+    if command == "stacks" or name in _COMPARE_READS])
 def test_damaged_result_table_exits_2_naming_the_file(tmp_path, capsys,
                                                       saved_run, name, damage,
                                                       command):
@@ -206,6 +214,121 @@ def test_damaged_result_table_exits_2_naming_the_file(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:") and str(run / name) in err
     assert "re-run simulate" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def scaled_pair(tmp_path_factory):
+    """A real-time run and its st-up twin (s_tp 3): their profiles differ."""
+    base = tmp_path_factory.mktemp("pair")
+    cfg = write_fixture_config(base)
+    for mode in ("realtime", "st-up"):
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(base / mode), "--mode", mode]) == 0
+    return base / "realtime", base / "st-up"
+
+
+def _compare(tmp_path, baseline, scaled, out, *plan):
+    code = main(["compare", "--baseline", str(baseline), "--scaled",
+                 str(scaled), *plan, "--window", "60", "--out",
+                 str(tmp_path / out)])
+    return code, {name: (tmp_path / out / name).read_bytes()
+                  for name in ("report.json", "mismatch_spans.csv")
+                  if (tmp_path / out / name).exists()}
+
+
+def test_compare_reads_only_result_json_and_the_activity(tmp_path,
+                                                         monkeypatch,
+                                                         scaled_pair):
+    rt, up = scaled_pair
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.abspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    code, full = _compare(tmp_path, rt, up, "full")
+    monkeypatch.undo()
+    assert code == 0
+    assert len(full["mismatch_spans.csv"].splitlines()) > 1
+    inputs = [p for p in opened if os.path.dirname(p) in (str(rt), str(up))]
+    assert sorted({os.path.basename(p) for p in inputs}) == sorted(
+        _COMPARE_READS)
+
+    # Without the tables compare does not read, the outputs are the same.
+    lean = []
+    for run in (rt, up):
+        shutil.copytree(run, tmp_path / run.name)
+        for name in ("profile.npy", "voltage.npy", "events.npy",
+                     "run_meta.json"):
+            os.remove(tmp_path / run.name / name)
+        lean.append(tmp_path / run.name)
+    assert _compare(tmp_path, *lean, "lean") == (0, full)
+
+
+def test_load_summary_is_load_result_without_the_tables(tmp_path, saved_run):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("result.json", "activity.npy"):
+        shutil.copy(saved_run / name, run / name)
+    summary = load_summary(str(run))
+    full = load_result(str(saved_run))
+    for f in dataclasses.fields(summary):
+        assert_bit_equal(getattr(summary, f.name), getattr(full, f.name),
+                         f.name)
+
+
+def test_compare_scores_by_the_scaled_runs_plan_by_default(tmp_path,
+                                                           scaled_pair):
+    rt, up = scaled_pair
+    given = _compare(tmp_path, rt, up, "given", "--plan",
+                     str(up / "plan.json"))
+    assert given[0] == 0
+    assert _compare(tmp_path, rt, up, "default") == given
+
+
+def _other_profile(tmp_path, up):
+    plan = json.loads((up / "plan.json").read_text())
+    plan["profile"]["p_idle_avg_w"] *= 2
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+
+
+def _other_s_tp(tmp_path, up):
+    assert main(["plan", "--config", str(up.parent / "config.json"),
+                 "--mode", "st-up", "--s-tp", "2", "--out",
+                 str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("make_plan, fields", [
+    (_other_s_tp, "s_tp, profile"), (_other_profile, "profile.p_idle_avg_w")])
+def test_compare_rejects_a_plan_the_scaled_run_was_not_made_with(
+        tmp_path, capsys, scaled_pair, make_plan, fields):
+    rt, up = scaled_pair
+    make_plan(tmp_path, up)
+    capsys.readouterr()
+    code, written = _compare(tmp_path, rt, up, "o", "--plan",
+                             str(tmp_path / "plan.json"))
+    assert (code, written) == (2, {})
+    assert capsys.readouterr().err == (
+        f"error: PlanError: {tmp_path / 'plan.json'} differs from "
+        f"{up / 'plan.json'}, the plan the scaled run was made with, in "
+        f"{fields}\n")
+
+
+def test_compare_of_a_run_without_plan_json_needs_plan(tmp_path, capsys,
+                                                       scaled_pair):
+    # As a sweep cell: the result files and no plan.json.
+    rt, up = scaled_pair
+    cell = tmp_path / "cell"
+    shutil.copytree(up, cell)
+    os.remove(cell / "plan.json")
+    capsys.readouterr()
+    assert _compare(tmp_path, rt, cell, "o") == (2, {})
+    assert str(cell / "plan.json") in capsys.readouterr().err
+    given = _compare(tmp_path, rt, up, "given")
+    assert _compare(tmp_path, rt, cell, "o", "--plan",
+                    str(up / "plan.json")) == given
 
 
 def test_cmd_simulate_writes_outputs_and_is_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,62 @@ def test_plan_run_reproduces_the_cli_plans(name, mode, target):
     needs_profile = mode != "st_up" or target == "max"
     assert len(calls) == needs_profile
     assert used is (_preset_profile(name) if needs_profile else None)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PLANS))
+def test_max_speedup_keeps_the_preset_factors(name):
+    _, s_tp, s_f, _ = PRESET_PLANS[name]
+    assert max_speedup(_preset_profile(name), preset(name)) == (
+        s_tp, s_f, "schedulability")
+
+
+def _max_speedup_by_search(profile, spec, env_power_cap=None, peak_input=None):
+    """The factor-by-factor search max_speedup bisects, up to its limit."""
+    best, s_tp = (1.0, 1.0), 1.0
+    while s_tp < 1e6:
+        try:
+            s_f = compute_sf(profile, s_tp)
+        except PlanError:
+            return (*best, "degenerate_profile")
+        if s_f > spec.max_sf:
+            return (*best, "schedulability")
+        if (env_power_cap is not None
+                and peak_input * s_tp > env_power_cap * (1 + 1e-12)):
+            return (*best, "env_power_cap")
+        best = (s_tp, s_f)
+        s_tp += 1.0
+    return (*best, "s_tp_limit")
+
+
+@given(pa=st.floats(1e-6, 1e-1), pi=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
+       ta=st.floats(0.01, 10.0), slack=st.floats(1.0001, 300.0),
+       burst=st.floats(0.01, 10.0), bound=st.floats(1.0, 2000.0),
+       cap=st.one_of(st.none(), st.floats(-5.0, 3000.0)),
+       peak=st.floats(-2.0, 50.0))
+@settings(max_examples=200, deadline=None)
+def test_max_speedup_matches_the_factor_by_factor_search(pa, pi, ta, slack,
+                                                         burst, bound, cap,
+                                                         peak):
+    profile = PowerProfile(p_active_avg=pa, p_idle_avg=pi, t_active=ta,
+                           t_app_period=ta * slack, theta_profiling=1,
+                           t_profiling=3600.0)
+    spec = AppSpec(t_sample_period=burst * bound, t_sample=burst / 2,
+                   t_comm=burst / 2)
+    assert max_speedup(profile, spec, cap, peak_input=peak) == \
+        _max_speedup_by_search(profile, spec, cap, peak)
+
+
+def test_max_speedup_reports_its_limit_without_searching_to_it():
+    # no idle power, so s_f == s_tp, and max_sf is 5e6: every factor the
+    # search tries is feasible
+    spec = AppSpec(t_sample_period=1e7, t_sample=1.0, t_comm=1.0, p_idle=0.0)
+    profile = PowerProfile(p_active_avg=1e-3, p_idle_avg=0.0, t_active=2.0,
+                           t_app_period=1e7, theta_profiling=0,
+                           t_profiling=1e7)
+    t0 = time.perf_counter()
+    found = max_speedup(profile, spec)
+    assert time.perf_counter() - t0 < 0.01
+    assert found == (999999.0, 999999.0, "s_tp_limit")
 
 
 def test_plan_run_realtime_is_unscaled_and_never_profiles():
