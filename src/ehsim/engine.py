@@ -38,6 +38,7 @@ because its power then depends on the storage voltage.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field, replace
 
@@ -267,16 +268,19 @@ class _Bins:
     """Growable per-aggregation-step columns, zeroed at allocation.
 
     The voltage timeline is not stored: :func:`_package` derives it from
-    the bin count.
+    the bin count. ``spans`` queues closed-form spans as packed doubles
+    for :func:`_write_span_rows`; ``span_rows`` counts their bins.
     """
 
     _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
                 "volt_v", "labels")
-    __slots__ = _COLUMNS + ("n", "cap")
+    __slots__ = _COLUMNS + ("n", "cap", "spans", "span_rows")
 
     def __init__(self, n_nominal: int):
         self.n = 0
         self.cap = max(n_nominal + 8, 16)
+        self.spans = bytearray()
+        self.span_rows = 0
         for name in self._COLUMNS:
             dtype = np.int8 if name == "labels" else np.float64
             setattr(self, name, np.zeros(self.cap, dtype=dtype))
@@ -714,6 +718,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
         b_vv[bin_idx] = v_cap
         bins.n = bin_idx + 1
 
+    _write_span_rows(bins, agg)
     # added to what the closed-form spans booked
     ledger.harvest_input += e_harvest
     ledger.mppt_loss += e_mppt
@@ -732,10 +737,12 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
-# much as a few steps; the longest bounds its row temporaries, and those
-# the dark evaluator holds between writes.
+# much as one or two steps; the longest bounds the rows that wait for
+# _write_span_rows, and those the dark evaluator holds between writes.
 _SPAN_MIN_BINS = 4
 _SPAN_MAX_BINS = 4096
+# A queued span's record for _write_span_rows: 16 doubles.
+_pack_span = struct.Struct("16d").pack
 # A span's ESR loss is frozen at its start voltage, and i^2 R goes as
 # 1 / v^2: the span also ends where the voltage has moved by this share,
 # which keeps the frozen loss within 0.5% of the stepped one.
@@ -771,10 +778,10 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     last bin's draw takes up what the storage actually supplied, as the
     per-step loop books it, so the ledger closes.
 
-    Writes the span's rows, adds its energies to ``ledger`` and counts its
-    time off ``app_state.t_until_sample`` while idle. Returns ``(n_bins,
-    v_cap, v_bus, mode, de_rate, i_out)``, or None when fewer than
-    ``_SPAN_MIN_BINS`` whole bins qualify.
+    Queues the span's rows on ``bins``, adds its energies to ``ledger``
+    and counts its time off ``app_state.t_until_sample`` while idle.
+    Returns ``(n_bins, v_cap, v_bus, mode, de_rate, i_out)``, or None when
+    fewer than ``_SPAN_MIN_BINS`` whole bins qualify.
     """
     t_bin = t0 + bin_idx * agg
     on = app_state.phase == PHASE_IDLE
@@ -863,21 +870,24 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
                 return None
 
     # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
-    # bin ends; the first bin may have opened a hair after its edge.
+    # bin ends; the first bin may have opened a hair after its edge. The end
+    # state takes the last two as _write_span_rows does (np.expm1 on a scalar
+    # rounds as on an array; math.expm1 does not).
     d0 = t_bin + agg - t
     span = d0 + (n - 1) * agg
-    s = np.arange(n) * agg + d0
+    s_prev = (n - 2) * agg + d0
     if a == 0.0:
-        phi, leak = s, 0.0
+        phi_prev, phi_end, leak = s_prev, span, 0.0
     else:
-        phi = -np.expm1(-a * s) / a
-        leak = a * e0 * span + slope * (span - float(phi[-1]))
+        phi_prev = float(-np.expm1(-a * s_prev) / a)
+        phi_end = float(-np.expm1(-a * span) / a)
+        leak = a * e0 * span + slope * (span - phi_end)
+    two_over_c = 2.0 / c_eff
     if slope == 0.0:
-        v = np.full(n, v_cap)
+        v_prev = v_end = v_cap
     else:
-        v = np.sqrt(np.maximum((e0 + slope * phi) * (2.0 / c_eff), 0.0))
-    v_end = float(v[-1])
-    v_prev = float(v[-2])
+        v_prev = math.sqrt(max((e0 + slope * phi_prev) * two_over_c, 0.0))
+        v_end = math.sqrt(max((e0 + slope * phi_end) * two_over_c, 0.0))
     # Leave the bus as a step over the last bin would: the load current
     # set at its start voltage, and a buffered bus one step behind.
     i_end = solve_load_current(v_prev, R, p_drawn)
@@ -887,9 +897,9 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
               + 0.5 * Cb * (v_bus_end * v_bus_end - v_bus * v_bus))
     esr = p_esr * span
 
-    # Rows are rate x bin length. The last bin's draw takes up what the
-    # storage actually supplied; a shortfall below zero, which a settling
-    # buffer bus can leave when nothing is drawn, stays in the storage.
+    # The last bin's draw takes up what the storage actually supplied; a
+    # shortfall below zero, which a settling buffer bus can leave when
+    # nothing is drawn, stays in the storage.
     p_ml = p_mpp - p_in
     p_conv = p_drawn - p_load
     supplied = p_drawn * agg + (
@@ -902,20 +912,13 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     if conv_last < 0.0:
         load_last = supplied
         conv_last = 0.0
-    sl = slice(bin_idx, bin_idx + n)
-    last = bin_idx + n - 1
     bins.ensure(bin_idx + n + 1)
-    for row, d, conv_e, load_e in ((sl, agg, p_conv * agg, p_load * agg),
-                                   (bin_idx, d0, p_conv * d0, p_load * d0),
-                                   (last, agg, conv_last, load_last)):
-        bins.harvest[row] = p_mpp * d
-        bins.mppt[row] = p_ml * d
-        bins.conv[row] = conv_e
-        bins.soc[row] = load_e
-        bins.sdelta[row] = p_mpp * d - p_ml * d - conv_e - load_e
-        bins.on_s[row] = d if on else 0.0
-    bins.labels[sl] = PHASE_INDEX[app_state.phase]
-    bins.volt_v[sl] = v
+    if bins.span_rows + n > _SPAN_MAX_BINS:  # bounds the writer's temporaries
+        _write_span_rows(bins, agg)
+    bins.spans += _pack_span(bin_idx, n, d0, e0, slope, v_cap, a, two_over_c,
+                             p_mpp, p_ml, p_conv, p_load, conv_last,
+                             load_last, on, PHASE_INDEX[app_state.phase])
+    bins.span_rows += n
     de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
     ledger.harvest_input += p_mpp * span
     ledger.mppt_loss += p_ml * span
@@ -927,6 +930,42 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     if on:
         app_state.t_until_sample -= span
     return n, v_end, v_bus_end, mode, de_rate, i_end
+
+
+def _write_span_rows(bins: _Bins, agg: float) -> None:
+    """Write every queued span's rows in one numpy pass: rate x bin length
+    (``d0`` for the first bin) but the last bin's queued draw, and voltages
+    by the float operations of :func:`_advance_span`'s end state."""
+    if not bins.spans:
+        return
+    (lo, n, d0, e0, slope, v0, a, two_over_c, p_mpp, p_ml, p_conv, p_load,
+     conv_last, load_last, on, label) = np.frombuffer(
+         bins.spans).reshape(-1, 16).T
+    bins.spans, bins.span_rows = bytearray(), 0
+    n = n.astype(np.intp)
+    last = np.cumsum(n) - 1
+    first = last - (n - 1)
+    span_of = np.repeat(np.arange(len(n)), n)  # each row's span
+    k = np.arange(last[-1] + 1) - first[span_of]  # each row's bin in its span
+    s = k * agg + d0[span_of]
+    a = a[span_of]
+    phi = np.divide(-np.expm1(-a * s), a, out=s.copy(), where=a != 0.0)
+    v = np.sqrt(np.maximum((e0[span_of] + slope[span_of] * phi)
+                           * two_over_c[span_of], 0.0))
+    rows = lo.astype(np.intp)[span_of] + k
+    bins.volt_v[rows] = np.where(slope[span_of] == 0.0, v0[span_of], v)
+    bins.labels[rows] = label[span_of]
+    h, m, c, ld = p_mpp * agg, p_ml * agg, p_conv * agg, p_load * agg
+    h0, m0, c0, ld0 = p_mpp * d0, p_ml * d0, p_conv * d0, p_load * d0
+    for col, mid, head, tail in (
+            (bins.harvest, h, h0, h), (bins.mppt, m, m0, m),
+            (bins.conv, c, c0, conv_last), (bins.soc, ld, ld0, load_last),
+            (bins.sdelta, h - m - c - ld, h0 - m0 - c0 - ld0,
+             h - m - conv_last - load_last),
+            (bins.on_s, on * agg, on * d0, on * agg)):
+        x = mid[span_of]
+        x[first], x[last] = head, tail
+        col[rows] = x
 
 
 def _bus_collapses(v_cap: float, R: float, p_drawn: float) -> bool:
