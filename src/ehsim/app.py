@@ -315,6 +315,11 @@ class ActivityProfile:
         return len(self.on_off) * self.step_len
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Indices where the runs of equal values of a non-empty ``x`` start."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+
+
 def _preset_specs() -> dict[str, tuple[AppSpec, float, int]]:
     """Benchmark presets: (spec, irradiance scaler, tabulated time scale).
 

@@ -34,6 +34,12 @@ _CONFIG_ERRORS = (ConfigError, TraceError, AppError, EssError, PlanError,
                   TypeError, ValueError)
 
 
+# What a sweep cell's own parameters can make fail; any other exception is a
+# fault of the program and ends the sweep.
+_CELL_ERRORS = (ConfigError, EssError, AppError, PlanError, TraceError,
+                ClosureError)
+
+
 def _profile_from_config(cfg: HarnessConfig, app: AppSpec) -> PowerProfile:
     block = cfg.raw.get("profile", {})
     duration = float(block.get("duration_s", 3600.0))
@@ -225,7 +231,7 @@ def _sweep_cell(payload) -> dict:
             "predicted_rt_throughput_bytes": predicted,
             "storage_residual_j": result.ledger.storage_residual,
         }
-    except Exception as exc:  # cell failures stay isolated
+    except _CELL_ERRORS as exc:  # a bad cell fails alone; a bug stops the sweep
         return {"capacitance_f": cap, "s_i": s_i, "status": "error",
                 "error": f"{type(exc).__name__}: {exc}"}
 

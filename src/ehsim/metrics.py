@@ -16,16 +16,20 @@ sum, and extra rows are free in a zero-cost column and cost one each
 otherwise. A stripe cell's value is thus a prefix minimum over the entry row
 plus a window minimum, and the window minimum is a single lookup because the
 row above has the complementary cost. The forward pass keeps one band row
-per a-run, so time and memory are O(n + a-runs x band width): a few runs
-per day cost almost nothing, whatever the window. The traceback answers
-each in-stripe value query in O(1) from those rows and takes long straight
-or diagonal segments in one vectorized stride, so its cost follows the
-path's segments rather than its length. While every move of a stride repeats
-the last one, D along the stride falls by the cost of each cell it leaves,
-so a stride evaluates only its cells' predecessors, once along a line: for a
-diagonal or up stride the predecessor on the line is the next cell of the
-stride (an up stride also evaluates the column to its left for the diagonal
-predecessor), and for a left stride both predecessors lie on the row above.
+per a-run, so past the O(n) column tables, filled from b's runs, it costs
+O(a-runs x band width): a few runs per day cost almost nothing, whatever
+the window. The traceback answers each in-stripe value query in O(1) from
+those rows and follows a repeated move to the end of its segment in one
+jump, by doubling and bisection, so its cost follows the path's segments
+rather than its length. Bisection is exact because the cells at which a
+segment's move is taken form a prefix of it: a diagonal move holds while D
+plus the costs left behind stays at its start value, which it never falls
+below as D <= cost + D(predecessor); an up or left move holds while its own
+predecessor matches and the moves before it in the tie order fail, and
+within one stripe, b-run and side of the band edge each of these tests is
+monotone along the segment (by the same bound, or by the closed form). A
+left segment on a stripe's first row, whose predecessors lie on the entry
+row, is checked in blocks of doubling size instead.
 Costs are unit per on/off mismatch and zero per match, held in integers, so
 all arithmetic is exact. Where several predecessors tie, the traceback moves
 diagonally, then up, then left, on every row. It returns the path's moves
@@ -41,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .app import ActivityProfile
+from .app import ActivityProfile, _run_starts
 
 __all__ = [
     "ApeReport",
@@ -54,11 +58,9 @@ __all__ = [
 
 _INF = 1 << 28  # above any path cost; stays in int32 after adding n
 _DIAG, _UP, _LEFT = (1, 1), (1, 0), (0, 1)  # backward (row, col) steps
-# A traceback move repeated this often is checked ahead in one vectorized
-# stride of at least _MIN_STRIDE cells; short segments are cheaper to walk
-# cell by cell.
-_STRIDE_AFTER = 8
-_MIN_STRIDE = 64
+# The traceback follows a move repeated this often to the end of its
+# segment in one jump; shorter segments are cheaper to walk cell by cell.
+_JUMP_AFTER = 8
 
 
 class MetricError(ValueError):
@@ -167,7 +169,7 @@ def _stripe_d(st: _Stripe, pre: np.ndarray, i, j, s_j, z_j):
 def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
     """All stripes with their entry rows, and the optimal cost D(n-1, n-1)."""
     n = len(a)
-    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    starts = _run_starts(a)
     ends = np.append(starts[1:], n) - 1
     top = np.array([_INF, 0, _INF], dtype=np.int32)
     tlo = thi = -1
@@ -185,6 +187,41 @@ def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
     return stripes, int(top[-2])
 
 
+def _longest(holds, kmax: int) -> int:
+    """Largest m <= kmax with ``holds(m)``, for a ``holds`` true on 0..M and
+    false after: doubling steps, then bisection."""
+    lo, hi = 0, 1
+    while hi <= kmax and holds(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, kmax + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def _top_row_left(st: _Stripe, Sv: np.ndarray, j: int, r: int, d: int
+                   ) -> int:
+    """How many left moves the path makes from (st.r0, j), D there ``d``.
+
+    The predecessors lie on the entry row, which has no shape to bisect on,
+    so the cells are checked in blocks that double in size.
+    """
+    i, lo = st.r0, max(st.r0 - r, 0)
+    m, size = 0, 64
+    while m <= j - lo:
+        jj = np.arange(j - m, max(j - m - size, lo - 1), -1)
+        dd = d - Sv[j + 1] + Sv[jj + 1]
+        c = Sv[jj + 1] - Sv[jj]
+        stop = (jj > 0) & (st.top[jj - st.tlo] + c == dd)
+        stop |= (jj - i < r) & (st.top[jj - st.tlo + 1] + c == dd)
+        if stop.any():
+            return m + int(stop.argmax())
+        m += len(jj)
+        size *= 2
+    return m
+
+
 def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                cost: int) -> list[list]:
     """Optimal path (0,0) -> (n-1,n-1); ties go diagonal, then up, then left.
@@ -198,9 +235,8 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
     i = j = n - 1
     d = cost
     k = len(stripes)
-    st = None
     r0 = n
-    run, stride = 0, _MIN_STRIDE
+    run = 0
 
     def at(ii: int, jj: int) -> int:
         # Scalar D(ii, jj) for ii >= r0 - 1 inside the band (see _stripe_d).
@@ -220,14 +256,22 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
                 p = q
         return p
 
-    def at_vec(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        jp = jj + 1
-        out = _stripe_d(st, pre, ii, jj, S[st.v][jp], Z[st.v][jp])
-        edge = ii == r0 - 1
-        if edge.any():
-            out = np.where(edge, st.top[np.clip(jj - tlo + 1, 0, thi - tlo + 2)],
-                           out)
-        return out
+    # Whether the first m moves from (i, j) all repeat the last move. The up
+    # and left tests look at the m-th move only: the moves that hold form a
+    # prefix of the segment.
+    def diag_holds(m: int) -> bool:
+        return at(i - m, j - m) + Sm[j + 1] - Sm[j - m + 1] == d
+
+    def up_holds(m: int) -> bool:
+        ii, dd = i - m + 1, d - (m - 1) * c
+        return (j - ii < r and at(ii - 1, j) + c == dd
+                and not (j and at(ii - 1, j - 1) + c == dd))
+
+    def left_holds(m: int) -> bool:
+        jj = j - m + 1
+        dd = d - Sm[j + 1] + Sm[jj + 1]
+        return not ((jj and at(i - 1, jj - 1) + c == dd)
+                    or (jj - i < r and at(i - 1, jj) + c == dd))
 
     while i or j:
         if i == 0:
@@ -241,47 +285,30 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
             topm, prem = memoryview(st.top), memoryview(pre)
             last = len(pre) - 1
             Sm, Zm = memoryview(S[st.v]), memoryview(Z[st.v])
-        if run >= _STRIDE_AFTER:
+        if run >= _JUMP_AFTER:
+            # Follow a repeated move to the end of its segment in one jump
+            # (see the module docstring for why bisection finds it); the
+            # next repeat of the move, if any, tries again.
+            run = _JUMP_AFTER - 1
             mv = steps[-1][0]
-            floor = max(r0, 1)
+            c = Sm[j + 1] - Sm[j]
             if mv is _DIAG:
-                cap = min(i - floor, j) + 1
+                m = _longest(diag_holds, min(j, i - max(r0, 1) + 1))
             elif mv is _UP:
-                cap = min(i - floor, r - j + i) + 1
+                m = _longest(up_holds, min(i - r0, r - j + i))
+            elif i == r0:
+                m = _top_row_left(st, S[st.v], j, r, d)
             else:
-                cap = j - max(0, i - r) + 1
-            m = min(stride, cap)
-            if m >= _MIN_STRIDE:
-                # The stride's m cells and the one after them along mv.
-                ks = np.arange(m + 1)
-                ii, jj = i - mv[0] * ks, j - mv[1] * ks
-                cc = (b[jj[:m]] != st.v).astype(np.int32)
-                # D at the stride's cells while every earlier move was mv:
-                # each move takes off the cost of the cell it leaves.
-                dd = d - np.cumsum(cc) + cc
-                # Only the predecessors are evaluated. Along a DIAG or UP
-                # stride, (i-1, j-1) or (i-1, j) is the next cell on the
-                # line; along a LEFT stride both lie on row i - 1.
-                if mv is _LEFT:
-                    prev = at_vec(ii - 1, jj)
-                    up_d, diag_d = prev[:-1], prev[1:]
-                elif mv is _UP:
-                    up_d = at_vec(ii[1:], jj[1:])
-                    diag_d = at_vec(ii[1:], jj[1:] - 1)
-                else:
-                    diag_d = at_vec(ii[1:], jj[1:])
-                ii, jj = ii[:m], jj[:m]
-                good = (jj > 0) & (diag_d + cc == dd)
-                if mv is not _DIAG:
-                    up = (jj - ii < r) & (up_d + cc == dd)
-                    good = ~good & (up if mv is _UP else ~up)
-                taken = m if good.all() else int(np.argmin(good))
-                if taken:
-                    steps[-1][1] += taken
-                    i, j = i - mv[0] * taken, j - mv[1] * taken
-                    d = int(dd[taken - 1] - cc[taken - 1])
-                stride = stride * 2 if taken == m else _MIN_STRIDE
-                run = 0
+                # within j's b-run and the band, and on one side of the
+                # band edge for the up predecessor
+                kmax = j - max(Z[1 - bm[j]][j + 1] + 1, i - r, 0) + 1
+                if j - i >= r:
+                    kmax = min(kmax, j - i - r + 1)
+                m = _longest(left_holds, kmax)
+            if m:
+                d -= m * c if mv is _UP else Sm[j + 1] - Sm[j - m + 1]
+                steps[-1][1] += m
+                i, j = i - mv[0] * m, j - mv[1] * m
                 continue
         c = am[i] ^ bm[j]
         if j and (p := at(i - 1, j - 1)) + c == d:
@@ -312,13 +339,26 @@ def _dtw_moves(a: np.ndarray, b: np.ndarray, r: int) -> tuple[list[list], int]:
     r = min(max(int(r), 0), n - 1) if n > 1 else 0
 
     # Column-cost prefix sums S[v][j+1] = #{k <= j: b[k] != v} and the last
-    # zero-cost column Z[v][j+1] = max{k <= j: b[k] == v} (-2: none), v = 0/1.
-    ones = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(b, out=ones[1:])
-    S = (ones, np.arange(n + 1, dtype=np.int32) - ones)
-    cols = np.arange(n, dtype=np.int32)
-    Z = tuple(np.concatenate(([np.int32(-2)], np.maximum.accumulate(
-        np.where(b == v, cols, np.int32(-2))))) for v in (False, True))
+    # zero-cost column Z[v][j+1] = max{k <= j: b[k] == v} (-2: none), v = 0/1,
+    # filled from b's runs; table entry 0 (S = 0) is a run of its own.
+    starts = _run_starts(b)
+    lens = np.diff(np.append(starts, n))
+    vals = b[starts]
+    counts = np.append(1, lens)
+    on = np.repeat(np.append(False, vals), counts)
+    cols = np.arange(-1, n, dtype=np.int32)  # cols[j + 1] = j
+    # ones through column j: those before j's run, plus j - start + 1 in a
+    # run of ones
+    ones = np.append(0, np.cumsum(lens * vals) - (starts + lens - 1) * vals)
+    ones = np.repeat(ones.astype(np.int32), counts)
+    np.add(ones, cols, out=ones, where=on)
+    # a column whose b is not v has Z at the column left of its run
+    left = np.append(-2, np.where(starts > 0, starts - 1, -2)).astype(np.int32)
+    Z = (np.repeat(left, counts), np.repeat(left, counts))
+    np.copyto(Z[0], cols, where=~on)
+    np.copyto(Z[1], cols, where=on)
+    cols += 1
+    S = (ones, np.subtract(cols, ones, out=cols))
 
     stripes, cost = _forward(a, r, S, Z)
     return _traceback(a, b, r, stripes, S, Z, cost), cost

@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .app import AppSpec, ActivityProfile, apply_frequency_scaling
+from .app import (AppSpec, ActivityProfile, _run_starts,
+                  apply_frequency_scaling)
 from .engine import (EnergyStackProfile, SimConfig, SimResult, simulate)
 from .traces import EventTrace, IrradianceTrace
 
@@ -363,6 +364,20 @@ def _rebin_sum(values: np.ndarray, s_tp: float, n_out: int
     return np.diff(cum_at), np.diff(edges)
 
 
+def _stretch_runs(x: np.ndarray, s_tp: float, n_out: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x``'s runs stretched by ``s_tp`` onto ``n_out`` bins, the bins
+    within two of ``floor(k * s_tp)`` for a run edge or the end k, and the
+    run starts. Every other bin lies inside the run it takes its value from.
+    """
+    starts = _run_starts(x)
+    ends = (np.append(starts[1:], len(x)) * s_tp).astype(np.int64)
+    out = np.repeat(x[starts], np.diff(ends[:-1], prepend=0, append=n_out))
+    near = np.unique(np.clip((ends[:, None] + np.arange(-2, 3)).ravel(),
+                             0, n_out - 1))
+    return out, near, starts
+
+
 def rescale_activity(activity: ActivityProfile, s_tp: float
                      ) -> ActivityProfile:
     """Map a scaled run's activity profile back to the real-time axis.
@@ -371,18 +386,37 @@ def rescale_activity(activity: ActivityProfile, s_tp: float
     grid: a bin is on where the stretched on-time covers at least half of
     it, and takes the label of the scaled bin under its centre. At
     ``s_tp == 1`` the profile itself is returned.
+
+    Only the bins near a stretched run edge are computed one by one, so
+    the cost grows with the number of runs, not of bins.
     """
     _check_s_tp(s_tp)
-    if s_tp == 1.0:
+    if s_tp == 1.0 or not len(activity):
         return activity
-    n_out = int(round(len(activity) * s_tp))
-    on_sum, width = _rebin_sum(activity.on_off.astype(float), s_tp, n_out)
-    on_frac = np.divide(on_sum, width, out=np.zeros(n_out), where=width > 0)
-    centers = (np.arange(n_out) + 0.5) / s_tp
-    src = np.minimum(centers.astype(int), len(activity) - 1)
-    return ActivityProfile(step_len=activity.step_len,
-                           on_off=on_frac >= 0.5,
-                           labels=activity.labels[src])
+    x, n_in = activity.on_off, len(activity)
+    n_out = int(round(n_in * s_tp))
+    on, near, starts = _stretch_runs(x, s_tp, n_out)
+    # Bin j covers [j, j + 1) / s_tp. Near an edge its on fraction comes
+    # from the on-count interpolated between the input bin edges around
+    # its own, as the bin-level rescale computed it.
+    edges = np.clip(np.concatenate((near, near + 1)) / s_tp, 0.0, n_in)
+    knots = np.unique(np.floor(edges)[:, None] + (0.0, 1.0))
+    run = np.searchsorted(starts, knots, side="right") - 1
+    vals, stops = x[starts], np.append(starts[1:], n_in)
+    count = ((np.cumsum((stops - starts) * vals) - stops * vals)[run]
+             + knots * vals[run])
+    cum_at = np.interp(edges, knots, count)
+    m = len(near)
+    width = edges[m:] - edges[:m]
+    on_frac = np.divide(cum_at[m:] - cum_at[:m], width, out=np.zeros(m),
+                        where=width > 0)
+    on[near] = on_frac >= 0.5
+
+    labels, near, _ = _stretch_runs(activity.labels, s_tp, n_out)
+    centers = (near + 0.5) / s_tp
+    labels[near] = activity.labels[np.minimum(centers.astype(int), n_in - 1)]
+    return ActivityProfile(step_len=activity.step_len, on_off=on,
+                           labels=labels)
 
 
 def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehsim import cli
 from ehsim.cli import main
 from ehsim.config import (build_app, build_ess, build_sim, config_hash,
                           load_config, load_result, load_summary,
@@ -596,6 +597,18 @@ def test_cmd_sweep_isolates_cell_failures(tmp_path, capsys):
     assert len(lines) == 3
     assert "error" in lines[1]
     assert ",ok," in lines[2]
+
+
+def test_cmd_sweep_stops_on_a_programming_error(tmp_path, monkeypatch):
+    """Only a cell's own invalid parameters make an error row; an exception
+    of any other kind is a fault of the program and fails the sweep."""
+    def broken(*args, **kwargs):
+        raise IndexError("index 3 is out of bounds")
+
+    monkeypatch.setattr(cli, "_run_experiment", broken)
+    cfg = _sweep_config(tmp_path, [0.5], [0.05])
+    assert main(["sweep", "--config", str(cfg), "--out",
+                 str(tmp_path / "sweep")]) != 0
 
 
 def test_cmd_sweep_summary_quotes_error_text(tmp_path):

@@ -7,14 +7,18 @@ the APE denominator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dtw_oracle
+import rescale_oracle
 from ehsim import metrics
 from ehsim.app import ActivityProfile
 from ehsim.metrics import ApeReport, compute_ape, dtw_path, mismatch_spans
+from ehsim.scaling import rescale_activity
 
 
 def mismatch_spans_loop(a, b):
@@ -101,8 +105,18 @@ def test_dtw_path_matches_oracle(data):
     assert_same_path(a, b, data.draw(radii(len(a))))
 
 
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_dtw_path_matches_oracle_jumping_after_every_repeat(data):
+    # the traceback jumps along every move it repeats, not only long ones
+    a, b = data.draw(sequence_pairs())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_JUMP_AFTER", 1)
+        assert_same_path(a, b, data.draw(radii(len(a))))
+
+
 def test_dtw_path_matches_oracle_on_long_run_profiles():
-    # thousands of rows, long diagonal and straight strides, and bands from
+    # thousands of rows, long diagonal and straight segments, and bands from
     # one step to the whole grid: the shape of real day profiles
     rng = np.random.default_rng(7)
     longest = dict.fromkeys(("DIAG", "UP", "LEFT"), 0)
@@ -113,8 +127,58 @@ def test_dtw_path_matches_oracle_on_long_run_profiles():
         for want in (assert_same_path(a, b, r), assert_same_path(a, ~a, r)):
             for move, length in longest_segments(*want[:2]).items():
                 longest[move] = max(longest[move], length)
-    # every kind of segment is long enough to be taken in strides
-    assert min(longest.values()) >= metrics._STRIDE_AFTER + metrics._MIN_STRIDE
+    # every kind of segment is long enough to be taken in jumps
+    assert min(longest.values()) >= 1000
+
+
+@pytest.mark.parametrize("shift", [-47, -40, -31, 31, 40, 47])
+@pytest.mark.parametrize("mismatch", [0, 700])
+def test_dtw_path_matches_oracle_on_compare_shaped_pairs(shift, mismatch):
+    # a few long runs; b's edges move by less than, exactly, or more than
+    # the band radius, alternately later and earlier, and b may hold a long
+    # stretch on where a is off
+    r, n = 40, 4000
+    lengths = np.array([500, 900, 300, 700, 1100])
+    a = _from_runs(lengths, False, n)
+    moved = np.cumsum(lengths) + shift * np.array([1, -1, 1, -1, 0])
+    b = _from_runs(np.diff(moved, prepend=0), False, n)
+    b[2600:2600 + mismatch] = True
+    path_i, path_j, cost = assert_same_path(a, b, r)
+    if mismatch:
+        assert longest_segments(path_i, path_j)["DIAG"] >= mismatch
+        assert cost >= mismatch
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_five_day_pair_peak_memory():
+    # Five days of ten 12-hour runs, run at s_tp 3, against its baseline:
+    # the same profile, and one with two hours on where the scaled run is off.
+    on = np.repeat(np.arange(10) % 2 == 1, 72_000)
+    scaled = ActivityProfile(step_len=0.2, on_off=on,
+                             labels=on.astype(np.int8))
+    rescaled = rescale_activity(scaled, 3.0)
+    assert len(rescaled) == 2_160_000
+    # no more than half the bin-level rescale's peak (103.7 MB)
+    oracle = _traced_peak(lambda: rescale_oracle.rescale_activity(scaled, 3.0))
+    assert _traced_peak(lambda: rescale_activity(scaled, 3.0)) <= oracle / 2
+    stretch = rescaled.on_off.copy()
+    stretch[482_000:518_000] = True
+    for base in (rescaled.on_off, stretch):
+        pa = ActivityProfile(step_len=0.2, on_off=base,
+                             labels=np.zeros(len(base), dtype=np.int8))
+        ape = compute_ape(pa, rescaled, 60.0)
+        assert ape.n_diff == np.count_nonzero(base != rescaled.on_off)
+        # the windowed APE peaked at 66.14 MB before the column tables were
+        # filled from runs
+        assert _traced_peak(lambda: compute_ape(pa, rescaled, 60.0)) <= 66_140_000
 
 
 @given(data=st.data())

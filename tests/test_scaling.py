@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rescale_oracle
 from ehsim.app import PHASES, PRESETS, ActivityProfile, AppSpec, preset
 from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.scaling import (
@@ -481,6 +482,47 @@ def test_rescale_activity_is_the_rescaled_timelines_activity(act, s_tp):
     np.testing.assert_array_equal(got.labels, want.labels)
     if s_tp == 1.0:
         assert got is act
+
+
+# Includes factors whose output bins run past the input's end
+# (round(n * s_tp) > n * s_tp) and one just above 1.
+_ORACLE_S_TP = (1.5, 2.0, 2.5, 3.0, 7 / 3, 10.0, 432.5, 1 + 1e-9)
+
+
+@st.composite
+def rescale_cases(draw):
+    """(profile, s_tp): run-structured or i.i.d. on/off bits and labels."""
+    s_tp = draw(st.sampled_from(_ORACLE_S_TP))
+    longest = min(5000, int(250_000 // s_tp))  # keeps the oracle's arrays small
+    past_end = [n for n in range(1, longest + 1) if round(n * s_tp) > n * s_tp]
+    if past_end and draw(st.booleans()):
+        n = draw(st.sampled_from(past_end))
+    else:
+        n = draw(st.integers(1, longest))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        run = draw(st.sampled_from([3, 40, 1000]))
+        on = np.repeat(np.arange(n) % 2 == draw(st.integers(0, 1)),
+                       rng.integers(1, run, size=n))[:n]
+        labels = np.repeat(rng.integers(0, len(PHASES), size=n),
+                           rng.integers(1, run, size=n))[:n]
+    else:
+        on = rng.random(n) < draw(st.floats(0.0, 1.0))
+        labels = rng.integers(0, len(PHASES), size=n)
+    return ActivityProfile(step_len=0.2, on_off=on, labels=labels), s_tp
+
+
+@given(case=rescale_cases())
+@settings(max_examples=200, deadline=None)
+def test_rescale_activity_matches_bin_level_oracle(case):
+    act, s_tp = case
+    got = rescale_activity(act, s_tp)
+    want = rescale_oracle.rescale_activity(act, s_tp)
+    assert got.step_len == want.step_len
+    assert got.on_off.dtype == want.on_off.dtype
+    assert got.labels.dtype == want.labels.dtype
+    np.testing.assert_array_equal(got.on_off, want.on_off)
+    np.testing.assert_array_equal(got.labels, want.labels)
 
 
 def test_build_experiment_turns_skip_nights_on_for_st_sp_sn_only():
