@@ -317,7 +317,7 @@ class ActivityProfile:
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
     """Indices where the runs of equal values of a non-empty ``x`` start."""
-    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    return np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
 
 
 def _preset_specs() -> dict[str, tuple[AppSpec, float, int]]:

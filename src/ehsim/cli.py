@@ -324,7 +324,9 @@ def cmd_stacks(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every command is registered with its help; with
+    ``command``, only that command's flags are added."""
     parser = argparse.ArgumentParser(
         prog="ehsim",
         description="Trace-driven evaluation harness for battery-less IoT nodes")
@@ -345,53 +347,61 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[m.replace("_", "-") for m in MODES],
                        help="evaluation mode override")
 
-    p = sub.add_parser("simulate", help="run one simulation")
-    common(p)
-    seed(p)
-    mode(p)
-    p.set_defaults(func=cmd_simulate)
+    def simulate(p):
+        common(p)
+        seed(p)
+        mode(p)
 
-    p = sub.add_parser("profile", help="profile the app at constant supply")
-    common(p)
-    p.set_defaults(func=cmd_profile)
+    def plan(p):
+        common(p)
+        mode(p)
+        p.add_argument("--profile", default=None, help="profile.json to reuse")
+        p.add_argument("--s-tp", dest="s_tp", default=None,
+                       help="target time/power factor or 'max'")
 
-    p = sub.add_parser("plan", help="compute a scaling plan")
-    common(p)
-    mode(p)
-    p.add_argument("--profile", default=None, help="profile.json to reuse")
-    p.add_argument("--s-tp", dest="s_tp", default=None,
-                   help="target time/power factor or 'max'")
-    p.set_defaults(func=cmd_plan)
+    def compare(p):
+        common(p, config=False)
+        p.add_argument("--baseline", required=True, help="baseline result dir")
+        p.add_argument("--scaled", required=True, help="scaled result dir")
+        p.add_argument("--plan", default=None,
+                       help="plan.json of the scaled run (default: the one in "
+                            "the --scaled directory)")
+        p.add_argument("--window", default=3600.0, type=float,
+                       help="DTW window in seconds")
 
-    p = sub.add_parser("compare", help="compare a scaled run to a baseline")
-    common(p, config=False)
-    p.add_argument("--baseline", required=True, help="baseline result dir")
-    p.add_argument("--scaled", required=True, help="scaled result dir")
-    p.add_argument("--plan", default=None,
-                   help="plan.json of the scaled run (default: the one in "
-                        "the --scaled directory)")
-    p.add_argument("--window", default=3600.0, type=float,
-                   help="DTW window in seconds")
-    p.set_defaults(func=cmd_compare)
+    def sweep(p):
+        simulate(p)
+        p.add_argument("--workers", type=int, default=None,
+                       help="parallel worker count")
 
-    p = sub.add_parser("sweep", help="design-space sweep over the config grid")
-    common(p)
-    seed(p)
-    mode(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel worker count")
-    p.set_defaults(func=cmd_sweep)
+    def stacks(p):
+        common(p, config=False)
+        p.add_argument("--result", required=True, help="result directory")
 
-    p = sub.add_parser("stacks", help="re-render a stored energy stack")
-    common(p, config=False)
-    p.add_argument("--result", required=True, help="result directory")
-    p.set_defaults(func=cmd_stacks)
+    for name, help_, flags, func in (
+            ("simulate", "run one simulation", simulate, cmd_simulate),
+            ("profile", "profile the app at constant supply", common,
+             cmd_profile),
+            ("plan", "compute a scaling plan", plan, cmd_plan),
+            ("compare", "compare a scaled run to a baseline", compare,
+             cmd_compare),
+            ("sweep", "design-space sweep over the config grid", sweep,
+             cmd_sweep),
+            ("stacks", "re-render a stored energy stack", stacks,
+             cmd_stacks)):
+        p = sub.add_parser(name, help=help_)
+        if command in (None, name):
+            flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked command's flags are built; an option first (--help)
+    # or no command at all builds them all.
+    first = argv[0] if argv and not argv[0].startswith("-") else None
+    args = _build_parser(first).parse_args(argv)
     try:
         return args.func(args)
     except ClosureError as exc:

@@ -15,21 +15,22 @@ to any stripe cell has a closed form: the columns crossed cost their prefix
 sum, and extra rows are free in a zero-cost column and cost one each
 otherwise. A stripe cell's value is thus a prefix minimum over the entry row
 plus a window minimum, and the window minimum is a single lookup because the
-row above has the complementary cost. The forward pass keeps one band row
-per a-run, so past the O(n) column tables, filled from b's runs, it costs
-O(a-runs x band width): a few runs per day cost almost nothing, whatever
-the window. The traceback answers each in-stripe value query in O(1) from
-those rows and follows a repeated move to the end of its segment in one
-jump, by doubling and bisection, so its cost follows the path's segments
-rather than its length. Bisection is exact because the cells at which a
-segment's move is taken form a prefix of it: a diagonal move holds while D
-plus the costs left behind stays at its start value, which it never falls
-below as D <= cost + D(predecessor); an up or left move holds while its own
-predecessor matches and the moves before it in the tie order fail, and
-within one stripe, b-run and side of the band edge each of these tests is
-monotone along the segment (by the same bound, or by the closed form). A
-left segment on a stripe's first row, whose predecessors lie on the entry
-row, is checked in blocks of doubling size instead.
+row above has the complementary cost. The column costs come from b's runs:
+the forward pass computes each stripe's band of them in one pass and keeps
+one band row per a-run, so time and memory are O(a-runs x band width) plus
+O(b-runs), and a few runs per day cost almost nothing, whatever the window.
+The traceback answers each in-stripe value query in O(1) from those rows
+and a lookup in b's runs, and follows a repeated move to the end of its
+segment in one jump, by doubling and bisection, so its cost follows the
+path's segments rather than its length. Bisection is exact because the cells
+at which a segment's move is taken form a prefix of it: a diagonal move
+holds while D plus the costs left behind stays at its start value, which it
+never falls below as D <= cost + D(predecessor); an up or left move holds
+while its own predecessor matches and the moves before it in the tie order
+fail, and within one stripe, b-run and side of the band edge each of these
+tests is monotone along the segment (by the same bound, or by the closed
+form). A left segment on a stripe's first row, whose predecessors lie on the
+entry row, is checked in blocks of doubling size instead.
 Costs are unit per on/off mismatch and zero per match, held in integers, so
 all arithmetic is exact. Where several predecessors tie, the traceback moves
 diagonally, then up, then left, on every row. It returns the path's moves
@@ -40,6 +41,7 @@ them without building the path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,51 +141,107 @@ class _Stripe(NamedTuple):
     top: np.ndarray
 
 
-def _entry_prefix(st: _Stripe, S) -> np.ndarray:
-    """pre[x - tlo + 1] = min over columns j' <= x of D(r0-1, j') - S(j')."""
+class _Columns:
+    """The column costs of b for a row of value v = 0/1, from b's runs.
+
+    S(v, j) = #{k <= j: b[k] != v} is the cost prefix sum and
+    Z(v, j) = max{k <= j: b[k] == v} the last zero-cost column (-2: none),
+    for -1 <= j < n; column -1, the virtual corner's, is a zero run of its
+    own with S = 0. A scalar read finds j's run as the last read's, else by
+    bisection; a window over a band costs one pass.
+    """
+
+    def __init__(self, b: np.ndarray):
+        n = len(b)
+        self.b, self.b8 = b, b.view(np.uint8)
+        starts = _run_starts(b)
+        lens = np.diff(np.append(starts, n))
+        ones = lens * b[starts]
+        self.start = memoryview(np.concatenate(([-1], starts, [n])))
+        self.val = memoryview(np.append(0, self.b8[starts]))
+        # ones before each run
+        self.ones = memoryview(np.append(0, np.cumsum(ones) - ones))
+        self.k = 0  # the run of the last scalar read
+
+    def _sz(self, v: int, j: int, k: int) -> tuple[int, int]:
+        start, val = self.start[k], self.val[k]
+        ones = self.ones[k] + (j - start + 1) * val
+        return (j + 1 - ones if v else ones,
+                j if val == v else (start - 1 if start > 0 else -2))
+
+    def sz(self, v: int, j: int) -> tuple[int, int]:
+        """S(v, j) and Z(v, j)."""
+        k, start = self.k, self.start
+        if not start[k] <= j < start[k + 1]:
+            self.k = k = bisect_right(start, j) - 1
+        return self._sz(v, j, k)
+
+    def s_window(self, v: int, lo: int, hi: int) -> np.ndarray:
+        """S(v, j) for lo <= j <= hi, lo >= -1."""
+        out = np.empty(hi - lo + 1, dtype=np.int32)
+        out[0] = self._sz(v, lo, bisect_right(self.start, lo) - 1)[0]
+        np.bitwise_xor(self.b8[lo + 1:hi + 1], v, out=out[1:])
+        return np.add.accumulate(out, out=out)
+
+    def z_window(self, v: int, j: np.ndarray) -> np.ndarray:
+        """Z(v, j) for the columns j = lo, lo + 1, ..., lo >= 0."""
+        lo = int(j[0])
+        w = self.b[lo:lo + len(j)]
+        out = np.where(w, j, -2) if v else np.where(w, -2, j)
+        out[0] = self._sz(v, lo, bisect_right(self.start, lo) - 1)[1]
+        return np.maximum.accumulate(out, out=out)
+
+
+def _entry_prefix(st: _Stripe, s_top: np.ndarray) -> np.ndarray:
+    """pre[x - tlo + 1] = min over columns j' <= x of D(r0-1, j') - S(j'),
+    with ``s_top`` S of the stripe's value over the columns [tlo, thi]."""
     pre = np.empty(len(st.top) - 1, dtype=np.int32)
     pre[0] = _INF
-    np.minimum.accumulate(st.top[1:-1] - S[st.v][st.tlo + 1:st.thi + 2],
-                          out=pre[1:])
+    np.minimum.accumulate(st.top[1:-1] - s_top, out=pre[1:])
     return pre
 
 
-def _stripe_d(st: _Stripe, pre: np.ndarray, i, j, s_j, z_j):
-    """D at cells (i, j) of stripe ``st``, i >= r0 (vectorized).
+def _stripe_d(st: _Stripe, pre: np.ndarray, i: int, j, s_j, z_j, out):
+    """D at cells (i, j) of stripe ``st``, i >= r0, into ``out`` (vectorized).
 
-    ``s_j``/``z_j`` are S and Z of the stripe's value at j + 1. A path from
+    ``s_j``/``z_j`` are S and Z of the stripe's value at j. A path from
     entry column j' to (i, j) costs S(j) - S(j') while it can descend
     diagonally or in a zero-cost column, which covers every
     j' <= x = max(j - di, z(j)). Past x all columns cost one, the path costs
     di, and the row above is zero-cost there, so D(r0 - 1, .) is
-    non-increasing on (x, thi]: its minimum is at min(j, thi).
+    non-increasing on (x, thi]: its minimum is at y = min(j, thi).
     """
     di = i - st.r0 + 1
-    x = np.maximum(j - di, z_j)
-    p = s_j + pre[np.clip(x - st.tlo + 1, 0, len(pre) - 1)]
-    y = np.minimum(j, st.thi)
-    q = np.where(y > x, st.top[y - st.tlo + 1] + di, _INF)
-    return np.minimum(p, q)
+    o = st.tlo - 1  # column x is entry x - o of ``pre`` and of ``top``
+    x = np.maximum(j - (di + o), z_j - o)
+    np.add(s_j, pre.take(x, mode="clip"), out=out)
+    y = np.minimum(j - o, st.thi - o)
+    np.minimum(out, np.where(y > x, st.top.take(y) + di, _INF), out=out)
 
 
-def _forward(a: np.ndarray, r: int, S, Z) -> tuple[list[_Stripe], int]:
+def _forward(a: np.ndarray, r: int, col: _Columns
+             ) -> tuple[list[_Stripe], int]:
     """All stripes with their entry rows, and the optimal cost D(n-1, n-1)."""
     n = len(a)
     starts = _run_starts(a)
     ends = np.append(starts[1:], n) - 1
     top = np.array([_INF, 0, _INF], dtype=np.int32)
     tlo = thi = -1
+    s_top = np.zeros(1, dtype=np.int32)  # S(-1) = 0
     stripes = []
     for r0, r1 in zip(starts.tolist(), ends.tolist()):
         v = int(a[r0])
         st = _Stripe(r0, v, tlo, thi, top)
         stripes.append(st)
+        pre = _entry_prefix(st, s_top)
         tlo, thi = max(r1 - r, 0), min(r1 + r, n - 1)
+        j = np.arange(tlo, thi + 1, dtype=np.int32)
+        s_j = col.s_window(v, tlo, thi)
         top = np.empty(thi - tlo + 3, dtype=np.int32)
         top[0] = top[-1] = _INF
-        top[1:-1] = _stripe_d(st, _entry_prefix(st, S), r1,
-                              np.arange(tlo, thi + 1), S[v][tlo + 1:thi + 2],
-                              Z[v][tlo + 1:thi + 2])
+        _stripe_d(st, pre, r1, j, s_j, col.z_window(v, j), top[1:-1])
+        # the next stripe's value is 1 - v: S(1 - v, j) = j + 1 - S(v, j)
+        s_top = j + 1 - s_j
     return stripes, int(top[-2])
 
 
@@ -200,7 +258,7 @@ def _longest(holds, kmax: int) -> int:
     return lo
 
 
-def _top_row_left(st: _Stripe, Sv: np.ndarray, j: int, r: int, d: int
+def _top_row_left(st: _Stripe, col: _Columns, j: int, r: int, d: int
                    ) -> int:
     """How many left moves the path makes from (st.r0, j), D there ``d``.
 
@@ -209,10 +267,13 @@ def _top_row_left(st: _Stripe, Sv: np.ndarray, j: int, r: int, d: int
     """
     i, lo = st.r0, max(st.r0 - r, 0)
     m, size = 0, 64
+    s_j = col.sz(st.v, j)[0]
     while m <= j - lo:
-        jj = np.arange(j - m, max(j - m - size, lo - 1), -1)
-        dd = d - Sv[j + 1] + Sv[jj + 1]
-        c = Sv[jj + 1] - Sv[jj]
+        j_lo = max(j - m - size, lo - 1) + 1
+        jj = np.arange(j - m, j_lo - 1, -1)
+        s = col.s_window(st.v, j_lo, j - m)[::-1]
+        c = col.b8[j_lo:j - m + 1][::-1] ^ st.v
+        dd = d - s_j + s
         stop = (jj > 0) & (st.top[jj - st.tlo] + c == dd)
         stop |= (jj - i < r) & (st.top[jj - st.tlo + 1] + c == dd)
         if stop.any():
@@ -222,7 +283,7 @@ def _top_row_left(st: _Stripe, Sv: np.ndarray, j: int, r: int, d: int
     return m
 
 
-def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
+def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, col: _Columns,
                cost: int) -> list[list]:
     """Optimal path (0,0) -> (n-1,n-1); ties go diagonal, then up, then left.
 
@@ -231,24 +292,30 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
     """
     n = len(a)
     am, bm = memoryview(a.view(np.uint8)), memoryview(b.view(np.uint8))
+    sz = col.sz
     steps: list[list] = []
     i = j = n - 1
     d = cost
     k = len(stripes)
     r0 = n
     run = 0
+    prem = last = None
 
     def at(ii: int, jj: int) -> int:
         # Scalar D(ii, jj) for ii >= r0 - 1 inside the band (see _stripe_d).
+        nonlocal prem, last
         di = ii - r0 + 1
         if di == 0:
             return topm[jj - tlo + 1]
+        if prem is None:  # the stripe's first read below its entry row
+            pre = _entry_prefix(st, col.s_window(v, tlo, thi))
+            prem, last = memoryview(pre), len(pre) - 1
         x = jj - di
-        z = Zm[jj + 1]
-        if z > x:
-            x = z
+        sj, zj = sz(v, jj)
+        if zj > x:
+            x = zj
         p = x - tlo + 1
-        p = Sm[jj + 1] + prem[0 if p < 0 else (p if p < last else last)]
+        p = sj + prem[0 if p < 0 else (p if p < last else last)]
         y = jj if jj < thi else thi
         if y > x:
             q = topm[y - tlo + 1] + di
@@ -260,7 +327,7 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
     # and left tests look at the m-th move only: the moves that hold form a
     # prefix of the segment.
     def diag_holds(m: int) -> bool:
-        return at(i - m, j - m) + Sm[j + 1] - Sm[j - m + 1] == d
+        return at(i - m, j - m) + s_j - sz(v, j - m)[0] == d
 
     def up_holds(m: int) -> bool:
         ii, dd = i - m + 1, d - (m - 1) * c
@@ -269,7 +336,7 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
 
     def left_holds(m: int) -> bool:
         jj = j - m + 1
-        dd = d - Sm[j + 1] + Sm[jj + 1]
+        dd = d - s_j + sz(v, jj)[0]
         return not ((jj and at(i - 1, jj - 1) + c == dd)
                     or (jj - i < r and at(i - 1, jj) + c == dd))
 
@@ -280,33 +347,31 @@ def _traceback(a: np.ndarray, b: np.ndarray, r: int, stripes, S, Z,
         if i < r0:
             k -= 1
             st = stripes[k]
-            r0, tlo, thi = st.r0, st.tlo, st.thi
-            pre = _entry_prefix(st, S)
-            topm, prem = memoryview(st.top), memoryview(pre)
-            last = len(pre) - 1
-            Sm, Zm = memoryview(S[st.v]), memoryview(Z[st.v])
+            r0, v, tlo, thi = st.r0, st.v, st.tlo, st.thi
+            topm, prem = memoryview(st.top), None
         if run >= _JUMP_AFTER:
             # Follow a repeated move to the end of its segment in one jump
             # (see the module docstring for why bisection finds it); the
             # next repeat of the move, if any, tries again.
             run = _JUMP_AFTER - 1
             mv = steps[-1][0]
-            c = Sm[j + 1] - Sm[j]
+            c = bm[j] ^ v
+            s_j = sz(v, j)[0]
             if mv is _DIAG:
                 m = _longest(diag_holds, min(j, i - max(r0, 1) + 1))
             elif mv is _UP:
                 m = _longest(up_holds, min(i - r0, r - j + i))
             elif i == r0:
-                m = _top_row_left(st, S[st.v], j, r, d)
+                m = _top_row_left(st, col, j, r, d)
             else:
                 # within j's b-run and the band, and on one side of the
                 # band edge for the up predecessor
-                kmax = j - max(Z[1 - bm[j]][j + 1] + 1, i - r, 0) + 1
+                kmax = j - max(sz(1 - bm[j], j)[1] + 1, i - r, 0) + 1
                 if j - i >= r:
                     kmax = min(kmax, j - i - r + 1)
                 m = _longest(left_holds, kmax)
             if m:
-                d -= m * c if mv is _UP else Sm[j + 1] - Sm[j - m + 1]
+                d -= m * c if mv is _UP else s_j - sz(v, j - m)[0]
                 steps[-1][1] += m
                 i, j = i - mv[0] * m, j - mv[1] * m
                 continue
@@ -337,31 +402,9 @@ def _dtw_moves(a: np.ndarray, b: np.ndarray, r: int) -> tuple[list[list], int]:
     if n == 0:
         raise MetricError("empty sequences")
     r = min(max(int(r), 0), n - 1) if n > 1 else 0
-
-    # Column-cost prefix sums S[v][j+1] = #{k <= j: b[k] != v} and the last
-    # zero-cost column Z[v][j+1] = max{k <= j: b[k] == v} (-2: none), v = 0/1,
-    # filled from b's runs; table entry 0 (S = 0) is a run of its own.
-    starts = _run_starts(b)
-    lens = np.diff(np.append(starts, n))
-    vals = b[starts]
-    counts = np.append(1, lens)
-    on = np.repeat(np.append(False, vals), counts)
-    cols = np.arange(-1, n, dtype=np.int32)  # cols[j + 1] = j
-    # ones through column j: those before j's run, plus j - start + 1 in a
-    # run of ones
-    ones = np.append(0, np.cumsum(lens * vals) - (starts + lens - 1) * vals)
-    ones = np.repeat(ones.astype(np.int32), counts)
-    np.add(ones, cols, out=ones, where=on)
-    # a column whose b is not v has Z at the column left of its run
-    left = np.append(-2, np.where(starts > 0, starts - 1, -2)).astype(np.int32)
-    Z = (np.repeat(left, counts), np.repeat(left, counts))
-    np.copyto(Z[0], cols, where=~on)
-    np.copyto(Z[1], cols, where=on)
-    cols += 1
-    S = (ones, np.subtract(cols, ones, out=cols))
-
-    stripes, cost = _forward(a, r, S, Z)
-    return _traceback(a, b, r, stripes, S, Z, cost), cost
+    col = _Columns(b)
+    stripes, cost = _forward(a, r, col)
+    return _traceback(a, b, r, stripes, col, cost), cost
 
 
 def dtw_path(a: np.ndarray, b: np.ndarray, r: int

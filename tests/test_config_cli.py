@@ -856,6 +856,27 @@ def test_cli_rejects_a_flag_the_command_does_not_read(one_run, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def _exit_output(run, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, "--help"] for cmd in ("simulate", "profile", "plan", "compare",
+                                "sweep", "stacks")]
+    + [["--help"], [], ["bogus", "--out", "o"], ["compare"]])
+def test_cli_builds_only_the_invoked_command_with_the_same_output(
+        argv, capsys, monkeypatch):
+    # main adds the flags of the named command only; its help and the
+    # usage errors read as the fully built parser's do
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _exit_output(lambda: cli._build_parser().parse_args(argv), capsys)
+    assert _exit_output(lambda: main(argv), capsys) == want
+    assert want[0] in (0, 2) and (want[1] or want[2])
+
+
 @pytest.mark.parametrize("key", ["mode", "s_tp", "s_f", "s_i",
                                  "profile.p_idle_avg_w"])
 def test_cmd_compare_names_a_key_the_plan_file_lacks(one_run, tmp_path,

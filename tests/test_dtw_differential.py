@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import column_oracle
 import dtw_oracle
 import rescale_oracle
 from ehsim import metrics
@@ -149,6 +150,57 @@ def test_dtw_path_matches_oracle_on_compare_shaped_pairs(shift, mismatch):
         assert cost >= mismatch
 
 
+def assert_columns_match(b, rng):
+    """Every scalar read and band window of ``metrics._Columns`` equals the
+    table entry, column -1 included."""
+    n = len(b)
+    S, Z = column_oracle.column_tables(b)
+    col = metrics._Columns(b)
+    # walking left (as the traceback does), right, and in random order, so
+    # the cached run is reused, stepped to a neighbour and bisected for
+    order = np.concatenate([np.arange(n - 1, -2, -1), np.arange(-1, n),
+                            rng.permutation(np.arange(-1, n))])
+    for v in (0, 1):
+        got = np.array([col.sz(v, j) for j in order.tolist()])
+        want = np.stack([S[v][order + 1], Z[v][order + 1]], axis=1)
+        np.testing.assert_array_equal(got, want)
+    # band windows [c - r, c + r] clipped at both grid edges; an entry
+    # row's S window may start at column -1
+    for c, r in zip(rng.integers(-1, n, size=40).tolist(),
+                    rng.choice([0, 1, 3, 300, n], size=40).tolist()):
+        lo, hi = max(c - r, -1), min(c + r, n - 1)
+        j = np.arange(max(lo, 0), hi + 1, dtype=np.int32)
+        for v in (0, 1):
+            np.testing.assert_array_equal(col.s_window(v, lo, hi),
+                                          S[v][lo + 1:hi + 2])
+            if len(j):
+                np.testing.assert_array_equal(col.z_window(v, j),
+                                              Z[v][j[0] + 1:hi + 2])
+
+
+@st.composite
+def column_profiles(draw):
+    """b: run-structured or i.i.d., 1 to 5 000 bins."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 5000)))
+    if draw(st.booleans()):
+        runs = st.lists(st.integers(1, max(1, n // 2)), min_size=1,
+                        max_size=12)
+        return _from_runs(draw(runs), draw(st.booleans()), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(n) < draw(st.floats(0.05, 0.95))
+
+
+@given(b=column_profiles(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_columns_match_the_tables(b, seed):
+    assert_columns_match(b, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_columns_of_one_bin_match_the_tables(value):
+    assert_columns_match(np.array([value]), np.random.default_rng(0))
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -177,8 +229,11 @@ def test_five_day_pair_peak_memory():
         ape = compute_ape(pa, rescaled, 60.0)
         assert ape.n_diff == np.count_nonzero(base != rescaled.on_off)
         # the windowed APE peaked at 66.14 MB before the column tables were
-        # filled from runs
-        assert _traced_peak(lambda: compute_ape(pa, rescaled, 60.0)) <= 66_140_000
+        # filled from runs, and at 41.0 MB before the column costs were
+        # derived from b's runs without tables
+        peak = _traced_peak(lambda: compute_ape(pa, rescaled, 60.0))
+        assert peak <= 66_140_000
+        assert peak <= 10_000_000
 
 
 @given(data=st.data())
