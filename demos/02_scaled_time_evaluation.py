@@ -8,7 +8,8 @@ The four-step workflow on the TMP1 benchmark:
   3. run the accelerated experiment: one call turns the plan into the
      compressed and amplified trace, the faster-sampling app and the engine
      settings (st_sp_sn runs with skip-nights on),
-  4. map the result back to the real-time axis and predict throughput.
+  4. map the activity profile back to the real-time axis and predict
+     throughput.
 
 The same speed-up with unscaled power (st_up) keeps the charge/discharge
 times of the slow experiment and distorts the activity profile; skip-nights
@@ -18,7 +19,7 @@ accuracy.
 
 from ehsim import (EssConfig, SimConfig, StorageModel, build_experiment,
                    compute_ape, plan_run, preset, predict_throughput,
-                   profile_application, rescale_timeline, simulate,
+                   profile_application, rescale_activity, simulate,
                    synthetic_solar_trace, throughput_error)
 from ehsim.app import PRESETS
 
@@ -53,8 +54,8 @@ print(f"\nstep 4: map back to the real-time axis "
 for mode in ("st_up", "st_sp", "st_sp_sn"):
     plan, res = runs[mode]
     predicted = predict_throughput(plan, res, profile)
-    rescaled = rescale_timeline(res, plan.s_tp)
-    ape = compute_ape(base.activity, rescaled.activity, 60.0)
+    ape = compute_ape(base.activity, rescale_activity(res.activity, plan.s_tp),
+                      60.0)
     err = throughput_error(predicted, base.throughput_bytes)
     speedup = base.wall_time_s / res.wall_time_s
     print(f"  {mode:9s} predicted={predicted:8.0f} B  "

@@ -20,7 +20,7 @@ from .engine import (SimConfig, EnergyLedger, EnergyStackProfile, SimResult,
 from .scaling import (PowerProfile, ScalingPlan, profile_application,
                       compute_sf, scaled_average_power, max_speedup,
                       plan_run, build_experiment, predict_throughput,
-                      rescale_activity, rescale_timeline)
+                      rescale_activity)
 from .metrics import (ApeReport, throughput_error, compute_ape,
                       mismatch_spans)
 

@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .app import AppSpec, PRESETS, preset, preset_irradiance_scale
-from .engine import (EnergyLedger, EnergyStackProfile, RunStats, SimConfig,
-                     SimResult, ConfigError, LEDGER_ACTIVITIES)
+from .engine import (EnergyLedger, EnergyStackProfile, ResultSummary,
+                     RunStats, SimConfig, SimResult, ConfigError,
+                     LEDGER_ACTIVITIES, _bin_times)
 from .app import ActivityProfile, PHASES
 from .ess import (ConverterModel, EfficiencyCurve, EssConfig, HarvesterModel,
                   MpptModel, StorageModel)
@@ -326,19 +327,6 @@ def _g10(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """A CSV time column that may be the bin grid ``(k + shift) * step``.
-
-    In each block where the bits of ``values`` equal the grid's, the
-    column takes the grid's fields; elsewhere it is formatted like any
-    other column. ``values=None`` is the grid itself.
-    """
-
-    values: np.ndarray | None
-    shift: int = 0
-
-
 def _fields(seg: np.ndarray, names=None) -> np.ndarray:
     """The CSV fields of ``seg`` as NUL-padded rows of a uint8 matrix.
 
@@ -381,16 +369,11 @@ def _rows(fields) -> bytes:
 
 def _column(col) -> tuple:
     """``(values, names, grid shift)`` of one column passed to the writer."""
-    if isinstance(col, _Grid):
-        return col.values, None, col.shift
+    if isinstance(col, int):
+        return None, None, col
     if isinstance(col, tuple):
         return np.asarray(col[0]), col[1], None
     return np.asarray(col), None, None
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
 
 
 def _write_csvs(tables, step: float = 0.0) -> None:
@@ -398,10 +381,12 @@ def _write_csvs(tables, step: float = 0.0) -> None:
 
     Each table is ``(path, header, columns)``: the header line, then one
     row per index of the columns. A column is an array, a
-    ``(codes, names)`` pair, or a :class:`_Grid` time column on the bin
-    grid ``k * step``. Each block formats its stretch of the grid at most
-    once, for every table, lays each table's rows out as one byte matrix
-    and writes it; only one block's bytes are alive at a time.
+    ``(codes, names)`` pair, or an int ``shift``: the time column ``(k +
+    shift) * step`` on the bin grid. A table has at least one array
+    column, which sets its row count. Each block formats its stretch of
+    the grid at most once, for every table, lays each table's rows out as
+    one byte matrix and writes it; only one block's bytes are alive at a
+    time.
     """
     tables = [(path, header, [_column(c) for c in columns])
               for path, header, columns in tables]
@@ -415,7 +400,6 @@ def _write_csvs(tables, step: float = 0.0) -> None:
         n_max = max(rows, default=0)
         for lo in range(0, n_max, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_max)
-            grid = np.arange(lo, hi + 1) * step
             grid_fields = None
             for fh, (_, _, cols), n in zip(files, tables, rows):
                 m = min(hi, n) - lo
@@ -423,14 +407,12 @@ def _write_csvs(tables, step: float = 0.0) -> None:
                     continue
                 block = []
                 for values, names, shift in cols:
-                    seg = None if values is None else values[lo:lo + m]
-                    if shift is not None and (
-                            seg is None or _same_bits(seg, grid[shift:shift + m])):
+                    if values is None:
                         if grid_fields is None:
-                            grid_fields = _fields(grid)
+                            grid_fields = _fields(_bin_times(step, lo, hi + 1))
                         block.append(grid_fields[shift:shift + m])
                     else:
-                        block.append(_fields(seg, names))
+                        block.append(_fields(values[lo:lo + m], names))
                 fh.write(_rows(block))
 
 
@@ -466,7 +448,9 @@ def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
     step loop's :class:`~ehsim.engine.RunStats` go to ``run_meta.json``,
     written last, so hashes and diffs stay meaningful. The
     ``.npy`` tables are what :func:`load_result` reads back exactly; the
-    CSVs hold the same tables at 10 significant digits for people.
+    CSVs hold the same tables at 10 significant digits for people. The time
+    columns of the profile and voltage tables are the bin grid: ``k *
+    step_len`` and ``(k + 1) * step_len`` for row ``k``.
     """
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
@@ -491,10 +475,9 @@ def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     prof = result.profile
-    prof_cols = (prof.t_start, prof.harvest, prof.mppt_loss,
-                 prof.converter_loss, prof.soc_energy, prof.sensor_energy,
-                 prof.storage_delta)
-    _write_npy(out_dir, "profile", prof_cols)
+    prof_cols = (prof.harvest, prof.mppt_loss, prof.converter_loss,
+                 prof.soc_energy, prof.sensor_energy, prof.storage_delta)
+    _write_npy(out_dir, "profile", (prof.t_start,) + prof_cols)
     act = result.activity
     _write_npy(out_dir, "activity", (act.on_off, act.labels))
     _write_npy(out_dir, "voltage", (result.voltage_t, result.voltage_v))
@@ -504,11 +487,11 @@ def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
         (os.path.join(out_dir, "profile.csv"),
          ("t_start_s", "harvest_j", "mppt_loss_j", "converter_loss_j",
           "soc_j", "sensor_j", "storage_delta_j"),
-         (_Grid(prof.t_start),) + prof_cols[1:]),
+         (0,) + prof_cols),
         (os.path.join(out_dir, "activity.csv"), ("t_start_s", "on", "label"),
-         (_Grid(None), act.on_off, (act.labels, PHASES))),
+         (0, act.on_off, (act.labels, PHASES))),
         (os.path.join(out_dir, "voltage.csv"), ("t_s", "v_cap"),
-         (_Grid(result.voltage_t, shift=1), result.voltage_v)),
+         (1, result.voltage_v)),
         (os.path.join(out_dir, "events.csv"), ("t_s", "powered_at_event"),
          (ev[:, 0], ev[:, 1].astype(np.int64))),
     ], step=act.step_len)
@@ -536,28 +519,6 @@ def _load_npy(out_dir: str, name: str) -> np.ndarray:
         raise ConfigError(f"{path}: expected an n x {width} {dtype} table, "
                           f"found {found}; re-run simulate")
     return arr
-
-
-@dataclass(frozen=True)
-class ResultSummary:
-    """A saved run without its bulk tables: ``result.json`` and the activity.
-
-    The fields are :class:`~ehsim.engine.SimResult`'s of the same names;
-    :func:`load_summary` reads them, and :func:`load_result` adds the rest.
-    """
-
-    ledger: EnergyLedger
-    activity: ActivityProfile
-    throughput_bytes: int
-    boots: int
-    events_offered: int
-    events_detected: int
-    events_detected_at_event: int
-    events_observed: int
-    on_time_s: float
-    duration_s: float
-    v_cap_final: float
-    converter_on_final: bool
 
 
 def load_summary(out_dir: str) -> ResultSummary:
@@ -616,28 +577,40 @@ def load_result(out_dir: str) -> SimResult:
 
     Adds the profile, voltage and event tables, and the run's stats from
     ``run_meta.json`` when it holds them; the wall time is not read back.
-    Raises :class:`ConfigError`, naming the file, for a missing or
-    malformed table.
+    The time columns are not read as data: each must hold the bits of the
+    bin grid :func:`save_result` writes. Raises :class:`ConfigError`,
+    naming the file, for a missing or malformed table.
     """
     summary = load_summary(out_dir)
-    prof = _load_npy(out_dir, "profile")
-    volt = _load_npy(out_dir, "voltage")
+    step = summary.activity.step_len
+    prof = _load_grid_table(out_dir, "profile", step, 0)
+    volt = _load_grid_table(out_dir, "voltage", step, 1)
     ev = _load_npy(out_dir, "events")
     if len(summary.activity) != len(prof):
         raise ConfigError(f"{out_dir}: activity.npy has "
                           f"{len(summary.activity)} rows, profile.npy "
                           f"{len(prof)}; re-run simulate")
     profile = EnergyStackProfile(
-        step_len=summary.activity.step_len, t_start=prof[:, 0],
-        harvest=prof[:, 1], mppt_loss=prof[:, 2], converter_loss=prof[:, 3],
-        soc_energy=prof[:, 4], sensor_energy=prof[:, 5],
-        storage_delta=prof[:, 6])
+        step_len=step, harvest=prof[:, 1], mppt_loss=prof[:, 2],
+        converter_loss=prof[:, 3], soc_energy=prof[:, 4],
+        sensor_energy=prof[:, 5], storage_delta=prof[:, 6])
     return SimResult(
         **{f.name: getattr(summary, f.name) for f in fields(summary)},
-        profile=profile, wall_time_s=0.0,
-        voltage_t=volt[:, 0], voltage_v=volt[:, 1], event_log=ev,
+        profile=profile, wall_time_s=0.0, voltage_v=volt[:, 1], event_log=ev,
         stats=_load_stats(out_dir),
     )
+
+
+def _load_grid_table(out_dir: str, name: str, step: float, shift: int
+                     ) -> np.ndarray:
+    """A result table whose first column must be the grid ``(k + shift) * step``."""
+    arr = _load_npy(out_dir, name)
+    grid = _bin_times(step, shift, len(arr) + shift)
+    if not np.array_equal(arr[:, 0].view(np.uint64), grid.view(np.uint64)):
+        raise ConfigError(f"{os.path.join(out_dir, name + '.npy')}: the time "
+                          f"column is not the bin grid of step {step!r}; "
+                          f"re-run simulate")
+    return arr
 
 
 def _load_stats(out_dir: str) -> RunStats:

@@ -60,6 +60,7 @@ __all__ = [
     "SimConfig",
     "EnergyLedger",
     "EnergyStackProfile",
+    "ResultSummary",
     "SimResult",
     "RunStats",
     "ConfigError",
@@ -173,6 +174,18 @@ class EnergyLedger:
         }
 
 
+def _bin_times(step_len: float, lo: int, hi: int) -> np.ndarray:
+    """The bin grid ``k * step_len`` for ``lo <= k < hi``.
+
+    The one time axis of a result's per-bin tables: bin ``k`` starts at
+    ``k * step_len`` and its voltage is sampled at ``(k + 1) * step_len``.
+    Built in place, with no integer temporary.
+    """
+    t = np.arange(lo, hi, dtype=np.float64)
+    t *= step_len
+    return t
+
+
 @dataclass(frozen=True)
 class EnergyStackProfile:
     """Per-aggregation-step signed energy stacks.
@@ -181,11 +194,10 @@ class EnergyStackProfile:
     positive when the energy flowing into the storage node (stored plus
     storage-internal losses) exceeded what was drawn out. Within each step
     ``harvest == mppt_loss + converter_loss + soc + sensor + storage_delta``
-    exactly.
+    exactly. Bin ``k`` starts at ``t_start[k] == k * step_len``.
     """
 
     step_len: float
-    t_start: np.ndarray
     harvest: np.ndarray
     mppt_loss: np.ndarray
     converter_loss: np.ndarray
@@ -194,7 +206,11 @@ class EnergyStackProfile:
     storage_delta: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t_start)
+        return len(self.harvest)
+
+    @property
+    def t_start(self) -> np.ndarray:
+        return _bin_times(self.step_len, 0, len(self))
 
 
 @dataclass(frozen=True)
@@ -212,16 +228,15 @@ class RunStats:
 
 
 @dataclass(frozen=True)
-class SimResult:
-    """Everything one run produces.
+class ResultSummary:
+    """A run without its bulk tables: the scalars, the ledger and the activity.
 
     ``ledger`` is the whole-run energy stack; ``duration_s`` is the run's
-    simulated span, drain included. Provenance, such as the config hash, is
-    the result file's business (:func:`ehsim.config.save_result`).
+    simulated span, drain included. :func:`ehsim.config.load_summary` reads
+    one back from ``result.json`` and ``activity.npy``.
     """
 
     ledger: EnergyLedger
-    profile: EnergyStackProfile
     activity: ActivityProfile
     throughput_bytes: int
     boots: int
@@ -231,13 +246,28 @@ class SimResult:
     events_observed: int
     on_time_s: float
     duration_s: float
-    wall_time_s: float
     v_cap_final: float
     converter_on_final: bool
-    voltage_t: np.ndarray
+
+
+@dataclass(frozen=True)
+class SimResult(ResultSummary):
+    """Everything one run produces: its summary plus the bulk tables.
+
+    ``voltage_v[k]`` is sampled at the end of bin ``k``, ``voltage_t[k] ==
+    (k + 1) * step_len``. Provenance, such as the config hash, is the result
+    file's business (:func:`ehsim.config.save_result`).
+    """
+
+    profile: EnergyStackProfile
+    wall_time_s: float
     voltage_v: np.ndarray
     event_log: np.ndarray  # columns: t, powered_at_event (0/1)
     stats: RunStats
+
+    @property
+    def voltage_t(self) -> np.ndarray:
+        return _bin_times(self.activity.step_len, 1, len(self.voltage_v) + 1)
 
 
 def finalize_stack(ledger: EnergyLedger, v_cap_final: float, storage, *,
@@ -267,8 +297,8 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float, storage, *,
 class _Bins:
     """Growable per-aggregation-step columns, zeroed at allocation.
 
-    The voltage timeline is not stored: :func:`_package` derives it from
-    the bin count. ``spans`` queues closed-form spans as packed doubles
+    The voltage timeline is not stored: it is the bin grid
+    (:func:`_bin_times`). ``spans`` queues closed-form spans as packed doubles
     for :func:`_write_span_rows`; ``span_rows`` counts their bins.
     """
 
@@ -1171,15 +1201,8 @@ def _package(ledger: EnergyLedger, bins: _Bins, app_state: AppState,
     # The step-loop oracle of the differential tests passes no stats.
     # The bin columns are handed out as views: nothing else holds them.
     n = bins.n
-    # Bin k starts at k agg and its voltage is sampled at (k + 1) agg;
-    # built in place, with no integer temporary.
-    t_start = np.arange(n, dtype=np.float64)
-    t_start *= agg
-    volt_t = np.arange(1, n + 1, dtype=np.float64)
-    volt_t *= agg
     profile = EnergyStackProfile(
         step_len=agg,
-        t_start=t_start,
         harvest=bins.harvest[:n],
         mppt_loss=bins.mppt[:n],
         converter_loss=bins.conv[:n],
@@ -1206,7 +1229,6 @@ def _package(ledger: EnergyLedger, bins: _Bins, app_state: AppState,
         wall_time_s=0.0,
         v_cap_final=v_cap,
         converter_on_final=conv_on,
-        voltage_t=volt_t,
         voltage_v=bins.volt_v[:n],
         event_log=log,
         stats=stats,

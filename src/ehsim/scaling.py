@@ -16,8 +16,11 @@ power untouched and instead multiplies measured throughput by ``s_tp``.
 The workflow: profile the app at a constant supply, plan the run with
 :func:`plan_run` (``s_f`` stays within the bound ``AppSpec.max_sf``), turn
 the plan into the scaled trace, events, app and engine settings with one
-call (:func:`build_experiment`), run it, then map results back to the
-real-time axis and predict real-time throughput.
+call (:func:`build_experiment`), run it, then map its activity profile
+back to the real-time axis (:func:`rescale_activity`) and predict
+real-time throughput (:func:`predict_throughput`). Only the activity is
+mapped back: every per-bin table of a result shares the bin grid as its
+time axis, and the whole-run figures need no re-timing.
 """
 
 from __future__ import annotations
@@ -25,17 +28,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .app import (AppSpec, ActivityProfile, _run_starts,
                   apply_frequency_scaling)
-from .engine import (EnergyStackProfile, SimConfig, SimResult, simulate)
+from .engine import ResultSummary, SimConfig, simulate
 from .traces import EventTrace, IrradianceTrace
-
-if TYPE_CHECKING:
-    from .config import ResultSummary
 
 __all__ = [
     "PowerProfile",
@@ -50,7 +50,6 @@ __all__ = [
     "build_experiment",
     "predict_throughput",
     "rescale_activity",
-    "rescale_timeline",
 ]
 
 MODES = ("realtime", "st_sp", "st_sp_sn", "st_up")
@@ -326,12 +325,13 @@ def build_experiment(plan: ScalingPlan, trace: IrradianceTrace,
     return trace, events, app, cfg
 
 
-def predict_throughput(plan: ScalingPlan, result: SimResult | ResultSummary,
+def predict_throughput(plan: ScalingPlan, result: ResultSummary,
                        profile: PowerProfile | None = None) -> float:
     """Real-time throughput predicted from a (scaled) run.
 
-    Only ``result.throughput_bytes`` and ``result.on_time_s`` are read, so
-    the light record :func:`ehsim.config.load_summary` returns serves too.
+    Only ``result.throughput_bytes`` and ``result.on_time_s`` are read: a
+    :class:`~ehsim.engine.SimResult` or the light record
+    :func:`ehsim.config.load_summary` returns.
 
     Under scaled power the application was modified, so bytes measured in
     the experiment do not directly estimate the original application's
@@ -348,20 +348,6 @@ def predict_throughput(plan: ScalingPlan, result: SimResult | ResultSummary,
         raise PlanError("scaled-power prediction needs the power profile")
     return (plan.s_tp * result.on_time_s / profile.t_profiling
             * profile.theta_profiling)
-
-
-def _rebin_sum(values: np.ndarray, s_tp: float, n_out: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Conservative redistribution of per-bin totals onto the stretched axis.
-
-    Output bin j covers [j, j+1) / s_tp on the input-bin axis. Returns each
-    output bin's total and its overlap width with the input, in input bins.
-    """
-    n_in = len(values)
-    cum = np.concatenate([[0.0], np.cumsum(values)])
-    edges = np.clip(np.arange(n_out + 1) / s_tp, 0.0, n_in)
-    cum_at = np.interp(edges, np.arange(n_in + 1), cum)
-    return np.diff(cum_at), np.diff(edges)
 
 
 def _stretch_runs(x: np.ndarray, s_tp: float, n_out: int
@@ -417,35 +403,3 @@ def rescale_activity(activity: ActivityProfile, s_tp: float
     labels[near] = activity.labels[np.minimum(centers.astype(int), n_in - 1)]
     return ActivityProfile(step_len=activity.step_len, on_off=on,
                            labels=labels)
-
-
-def rescale_timeline(result: SimResult, s_tp: float) -> SimResult:
-    """Map a scaled run back to the real-time axis.
-
-    Every time step is stretched by ``s_tp``; the activity profile is
-    re-binned by :func:`rescale_activity` and the stack profile onto the
-    same grid (energies redistributed conservatively), the voltage series
-    is re-timed and the duration stretched. The whole-run ledger is kept as
-    it is.
-    """
-    if s_tp == 1.0:
-        return result
-    activity = rescale_activity(result.activity, s_tp)
-    prof = result.profile
-    n_out = len(activity)
-    energies = {name: _rebin_sum(getattr(prof, name), s_tp, n_out)[0]
-                for name in ("harvest", "mppt_loss", "converter_loss",
-                             "soc_energy", "sensor_energy", "storage_delta")}
-    profile = EnergyStackProfile(step_len=prof.step_len,
-                                 t_start=np.arange(n_out) * prof.step_len,
-                                 **energies)
-    return replace(
-        result,
-        activity=activity,
-        profile=profile,
-        duration_s=result.duration_s * s_tp,
-        on_time_s=result.on_time_s * s_tp,
-        voltage_t=result.voltage_t * s_tp,
-        event_log=(result.event_log * np.array([s_tp, 1.0])
-                   if len(result.event_log) else result.event_log),
-    )

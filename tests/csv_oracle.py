@@ -3,7 +3,10 @@
 ``save_result`` is the writer that ``ehsim.config`` used before its block
 writer, and ``write_mismatch_spans`` is the loop ``ehsim compare`` used for
 ``mismatch_spans.csv``. Both are kept verbatim so the differential tests can
-require byte-identical files from the production writer.
+require byte-identical files from the production writer, except that every
+time column is computed per row from the bin grid, ``k * step`` or ``(k +
+1) * step``, as the activity loop always did: results no longer store
+their times.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
     with open(os.path.join(out_dir, "profile.csv"), "w", encoding="utf-8") as fh:
         fh.write("t_start_s,harvest_j,mppt_loss_j,converter_loss_j,"
                  "soc_j,sensor_j,storage_delta_j\n")
+        step = prof.step_len
         for k in range(len(prof)):
             fh.write(",".join((
-                _fmt(prof.t_start[k]), _fmt(prof.harvest[k]),
+                _fmt(k * step), _fmt(prof.harvest[k]),
                 _fmt(prof.mppt_loss[k]), _fmt(prof.converter_loss[k]),
                 _fmt(prof.soc_energy[k]), _fmt(prof.sensor_energy[k]),
                 _fmt(prof.storage_delta[k]))) + "\n")
@@ -71,8 +75,9 @@ def save_result(result: SimResult, out_dir: str, config_hash: str = "") -> None:
 
     with open(os.path.join(out_dir, "voltage.csv"), "w", encoding="utf-8") as fh:
         fh.write("t_s,v_cap\n")
-        for k in range(len(result.voltage_t)):
-            fh.write(f"{_fmt(result.voltage_t[k])},{_fmt(result.voltage_v[k])}\n")
+        step = act.step_len
+        for k in range(len(result.voltage_v)):
+            fh.write(f"{_fmt((k + 1) * step)},{_fmt(result.voltage_v[k])}\n")
 
     with open(os.path.join(out_dir, "events.csv"), "w", encoding="utf-8") as fh:
         fh.write("t_s,powered_at_event\n")

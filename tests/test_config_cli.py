@@ -21,7 +21,6 @@ from ehsim.engine import (ConfigError, EnergyStackProfile, SimConfig,
                           _resolution_guard, simulate)
 from ehsim.ess import EssConfig, StorageModel, HarvesterModel
 from ehsim.app import PHASES, ActivityProfile, preset
-from ehsim.scaling import rescale_timeline
 from ehsim.traces import (IrradianceTrace, synthetic_solar_trace,
                           write_irradiance)
 
@@ -110,12 +109,9 @@ def test_load_result_keeps_the_step_of_a_one_row_result(tmp_path,
     empty = dataclasses.replace(
         res, activity=ActivityProfile(0.5, res.activity.on_off[:0],
                                       res.activity.labels[:0]),
-        profile=EnergyStackProfile(0.5, *(np.empty(0) for _ in range(7))),
-        voltage_t=np.empty(0), voltage_v=np.empty(0))
-    # Rescaled, the voltage keeps the scaled run's samples, stamped s_tp apart.
-    rescaled = rescale_timeline(res, 4.0)
-    assert rescaled.voltage_t[0] == 2.0
-    for name, r in (("one", res), ("empty", empty), ("rescaled", rescaled)):
+        profile=EnergyStackProfile(0.5, *(np.empty(0) for _ in range(6))),
+        voltage_v=np.empty(0))
+    for name, r in (("one", res), ("empty", empty)):
         save_result(r, str(tmp_path / name))
         back = load_result(str(tmp_path / name))
         assert back.profile.step_len == 0.5, name
@@ -147,10 +143,10 @@ def test_load_result_inverts_save_result_bit_for_bit(one_row_result, n, n_ev,
                                  storage_residual=-scalar)
     r = dataclasses.replace(
         res, ledger=ledger,
-        profile=EnergyStackProfile(step, *(col(n) for _ in range(7))),
+        profile=EnergyStackProfile(step, *(col(n) for _ in range(6))),
         activity=ActivityProfile(step, on_off=rng.random(n) < 0.5,
                                  labels=rng.integers(0, len(PHASES), n)),
-        voltage_t=col(n), voltage_v=col(n), on_time_s=scalar,
+        voltage_v=col(n), on_time_s=scalar,
         v_cap_final=scalar, duration_s=scalar,
         event_log=np.column_stack((col(n_ev), rng.integers(0, 2, n_ev)))
         .astype(float))
@@ -186,11 +182,30 @@ def _without_step_len(path):
     path.write_text(json.dumps(payload))
 
 
+def _retime(path, row, new_time):
+    arr = np.load(path)
+    arr[row, 0] = new_time(arr[row, 0])
+    np.save(path, arr)
+
+
+def _time_one_ulp_up(path):
+    _retime(path, 1, lambda t: np.nextafter(t, np.inf))
+
+
+def _first_time_negative_zero(path):
+    _retime(path, 0, lambda t: -0.0)
+
+
 _DAMAGES = [
     ("profile.npy", os.remove), ("activity.npy", _truncate),
     ("voltage.npy", _wrong_shape), ("events.npy", _pickled),
     ("activity.npy", lambda p: p.write_bytes(b"")),
     ("result.json", _without_step_len), ("activity.npy", os.remove),
+    # Times off the bin grid. The first bin's start, 0.0, set to -0.0
+    # equals the grid by value but not by bits.
+    ("profile.npy", _time_one_ulp_up),
+    ("voltage.npy", _first_time_negative_zero),
+    ("profile.npy", _first_time_negative_zero),
 ]
 # The files of a result directory compare reads; it never opens the others.
 _COMPARE_READS = ("result.json", "activity.npy", "plan.json")

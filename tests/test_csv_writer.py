@@ -5,11 +5,10 @@ byte-identical to ``tests/csv_oracle.py`` for every row count around the
 block size, every phase label, and the float values where ``%.10g`` output
 changes shape (signed zero, subnormals, exponent switch, inf/nan). The
 writer formats each run of equal bits once and shares the bin time grid
-between tables, so runs across block edges, values equal by ``==`` but not
-by bits, and time columns on and off the grid are covered too. The oracle
-predates the ``.npy`` tables, ``result.json``'s ``step_len`` and
-``run_meta.json``'s stats and save time; those are the only differences
-allowed.
+between tables, so runs across block edges and values equal by ``==`` but
+not by bits are covered too. The oracle predates the ``.npy`` tables,
+``result.json``'s ``step_len`` and ``run_meta.json``'s stats and save time;
+those are the only differences allowed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from ehsim.app import PHASES, ActivityProfile, preset
 from ehsim.config import _BLOCK_ROWS, _write_csvs, save_result
 from ehsim.engine import EnergyStackProfile, SimConfig, simulate
 from ehsim.ess import EssConfig
-from ehsim.scaling import rescale_timeline
 from ehsim.traces import IrradianceTrace
 from test_engine import _pin_inputs
 
@@ -122,13 +120,13 @@ def _check(result):
 @settings(max_examples=25, deadline=None)
 def test_save_result_matches_row_oracle(base_result, n, n_ev, pool, labels,
                                         step, shift):
-    cols = [_column(pool, n, shift + j) for j in range(9)]
+    cols = [_column(pool, n, shift + j) for j in range(7)]
     result = replace(
         base_result,
-        profile=EnergyStackProfile(step, *cols[:7]),
-        activity=ActivityProfile(step, on_off=np.isfinite(cols[1]) & (cols[1] > 0),
+        profile=EnergyStackProfile(step, *cols[:6]),
+        activity=ActivityProfile(step, on_off=np.isfinite(cols[0]) & (cols[0] > 0),
                                  labels=np.resize(np.asarray(labels, np.int8), n)),
-        voltage_t=cols[7], voltage_v=cols[8],
+        voltage_v=cols[6],
         event_log=np.column_stack((_column(pool, n_ev, shift),
                                    np.arange(n_ev) % 2)).astype(float))
     _check(result)
@@ -138,13 +136,13 @@ def test_save_result_matches_row_oracle(base_result, n, n_ev, pool, labels,
 def test_every_phase_label_and_event_log(base_result, n):
     assert len(base_result.event_log) == 0  # the empty log case
     _check(base_result)
-    cols = [np.arange(n) * 0.2 + j for j in range(9)]
+    cols = [np.arange(n) * 0.2 + j for j in range(7)]
     result = replace(
         base_result,
-        profile=EnergyStackProfile(0.2, *cols[:7]),
+        profile=EnergyStackProfile(0.2, *cols[:6]),
         activity=ActivityProfile(0.2, on_off=np.arange(n) % 3 == 0,
                                  labels=np.arange(n) % len(PHASES)),
-        voltage_t=cols[7], voltage_v=cols[8],
+        voltage_v=cols[6],
         event_log=np.column_stack((cols[0], np.arange(n) % 2)).astype(float))
     _check(result)
 
@@ -171,15 +169,6 @@ def test_engine_results_share_the_time_grid(request, name):
     _check(result)
 
 
-def test_rescaled_result_keeps_its_own_voltage_times(dawn_result):
-    rescaled = rescale_timeline(dawn_result, 2.0)
-    step = rescaled.activity.step_len
-    assert _on_grid(rescaled.profile.t_start, step, 0)
-    assert len(rescaled.voltage_t) != len(rescaled.activity)
-    assert not _on_grid(rescaled.voltage_t, step, 1)
-    _check(rescaled)
-
-
 @given(first=st.integers(_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1),
        runs=st.lists(st.tuples(values, st.one_of(
            st.integers(1, 3), st.integers(_BLOCK_ROWS - 2, _BLOCK_ROWS + 2))),
@@ -188,17 +177,14 @@ def test_rescaled_result_keeps_its_own_voltage_times(dawn_result):
        at=st.one_of(st.sampled_from([_BLOCK_ROWS - 2, _BLOCK_ROWS - 1,
                                      _BLOCK_ROWS]),
                     st.integers(0, 2 * _BLOCK_ROWS)),
-       off_grid=st.sampled_from([None, 0, _BLOCK_ROWS, -1]),
        step=st.sampled_from([0.2, 0.1, 1 / 3, 3600.0]))
 @settings(max_examples=12, deadline=None)
 def test_runs_across_block_edges_match_row_oracle(base_result, first, runs,
-                                                  value, at, off_grid, step):
-    """Runs longer than a block, bitwise-only neighbours, time off the grid.
+                                                  value, at, step):
+    """Runs longer than a block, bitwise-only neighbours.
 
     A run of more than ``_BLOCK_ROWS`` rows always spans a block edge. Each
-    column holds the ``BITWISE`` neighbours at its own offset. The time
-    columns sit on the grid except at ``off_grid``, where ``0.0`` becomes
-    ``-0.0`` and any other time its next float up.
+    column holds the ``BITWISE`` neighbours at its own offset.
     """
     col = np.concatenate([np.full(first, value)]
                          + [np.full(k, v) for v, k in runs])
@@ -206,16 +192,10 @@ def test_runs_across_block_edges_match_row_oracle(base_result, first, runs,
     col = np.concatenate((col[:at], BITWISE, col[at:]))
     n = len(col)
     cols = [np.roll(col, j * (_BLOCK_ROWS // 3)) for j in range(7)]
-    t_start = np.arange(n) * step
-    volt_t = np.arange(1, n + 1) * step
-    if off_grid is not None:
-        for t in (t_start, volt_t):
-            t[off_grid] = -0.0 if t[off_grid] == 0 else np.nextafter(
-                t[off_grid], np.inf)
     result = replace(
         base_result,
-        profile=EnergyStackProfile(step, t_start, *cols[:6]),
+        profile=EnergyStackProfile(step, *cols[:6]),
         activity=ActivityProfile(step, on_off=np.signbit(cols[0]),
                                  labels=np.arange(n) // 5000 % len(PHASES)),
-        voltage_t=volt_t, voltage_v=cols[6])
+        voltage_v=cols[6])
     _check(result)

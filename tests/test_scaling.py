@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import rescale_oracle
 from ehsim.app import PHASES, PRESETS, ActivityProfile, AppSpec, preset
-from ehsim.engine import EnergyStackProfile, SimConfig, simulate
+from ehsim.engine import SimConfig, simulate
 from ehsim.scaling import (
     PlanError, PowerProfile, ScalingPlan, build_experiment, compute_sf,
     max_speedup, plan_run, predict_throughput, profile_application,
-    rescale_activity, rescale_timeline, scaled_average_power,
+    rescale_activity, scaled_average_power,
 )
 from ehsim.ess import EssConfig, StorageModel
 from ehsim.traces import EventTrace, IrradianceTrace, synthetic_solar_trace
@@ -400,88 +400,21 @@ def test_predict_throughput_identity_and_eq_arithmetic():
     assert predict_throughput(up, _FakeResult(100, 0.0)) == pytest.approx(300.0)
 
 
-def test_rescale_identity():
-    tr = synthetic_solar_trace(days=1, peak=20.0, cadence_s=600)
-    ess = EssConfig.ideal(capacitance=0.5)
-    app = preset("TMP1")
-    res = simulate(tr, None, ess, app, SimConfig(dt_quiescent=0.2))
-    assert rescale_timeline(res, 1.0) is res
-
-
-def test_rescale_stretches_and_conserves():
-    tr = synthetic_solar_trace(days=1, peak=20.0, cadence_s=600)
-    ess = EssConfig.ideal(capacitance=0.5)
-    app = preset("TMP1")
-    res = simulate(tr, None, ess, app, SimConfig(dt_quiescent=0.2))
-    s = 3.0
-    out = rescale_timeline(res, s)
-    assert out.duration_s == pytest.approx(res.duration_s * s)
-    assert len(out.activity) == pytest.approx(len(res.activity) * s)
-    # on-time re-binned within one bin of the stretched total
-    on_scaled = res.activity.on_off.sum() * res.activity.step_len * s
-    on_out = out.activity.on_off.sum() * out.activity.step_len
-    assert abs(on_out - on_scaled) <= s * out.activity.step_len + 1e-9
-    # energies are redistributed, not created
-    assert out.profile.harvest.sum() == pytest.approx(
-        res.profile.harvest.sum(), rel=1e-9)
-    assert out.profile.storage_delta.sum() == pytest.approx(
-        res.profile.storage_delta.sum(), rel=1e-9, abs=1e-12)
-    np.testing.assert_allclose(out.voltage_t, res.voltage_t * s)
-
-
 def test_fractional_rescale_binning():
     tr = synthetic_solar_trace(days=1, peak=20.0, cadence_s=600)
     ess = EssConfig.ideal(capacitance=0.5)
     app = preset("TMP1")
     res = simulate(tr, None, ess, app, SimConfig(dt_quiescent=0.2))
-    out = rescale_timeline(res, 2.5)
-    assert len(out.activity) == int(round(len(res.activity) * 2.5))
-    assert out.profile.soc_energy.sum() == pytest.approx(
-        res.profile.soc_energy.sum(), rel=1e-9)
-
-
-def _short_run():
-    trace = IrradianceTrace(t=np.array([0.0, 60.0]), g=np.array([0.0, 0.0]))
-    return simulate(trace, None, EssConfig.ideal(capacitance=0.5),
-                    preset("TMP1"), SimConfig(dt_quiescent=0.2))
-
-
-@st.composite
-def activity_profiles(draw):
-    """Random on/off and label profiles: i.i.d. bits or alternating runs."""
-    n = draw(st.integers(1, 500))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        on = rng.random(n) < draw(st.floats(0.0, 1.0))
-    else:
-        on = np.repeat(np.arange(n) % 2 == 0, rng.integers(1, 40, size=n))[:n]
-    labels = rng.integers(0, len(PHASES), size=n)
-    return ActivityProfile(step_len=draw(st.sampled_from([0.2, 1.0])),
-                           on_off=on, labels=labels)
-
-
-@given(act=activity_profiles(),
-       s_tp=st.sampled_from([1.0, 2.0, 2.5, 3.0, 7 / 3, 10.0]))
-@settings(max_examples=150, deadline=None)
-def test_rescale_activity_is_the_rescaled_timelines_activity(act, s_tp):
-    n = len(act)
-    rng = np.random.default_rng(n)
-    profile = EnergyStackProfile(
-        step_len=act.step_len, t_start=np.arange(n) * act.step_len,
-        **{name: rng.random(n) for name in (
-            "harvest", "mppt_loss", "converter_loss", "soc_energy",
-            "sensor_energy", "storage_delta")})
-    res = replace(_short_run(), activity=act, profile=profile,
-                  duration_s=n * act.step_len)
-    got = rescale_activity(act, s_tp)
-    want = rescale_timeline(res, s_tp).activity
-    assert got.step_len == want.step_len
-    assert got.on_off.dtype == want.on_off.dtype
-    assert got.labels.dtype == want.labels.dtype
-    np.testing.assert_array_equal(got.on_off, want.on_off)
-    np.testing.assert_array_equal(got.labels, want.labels)
-    if s_tp == 1.0:
-        assert got is act
+    out = rescale_activity(res.activity, 2.5)
+    assert len(out) == int(round(len(res.activity) * 2.5))
+    assert rescale_activity(res.activity, 1.0) is res.activity
+    # At an integer factor, on-time re-bins within one bin of the stretched
+    # total.
+    s = 3.0
+    out = rescale_activity(res.activity, s)
+    on_scaled = res.activity.on_off.sum() * res.activity.step_len * s
+    on_out = out.on_off.sum() * out.step_len
+    assert abs(on_out - on_scaled) <= s * out.step_len + 1e-9
 
 
 # Includes factors whose output bins run past the input's end
