@@ -400,21 +400,34 @@ def test_predict_throughput_identity_and_eq_arithmetic():
     assert predict_throughput(up, _FakeResult(100, 0.0)) == pytest.approx(300.0)
 
 
-def test_fractional_rescale_binning():
+def _tmp1_day_activity():
     tr = synthetic_solar_trace(days=1, peak=20.0, cadence_s=600)
     ess = EssConfig.ideal(capacitance=0.5)
-    app = preset("TMP1")
-    res = simulate(tr, None, ess, app, SimConfig(dt_quiescent=0.2))
-    out = rescale_activity(res.activity, 2.5)
-    assert len(out) == int(round(len(res.activity) * 2.5))
-    assert rescale_activity(res.activity, 1.0) is res.activity
-    # At an integer factor, on-time re-bins within one bin of the stretched
-    # total.
+    res = simulate(tr, None, ess, preset("TMP1"), SimConfig(dt_quiescent=0.2))
+    return res.activity
+
+
+def test_rescale_identity():
+    act = _tmp1_day_activity()
+    assert rescale_activity(act, 1.0) is act
+
+
+def test_rescale_stretches_and_conserves():
+    act = _tmp1_day_activity()
     s = 3.0
-    out = rescale_activity(res.activity, s)
-    on_scaled = res.activity.on_off.sum() * res.activity.step_len * s
+    out = rescale_activity(act, s)
+    assert out.step_len == act.step_len
+    assert len(out) == len(act) * s
+    # on-time re-binned within one bin of the stretched total
+    on_scaled = act.on_off.sum() * act.step_len * s
     on_out = out.on_off.sum() * out.step_len
     assert abs(on_out - on_scaled) <= s * out.step_len + 1e-9
+
+
+def test_fractional_rescale_binning():
+    act = _tmp1_day_activity()
+    out = rescale_activity(act, 2.5)
+    assert len(out) == int(round(len(act) * 2.5))
 
 
 # Includes factors whose output bins run past the input's end
