@@ -155,8 +155,18 @@ def build_app(cfg: HarnessConfig) -> tuple[AppSpec, float]:
     return spec, s_i
 
 
+# SimConfig fields that decide what kind of run happens, and what owns them.
+_RUN_KIND_KEYS = {"skip_nights": "plan.mode st_sp_sn",
+                  "supply_override": "ehsim profile"}
+
+
 def build_sim(cfg: HarnessConfig) -> SimConfig:
-    return SimConfig(**cfg.raw.get("sim", {}))
+    block = cfg.raw.get("sim", {})
+    for key, owner in _RUN_KIND_KEYS.items():
+        if key in block:
+            raise ConfigError(f"sim.{key}: set by {owner}, not by the sim "
+                              f"block")
+    return SimConfig(**block)
 
 
 def load_trace(cfg: HarnessConfig) -> IrradianceTrace:
@@ -586,10 +596,11 @@ def load_result(out_dir: str) -> SimResult:
     prof = _load_grid_table(out_dir, "profile", step, 0)
     volt = _load_grid_table(out_dir, "voltage", step, 1)
     ev = _load_npy(out_dir, "events")
-    if len(summary.activity) != len(prof):
-        raise ConfigError(f"{out_dir}: activity.npy has "
-                          f"{len(summary.activity)} rows, profile.npy "
-                          f"{len(prof)}; re-run simulate")
+    for name, arr in (("profile", prof), ("voltage", volt)):
+        if len(arr) != len(summary.activity):
+            raise ConfigError(f"{os.path.join(out_dir, name + '.npy')}: "
+                              f"{len(arr)} rows, activity.npy "
+                              f"{len(summary.activity)}; re-run simulate")
     profile = EnergyStackProfile(
         step_len=step, harvest=prof[:, 1], mppt_loss=prof[:, 2],
         converter_loss=prof[:, 3], soc_energy=prof[:, 4],

@@ -20,8 +20,10 @@ exactly 0) with the node off are stepped, as a platform replaying the trace
 in real time spends them, but by their own evaluator (see
 :func:`_step_dark_span`), which repeats only what the general step does
 there, bit for bit; ``SimConfig.skip_nights`` (the ``st_sp_sn`` plan sets
-it) swaps in the closed form for them. Runs are deterministic: identical
-inputs produce identical results.
+it) swaps in the closed form for them. The step loop, the spans and the
+dark evaluator only queue their bins' rows; one writer,
+:func:`_write_rows`, grows the per-bin arrays and writes them. Runs are
+deterministic: identical inputs produce identical results.
 
 Profiling runs (``SimConfig.supply_override``) take the same step loop with
 an ideal source as the supply model: the source pins the bus at the given
@@ -295,35 +297,43 @@ def finalize_stack(ledger: EnergyLedger, v_cap_final: float, storage, *,
 
 
 class _Bins:
-    """Growable per-aggregation-step columns, zeroed at allocation.
+    """Growable per-aggregation-step columns, zeroed at allocation, and the
+    queues of rows that :func:`_write_rows`, their one writer, writes.
 
     The voltage timeline is not stored: it is the bin grid
-    (:func:`_bin_times`). ``spans`` queues closed-form spans as packed doubles
-    for :func:`_write_span_rows`; ``span_rows`` counts their bins.
+    (:func:`_bin_times`). Rows are queued in bin order: ``steps`` holds
+    stepped bins as packed doubles (the bin's index, then its value in each
+    of ``_COLUMNS``), ``dark`` the dark evaluator's ``(first row, load
+    sums, closing voltages)`` chunks, and ``spans`` closed-form spans as
+    packed doubles. ``n`` rows are written and the next ``pending`` rows
+    are queued.
     """
 
     _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
                 "volt_v", "labels")
-    __slots__ = _COLUMNS + ("n", "cap", "spans", "span_rows")
+    __slots__ = _COLUMNS + ("n", "cap", "steps", "dark", "spans", "pending")
 
     def __init__(self, n_nominal: int):
-        self.n = 0
+        self.n = self.pending = 0
         self.cap = max(n_nominal + 8, 16)
-        self.spans = bytearray()
-        self.span_rows = 0
+        self.steps, self.dark, self.spans = bytearray(), [], bytearray()
         for name in self._COLUMNS:
             dtype = np.int8 if name == "labels" else np.float64
             setattr(self, name, np.zeros(self.cap, dtype=dtype))
 
     def ensure(self, need: int) -> bool:
-        """Grow to hold ``need`` rows; True if arrays were reallocated."""
+        """Grow to hold ``need`` rows; True if arrays were reallocated.
+
+        Copies each old array whole: ``n`` may already count rows that
+        the old arrays cannot hold.
+        """
         if need <= self.cap:
             return False
         self.cap = max(need, self.cap * 2)
         for name in self._COLUMNS:
             arr = getattr(self, name)
             out = np.zeros(self.cap, dtype=arr.dtype)
-            out[:self.n] = arr[:self.n]
+            out[:len(arr)] = arr
             setattr(self, name, out)
         return True
 
@@ -341,7 +351,8 @@ def simulate(trace: IrradianceTrace, events: EventTrace | None,
     """Run one deterministic simulation over the trace.
 
     With ``cfg.supply_override`` set, an ideal source at that voltage
-    replaces the supply chain (profiling mode; ``ess`` may then be None):
+    replaces the supply chain (profiling mode; ``ess`` is then ignored, and
+    only then may it be None):
     the application runs powered from the trace start to the trace end, the
     source delivers exactly the load's draw, and the ledger books that
     energy as ``harvest_input`` and closes on the application's consumption.
@@ -350,6 +361,9 @@ def simulate(trace: IrradianceTrace, events: EventTrace | None,
     off; the stored remainder is then booked as storage residual.
     """
     _resolution_guard(app, cfg)
+    if ess is None and cfg.supply_override is None:
+        raise ConfigError("no ESS given: only a profiling run "
+                          "(supply_override) may omit it")
     if events is not None and len(events.t) and (
             events.t[0] < trace.t[0] - 1e-9 or events.t[-1] > trace.t[-1] + 1e-9):
         raise ConfigError("event times must lie within the trace span")
@@ -440,7 +454,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     bin_idx = 0
     bin_open_t = t0  # when the current bin opened; t equals it while it is empty
     t_edge = t0 + agg  # when the current bin closes
-    # The open bin's sums; written to the arrays once, as it closes.
+    # The open bin's sums, queued once, as it closes.
     a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = a_on = 0.0
     bin_label_s = [0.0] * len(PHASES)
     n_steps = n_spans = n_span_bins = n_dark_steps = 0
@@ -456,12 +470,23 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     v_off = conv.v_off
     ckpt_v = app.checkpoint_v
 
-    b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
-    b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-    b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
-
     while True:
         draining = t >= t_end - 1e-9
+        done = draining and (stop_at_end or not conv_on
+                             or t >= extension_deadline)
+        if t >= t_edge - 1e-9 or (done and max(bin_label_s) > 0.0):
+            # Close the bin (or the partial final one, at a hard stop
+            # mid-bin): queue its sums for _write_rows.
+            _queue_rows(bins, agg, 1)
+            bins.steps += _pack_row(
+                bin_idx, a_harvest, a_mppt, a_conv, a_soc, a_sensor, a_sdelta,
+                a_on, v_cap, bin_label_s.index(max(bin_label_s)))
+            a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = 0.0
+            a_on = 0.0
+            bin_label_s = [0.0] * len(PHASES)
+            bin_idx += 1
+            bin_open_t = t
+            t_edge = t0 + (bin_idx + 1) * agg
 
         # Deliver events due now (at-event detection uses the live state),
         # also those stamped at the trace end.
@@ -474,8 +499,7 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                 detected_at_event += 1
             ev_idx += 1
 
-        if draining and (stop_at_end or not conv_on
-                         or t >= extension_deadline):
+        if done:
             break
 
         phase = app_state.phase
@@ -508,13 +532,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     n_spans += 1
                     n_span_bins += n
                     bin_idx += n
-                    bins.n = bin_idx
-                    # The span wrote the bin; nothing carries into the next.
-                    a_harvest = a_mppt = a_conv = a_soc = a_sensor = 0.0
-                    a_sdelta = a_on = 0.0
-                    b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
-                    b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-                    b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
                     t_edge = t0 + (bin_idx + 1) * agg
                     t_span_end = t0 + bin_idx * agg
                     if conv_on:
@@ -541,7 +558,6 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
                     n_steps += k
                     n_dark_steps += k
                     bin_idx += n
-                    bins.n = bin_idx
                     bin_open_t = t
                     t_edge = t0 + (bin_idx + 1) * agg
                     continue
@@ -702,53 +718,8 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
         while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
             tr_idx += 1
-        if t >= t_edge - 1e-9:
-            # The arrays start zeroed: a zero sum stays unwritten, so a
-            # column's pages stay untouched while nothing enters it.
-            if a_harvest:
-                b_harvest[bin_idx] = a_harvest
-            if a_mppt:
-                b_mppt[bin_idx] = a_mppt
-            if a_conv:
-                b_conv[bin_idx] = a_conv
-            if a_soc:
-                b_soc[bin_idx] = a_soc
-            if a_sensor:
-                b_sensor[bin_idx] = a_sensor
-            if a_sdelta:
-                b_sdelta[bin_idx] = a_sdelta
-            if a_on:
-                b_on[bin_idx] = a_on
-            a_harvest = a_mppt = a_conv = a_soc = a_sensor = a_sdelta = 0.0
-            a_on = 0.0
-            label_idx = bin_label_s.index(max(bin_label_s))
-            if label_idx:
-                b_labels[bin_idx] = label_idx
-            b_vv[bin_idx] = v_cap
-            bin_label_s = [0.0] * len(PHASES)
-            bin_idx += 1
-            bin_open_t = t
-            t_edge = t0 + (bin_idx + 1) * agg
-            bins.n = bin_idx
-            if bin_idx >= bins.cap:
-                bins.ensure(bin_idx + 1)
-                b_harvest, b_mppt, b_conv = bins.harvest, bins.mppt, bins.conv
-                b_soc, b_sensor, b_sdelta = bins.soc, bins.sensor, bins.sdelta
-                b_on, b_labels, b_vv = bins.on_s, bins.labels, bins.volt_v
 
-    if max(bin_label_s) > 0.0:  # partial final bin (hard stop mid-bin)
-        b_harvest[bin_idx] = a_harvest
-        b_mppt[bin_idx] = a_mppt
-        b_conv[bin_idx] = a_conv
-        b_soc[bin_idx] = a_soc
-        b_sensor[bin_idx] = a_sensor
-        b_sdelta[bin_idx] = a_sdelta
-        b_on[bin_idx] = a_on
-        b_labels[bin_idx] = bin_label_s.index(max(bin_label_s))
-        b_vv[bin_idx] = v_cap
-        bins.n = bin_idx + 1
-
-    _write_span_rows(bins, agg)
+    _write_rows(bins, agg)
     # added to what the closed-form spans booked
     ledger.harvest_input += e_harvest
     ledger.mppt_loss += e_mppt
@@ -767,11 +738,13 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 
 
 # Shortest and longest closed-form span, in bins. A span costs about as
-# much as one or two steps; the longest bounds the rows that wait for
-# _write_span_rows, and those the dark evaluator holds between writes.
+# much as one or two steps; the longest also bounds the rows, of every
+# kind, that wait for _write_rows.
 _SPAN_MIN_BINS = 4
 _SPAN_MAX_BINS = 4096
-# A queued span's record for _write_span_rows: 16 doubles.
+# Queued records for _write_rows: a stepped bin's index and its _Bins
+# columns, 10 doubles; a span's, 16.
+_pack_row = struct.Struct("10d").pack
 _pack_span = struct.Struct("16d").pack
 # A span's ESR loss is frozen at its start voltage, and i^2 R goes as
 # 1 / v^2: the span also ends where the voltage has moved by this share,
@@ -901,7 +874,7 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
 
     # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
     # bin ends; the first bin may have opened a hair after its edge. The end
-    # state takes the last two as _write_span_rows does (np.expm1 on a scalar
+    # state takes the last two as _write_rows does (np.expm1 on a scalar
     # rounds as on an array; math.expm1 does not).
     d0 = t_bin + agg - t
     span = d0 + (n - 1) * agg
@@ -942,13 +915,10 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     if conv_last < 0.0:
         load_last = supplied
         conv_last = 0.0
-    bins.ensure(bin_idx + n + 1)
-    if bins.span_rows + n > _SPAN_MAX_BINS:  # bounds the writer's temporaries
-        _write_span_rows(bins, agg)
+    _queue_rows(bins, agg, n)
     bins.spans += _pack_span(bin_idx, n, d0, e0, slope, v_cap, a, two_over_c,
                              p_mpp, p_ml, p_conv, p_load, conv_last,
                              load_last, on, PHASE_INDEX[app_state.phase])
-    bins.span_rows += n
     de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
     ledger.harvest_input += p_mpp * span
     ledger.mppt_loss += p_ml * span
@@ -962,16 +932,48 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     return n, v_end, v_bus_end, mode, de_rate, i_end
 
 
-def _write_span_rows(bins: _Bins, agg: float) -> None:
-    """Write every queued span's rows in one numpy pass: rate x bin length
-    (``d0`` for the first bin) but the last bin's queued draw, and voltages
-    by the float operations of :func:`_advance_span`'s end state."""
-    if not bins.spans:
+def _queue_rows(bins: _Bins, agg: float, n: int) -> None:
+    """Count ``n`` more queued rows, writing the queues first if they would
+    pass ``_SPAN_MAX_BINS``, which bounds the writer's temporaries."""
+    if bins.pending + n > _SPAN_MAX_BINS:
+        _write_rows(bins, agg)
+    bins.pending += n
+
+
+def _write_rows(bins: _Bins, agg: float) -> None:
+    """Write every queued row, growing the arrays to hold them.
+
+    The one writer of ``bins``. Stepped bins are written as the step loop
+    summed them, and dark chunks as their closing voltages and load sums; a
+    dark bin's storage column sums ``-e_load`` per step, which is the
+    negated load sum exactly. A zero sum stays unwritten, so a column's
+    pages stay untouched while nothing enters it. Spans are written in one
+    numpy pass: rate x bin length (``d0`` for the first bin) but the last
+    bin's queued draw, and voltages by the float operations of
+    :func:`_advance_span`'s end state.
+    """
+    bins.n += bins.pending
+    bins.ensure(bins.n)
+    steps, dark, spans = bins.steps, bins.dark, bins.spans
+    bins.steps, bins.dark, bins.spans, bins.pending = (bytearray(), [],
+                                                        bytearray(), 0)
+    if steps:
+        rec = np.frombuffer(steps).reshape(-1, 10).T
+        rows = rec[0].astype(np.intp)
+        for name, x in zip(_Bins._COLUMNS, rec[1:]):
+            keep = slice(None) if name == "volt_v" else np.flatnonzero(x)
+            getattr(bins, name)[rows[keep]] = x[keep]
+    for lo, soc, volts in dark:
+        bins.volt_v[lo:lo + len(volts)] = volts
+        nz = np.flatnonzero(soc)
+        soc = soc[nz]
+        nz += lo
+        bins.soc[nz] = soc
+        bins.sdelta[nz] = -soc
+    if not spans:
         return
     (lo, n, d0, e0, slope, v0, a, two_over_c, p_mpp, p_ml, p_conv, p_load,
-     conv_last, load_last, on, label) = np.frombuffer(
-         bins.spans).reshape(-1, 16).T
-    bins.spans, bins.span_rows = bytearray(), 0
+     conv_last, load_last, on, label) = np.frombuffer(spans).reshape(-1, 16).T
     n = n.astype(np.intp)
     last = np.cumsum(n) - 1
     first = last - (n - 1)
@@ -1040,8 +1042,8 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
     trace end), the bus at ``v_on``, a rising store (the crossing clip), or
     a store past ``storage_v_max``.
 
-    Writes the stepped bins' rows, in chunks of at most
-    ``_SPAN_MAX_BINS``. Returns ``(n_bins, n_steps, t, v_cap, v_bus, mode,
+    Steps at most ``_SPAN_MAX_BINS`` bins and queues their rows on
+    ``bins``. Returns ``(n_bins, n_steps, t, v_cap, v_bus, mode,
     de_rate, i_out, tr_idx, e_leak_tot, e_esr_tot, e_off)``; ``n_bins`` is
     0, with the state as given, when no bin qualifies.
     """
@@ -1061,16 +1063,15 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
     p_off = app.p_off_residual
     v_dead = _V_DEAD
     n_tr = len(tr_t)
-    last_bin = bins.cap - 1  # the caller grows the arrays, not this loop
-    bin0 = row0 = bin_idx
+    bin0 = bin_idx
     n_steps = 0
-    socs: list[float] = []  # the bins' load sums and closing voltages,
-    volts: list[float] = []  # written once per chunk
+    socs: list[float] = []  # the bins' load sums and closing voltages
+    volts: list[float] = []
     nxt = tr_t[tr_idx + 1]
     edge_stop = stop if stop < nxt else nxt
     t_edge = t0 + (bin_idx + 1) * agg
     ok = (tr_g[tr_idx] == 0.0 and v_bus < v_on and de_rate <= 1e-15
-          and v_cap <= v_max and t_edge <= edge_stop and bin_idx < last_bin)
+          and v_cap <= v_max and t_edge <= edge_stop)
     a_soc = 0.0
     saved = None  # the open bin's opening state, once a step leaves it open
     while ok:
@@ -1152,10 +1153,6 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
         a_soc = 0.0
         saved = None
         bin_idx += 1
-        if len(volts) == _SPAN_MAX_BINS:
-            _write_dark_rows(bins, row0, socs, volts)
-            row0 = bin_idx
-            socs, volts = [], []
         if nxt <= t + 1e-9:
             while tr_idx + 1 < n_tr and tr_t[tr_idx + 1] <= t + 1e-9:
                 tr_idx += 1
@@ -1165,32 +1162,17 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
             edge_stop = stop if stop < nxt else nxt
             ok = ok and tr_g[tr_idx] == 0.0
         t_edge = t0 + (bin_idx + 1) * agg
-        if t_edge > edge_stop or bin_idx >= last_bin:
+        if t_edge > edge_stop or len(volts) == _SPAN_MAX_BINS:
             break
     if saved is not None:
         # The open bin did not close: the general step takes it whole.
         (t, v_cap, v_bus, mode, de_rate, i_out, e_leak_tot, e_esr_tot,
          e_off, n_steps) = saved
     if volts:
-        _write_dark_rows(bins, row0, socs, volts)
+        _queue_rows(bins, agg, len(volts))
+        bins.dark.append((bin0, np.array(socs), np.array(volts)))
     return (bin_idx - bin0, n_steps, t, v_cap, v_bus, mode, de_rate, i_out,
             tr_idx, e_leak_tot, e_esr_tot, e_off)
-
-
-def _write_dark_rows(bins: _Bins, lo: int, socs: list, volts: list) -> None:
-    """Write stepped dark bins from row ``lo``: their closing voltages, and
-    their load sums where non-zero, as the step's bin close writes them.
-
-    A dark bin's storage column sums ``-e_load`` per step, which is the
-    negated load sum exactly.
-    """
-    bins.volt_v[lo:lo + len(volts)] = volts
-    soc = np.array(socs)
-    nz = np.flatnonzero(soc)
-    soc = soc[nz]
-    nz += lo
-    bins.soc[nz] = soc
-    bins.sdelta[nz] = -soc
 
 
 def _package(ledger: EnergyLedger, bins: _Bins, app_state: AppState,

@@ -196,6 +196,10 @@ def _first_time_negative_zero(path):
     _retime(path, 0, lambda t: -0.0)
 
 
+def _without_last_rows(path):
+    np.save(path, np.load(path)[:-100])
+
+
 _DAMAGES = [
     ("profile.npy", os.remove), ("activity.npy", _truncate),
     ("voltage.npy", _wrong_shape), ("events.npy", _pickled),
@@ -206,6 +210,8 @@ _DAMAGES = [
     ("profile.npy", _time_one_ulp_up),
     ("voltage.npy", _first_time_negative_zero),
     ("profile.npy", _first_time_negative_zero),
+    # Fewer rows than activity.npy, each of them on the grid.
+    ("voltage.npy", _without_last_rows),
 ]
 # The files of a result directory compare reads; it never opens the others.
 _COMPARE_READS = ("result.json", "activity.npy", "plan.json")
@@ -783,6 +789,27 @@ def test_cmd_simulate_rejects_nan_sim_parameter(tmp_path, capsys, key):
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert f"ConfigError: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, owner", [
+    ("skip_nights", True, "plan.mode st_sp_sn"),
+    ("supply_override", 3.3, "ehsim profile")],
+    ids=["skip_nights", "supply_override"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_sim_block_cannot_change_the_kind_of_run(tmp_path, capsys, command,
+                                                 key, value, owner):
+    # The plan and the profiler own these: set in the sim block, they would
+    # run another kind of run than the plan records.
+    cfg = write_fixture_config(tmp_path, extra={
+        "sweep": {"capacitance": [0.5], "s_i": [1.0]}})
+    raw = json.loads(cfg.read_text())
+    raw["sim"][key] = value
+    cfg.write_text(json.dumps(raw))
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError: sim.{key}" in err and owner in err
     assert not (tmp_path / "o").exists()
 
 

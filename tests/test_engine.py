@@ -376,6 +376,17 @@ def test_sim_config_rejects_bad_supply_override(volts):
         SimConfig(supply_override=volts)
 
 
+def test_only_a_profiling_run_may_omit_the_ess():
+    tr = flat_trace(60.0, 0.0)
+    with pytest.raises(ConfigError, match="only a profiling run"):
+        simulate(tr, None, None, small_app(), SimConfig())
+    # A profiling run ignores an ESS it is given.
+    cfg = SimConfig(supply_override=3.3, dt_quiescent=0.2)
+    ess = EssConfig(storage=StorageModel(capacitance=0.1, v_init=0.3))
+    assert (_result_digest(simulate(tr, None, ess, small_app(), cfg))
+            == _result_digest(simulate(tr, None, None, small_app(), cfg)))
+
+
 def test_reactive_detection_counts():
     tr = flat_trace(3600.0, 300.0)
     ev = EventTrace(t=np.array([600.0, 1200.0, 1800.0, 2400.0]))
@@ -621,21 +632,36 @@ def test_scalar_expm1_matches_the_array_call(magnitudes):
     assert [float(np.expm1(v)) for v in x] == np.expm1(np.array(x)).tolist()
 
 
-@pytest.mark.parametrize("name", ["window_st-sp-sn_5", "span_drain_regrow"])
-def test_pending_span_rows_stay_within_the_flush_bound(tmp_path, monkeypatch,
-                                                        name):
-    write = engine._write_span_rows
-    pending = []
+@pytest.mark.parametrize("name", ["window_st-sp-sn_5", "span_drain_regrow",
+                                  "window_realtime_5"])
+def test_pending_rows_stay_within_the_flush_bound(tmp_path, monkeypatch,
+                                                  name):
+    # Stepped bins, dark chunks and spans all wait in one queue for the one
+    # writer, which runs before they pass _SPAN_MAX_BINS and once at the end.
+    # The real-time window opens with an hour of dark bins, each trace
+    # sample on a bin edge: a stretch longer than _SPAN_MAX_BINS, which the
+    # dark evaluator must cut.
+    inputs = _pin_inputs(name, tmp_path)  # may profile the app: not counted
+    write = engine._write_rows
+    queued = []  # stepped, dark and span rows at each write
 
     def counting_write(bins, agg):
-        pending.append(bins.span_rows)
+        steps = np.frombuffer(bins.steps).reshape(-1, 10)
+        spans = np.frombuffer(bins.spans).reshape(-1, 16)
+        queued.append((len(steps),
+                       sum(len(volts) for _, _, volts in bins.dark),
+                       int(spans[:, 1].sum())))
+        assert sum(queued[-1]) == bins.pending
         write(bins, agg)
 
-    monkeypatch.setattr(engine, "_write_span_rows", counting_write)
-    res = simulate(*_pin_inputs(name, tmp_path))
-    assert res.stats.spans and len(pending) >= 2
-    assert max(pending) <= engine._SPAN_MAX_BINS
-    assert sum(pending) == res.stats.span_bins
+    monkeypatch.setattr(engine, "_write_rows", counting_write)
+    res = simulate(*inputs)
+    steps, dark, spans = (sum(rows) for rows in zip(*queued))
+    assert len(queued) >= 2 and steps and spans
+    assert max(map(sum, queued)) <= engine._SPAN_MAX_BINS
+    assert steps + dark + spans == len(res.activity)
+    assert spans == res.stats.span_bins
+    assert (dark > 0) == (res.stats.dark_steps > 0)
 
 
 def test_run_stats_reconcile_with_the_bins():
@@ -672,6 +698,7 @@ def test_dark_evaluator_hands_back_a_bin_it_cannot_close():
             ess, small_app(), dt_step, 0.0, 0.2, bins, 50, t, 100.0,
             [0.0, 100.0], [0.0, 0.0], 0, v_cap, v_bus, mode, de_rate, i_out,
             leak, esr, off)
+        engine._write_rows(bins, 0.2)
     bins, out = runs[0.1]
     assert out == (0, 0, t, v_cap, v_bus, mode, de_rate, i_out, 0, leak,
                    esr, off)

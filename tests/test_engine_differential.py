@@ -491,3 +491,30 @@ def test_checkpoint_starts_in_the_bin_the_oracle_starts_it():
     first = [int(np.argmax(r.activity.labels == backup)) for r in (new, old)]
     assert first[1] > 0 and first[0] == first[1]
     assert_matches_oracle(new, old)
+
+
+def test_stepped_drain_regrows_the_bins_as_the_oracle(monkeypatch):
+    # A node that samples every 0.5 s, too often for an idle span, drains its
+    # store for 45 minutes past a ten-second trace: every bin is stepped,
+    # and its row waits in the queue while the writer regrows the arrays,
+    # several times, to hold it.
+    trace = IrradianceTrace(t=np.array([0.0, 10.0]), g=np.zeros(2))
+    ess = EssConfig(storage=StorageModel(capacitance=1.6, esr=0.5,
+                                         leak_resistance=1e6, v_init=2.5))
+    app = AppSpec(t_sample_period=0.5, t_sample=0.05, t_comm=0.02,
+                  p_sample=0.01, p_comm=0.01, name="busy")
+    cfg = SimConfig(dt_quiescent=0.2)
+    ensure = engine._Bins.ensure
+    grown = []
+
+    def counted(bins, need):
+        grown.append(ensure(bins, need))
+        return grown[-1]
+
+    monkeypatch.setattr(engine._Bins, "ensure", counted)
+    new = simulate(trace, None, ess, app, cfg)
+    monkeypatch.undo()  # the oracle grows the same class one row at a time
+    assert new.stats.spans == 0 and new.stats.dark_steps == 0
+    assert len(new.activity) > 3 * engine._SPAN_MAX_BINS
+    assert sum(grown) >= 3
+    assert_same_bits(new, engine_oracle.simulate(trace, None, ess, app, cfg))
