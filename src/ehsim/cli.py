@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -77,10 +78,12 @@ def _run_experiment(trace, events, ess, app, sim_cfg,
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity, which strict
+    parsers reject, is a ValueError before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_plan(out: str, plan: ScalingPlan, profile: PowerProfile | None,
@@ -196,7 +199,9 @@ def cmd_compare(args) -> int:
         "ape_raw": {"epsilon": ape_raw.epsilon, "n_diff": ape_raw.n_diff,
                     "n_total": ape_raw.n_total},
         "ape_dtw": {"epsilon": ape_dtw.epsilon, "n_diff": ape_dtw.n_diff,
-                    "n_total": ape_dtw.n_total, "window_s": window},
+                    "n_total": ape_dtw.n_total,
+                    # a whole-grid window (inf) is null: JSON has no inf
+                    "window_s": None if window == math.inf else window},
         "baseline_residual_j": baseline.ledger.storage_residual,
         "scaled_residual_j": scaled.ledger.storage_residual,
     })

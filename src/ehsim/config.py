@@ -78,12 +78,25 @@ def load_config(path: str) -> HarnessConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in raw:
-        if key not in _BLOCKS:
-            near = difflib.get_close_matches(key, _BLOCKS, n=1)
-            raise ConfigError(f"{key}: unknown config block"
-                              + (f" ({near[0]}?)" if near else ""))
+    _check_keys(raw, _BLOCKS, noun="config block")
     return HarnessConfig(raw=raw, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def _check_keys(block: dict, known, where: str = "",
+                noun: str = "key") -> None:
+    """Raise :class:`ConfigError` on the first key of ``block`` not in
+    ``known``, named by its dotted path under ``where`` and with the
+    nearest known key as a hint."""
+    for key in block:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            raise ConfigError(f"{where + '.' if where else ''}{key}: unknown "
+                              f"{noun}" + (f" ({near[0]}?)" if near else ""))
+
+
+def _init_keys(cls) -> tuple[str, ...]:
+    """The keyword arguments a config dataclass takes."""
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def _efficiency(value) -> EfficiencyCurve:
@@ -112,9 +125,17 @@ def _load_iv_surface(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def build_ess(cfg: HarnessConfig) -> EssConfig:
+    """The ESS a config's ``ess`` block describes; an unknown key, at any
+    depth, or harvester kind is a ConfigError."""
     block = dict(cfg.raw.get("ess", {}))
+    _check_keys(block, ("harvester", "mppt", "storage", "converter"), "ess")
     h = dict(block.get("harvester", {}))
     kind = h.pop("kind", "linear_mpp")
+    if kind not in ("linear_mpp", "iv_surface"):
+        raise ConfigError(f"ess.harvester.kind: {kind!r} is neither "
+                          f"linear_mpp nor iv_surface")
+    _check_keys(h, ("path",) if kind == "iv_surface" else ("k_mpp",),
+                "ess.harvester")
     if kind == "iv_surface":
         gs, vs, grid = _load_iv_surface(cfg.path(h.pop("path")))
         harvester = HarvesterModel(model_kind="iv_surface", iv_irradiance=gs,
@@ -123,14 +144,17 @@ def build_ess(cfg: HarnessConfig) -> EssConfig:
         harvester = HarvesterModel(model_kind="linear_mpp",
                                    k_mpp=float(h.pop("k_mpp", 1e-4)))
     m = dict(block.get("mppt", {}))
+    _check_keys(m, _init_keys(MpptModel), "ess.mppt")
     if "converter_efficiency" in m:
         m["converter_efficiency"] = _efficiency(m["converter_efficiency"])
     mppt = MpptModel(**m)
     s = dict(block.get("storage", {}))
+    _check_keys(s, _init_keys(StorageModel), "ess.storage")
     if "leak_resistance" in s and s["leak_resistance"] in ("inf", None):
         s["leak_resistance"] = math.inf
     storage = StorageModel(**s)
     c = dict(block.get("converter", {}))
+    _check_keys(c, _init_keys(ConverterModel), "ess.converter")
     if "efficiency" in c:
         c["efficiency"] = _efficiency(c["efficiency"])
     converter = ConverterModel(**c)
@@ -142,6 +166,7 @@ def build_app(cfg: HarnessConfig) -> tuple[AppSpec, float]:
     """App spec plus its default irradiance scaler (preset-aware)."""
     block = dict(cfg.raw.get("app", {}))
     s_i = 1.0
+    _check_keys(block, ("preset",) + _init_keys(AppSpec), "app")
     if "preset" in block:
         name = block.pop("preset")
         spec = preset(name)
@@ -166,6 +191,7 @@ def build_sim(cfg: HarnessConfig) -> SimConfig:
         if key in block:
             raise ConfigError(f"sim.{key}: set by {owner}, not by the sim "
                               f"block")
+    _check_keys(block, _init_keys(SimConfig), "sim")
     return SimConfig(**block)
 
 

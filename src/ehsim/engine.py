@@ -12,29 +12,30 @@ dips, boot edges) and a coarse step covers the rest of the active phases
 next application transition, trace sample, event, or aggregation boundary.
 Quiescent spans, with the app off or idle, the converter state holding, a
 constant irradiance sample, no event due and no fine window open, are
-advanced in closed form over whole aggregation bins (see :func:`_advance_span`).
-A plain run takes every lit span with the node off and every idle span;
-compared with stepping those spans, this changes the energy figures of
-non-ideal runs in their last digits, by design. Dark bins (irradiance
-exactly 0) with the node off are stepped, as a platform replaying the trace
-in real time spends them, but by their own evaluator (see
-:func:`_step_dark_span`), which repeats only what the general step does
-there, bit for bit; ``SimConfig.skip_nights`` (the ``st_sp_sn`` plan sets
-it) swaps in the closed form for them. The step loop, the spans and the
-dark evaluator only queue their bins' rows; one writer,
-:func:`_write_rows`, grows the per-bin arrays and writes them. Runs are
-deterministic: identical inputs produce identical results.
+advanced in closed form over whole aggregation bins (:func:`_advance_span`).
+A span is one constant-rate segment (``_Segment``), which one integrator
+evaluates: :func:`_segment_at` at any offsets, for the span's end state and
+rows alike, and :func:`_first_crossing` for the first level reached. A
+plain run takes every lit span with the node off and every idle span; this
+changes the energy figures of non-ideal runs in their last digits against
+stepping them, by design. Dark bins (irradiance exactly 0) with the node
+off are stepped, as a platform replaying the trace in real time spends
+them, by their own evaluator (:func:`_step_dark_span`), which repeats only
+what the general step does there, bit for bit; ``SimConfig.skip_nights``
+(set by the ``st_sp_sn`` plan) takes them in closed form instead. The step
+loop, the spans and the dark evaluator only queue their bins' rows; one
+writer, :func:`_write_rows`, grows the per-bin arrays and writes them. Runs
+are deterministic: identical inputs produce identical results.
 
 Profiling runs (``SimConfig.supply_override``) take the same step loop with
-an ideal source as the supply model: the source pins the bus at the given
-voltage and delivers exactly what the load draws, through a lossless
-converter that never switches off. Harvester, MPPT and storage are skipped,
-so there are no fine or crossing-clipped steps, and the run stops at the
-trace end. The source's energy is booked as the run's input
-(``harvest_input``), so a profiling ledger closes like any other. These
-runs take no closed-form spans, so the recorded profiles stay bit for bit;
-neither does an IV-surface harvester while its tracker is in bypass,
-because its power then depends on the storage voltage.
+an ideal source as the supply model: it pins the bus at the given voltage
+and delivers exactly what the load draws, through a lossless converter that
+never switches off. Harvester, MPPT and storage are skipped, so there are no
+fine or crossing-clipped steps, and the run stops at the trace end. The
+source's energy is booked as the run's input (``harvest_input``), so a
+profiling ledger closes like any other. These runs take no closed-form
+spans, so the recorded profiles stay bit for bit; neither does an IV-surface
+harvester in bypass, whose power depends on the storage voltage.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,19 +304,20 @@ class _Bins:
 
     The voltage timeline is not stored: it is the bin grid
     (:func:`_bin_times`). Rows are queued in bin order: ``steps`` holds
-    stepped bins as packed doubles (the bin's index, then its value in each
-    of ``_COLUMNS``), ``dark`` the dark evaluator's ``(first row, load
-    sums, closing voltages)`` chunks, and ``spans`` closed-form spans as
-    packed doubles. ``n`` rows are written and the next ``pending`` rows
-    are queued.
+    stepped bins as packed doubles, ``dark`` the dark evaluator's ``(first
+    row, load sums, closing voltages)`` chunks, and ``spans`` packed
+    ``_Segment`` records, which share the storage's ``leak_rate``. ``n``
+    rows are written and the next ``pending`` rows are queued.
     """
 
     _COLUMNS = ("harvest", "mppt", "conv", "soc", "sensor", "sdelta", "on_s",
                 "volt_v", "labels")
-    __slots__ = _COLUMNS + ("n", "cap", "steps", "dark", "spans", "pending")
+    __slots__ = _COLUMNS + ("n", "cap", "steps", "dark", "spans", "pending",
+                            "leak_rate")
 
-    def __init__(self, n_nominal: int):
+    def __init__(self, n_nominal: int, leak_rate: float = 0.0):
         self.n = self.pending = 0
+        self.leak_rate = leak_rate
         self.cap = max(n_nominal + 8, 16)
         self.steps, self.dark, self.spans = bytearray(), [], bytearray()
         for name in self._COLUMNS:
@@ -352,10 +355,10 @@ def simulate(trace: IrradianceTrace, events: EventTrace | None,
 
     With ``cfg.supply_override`` set, an ideal source at that voltage
     replaces the supply chain (profiling mode; ``ess`` is then ignored, and
-    only then may it be None):
-    the application runs powered from the trace start to the trace end, the
-    source delivers exactly the load's draw, and the ledger books that
-    energy as ``harvest_input`` and closes on the application's consumption.
+    only then may it be None): the application runs powered from the trace
+    start to the trace end, the source delivers exactly the load's draw,
+    and the ledger books that energy as ``harvest_input`` and closes on the
+    application's consumption.
     Otherwise, with ``end_policy == 'drain_until_converter_off'`` the run
     extends past the trace end, on zero input, until the converter switches
     off; the stored remainder is then booked as storage residual.
@@ -388,13 +391,13 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
     t0 = float(trace.t[0])
     t_end = float(trace.t[-1])
     duration = t_end - t0
-    bins = _Bins(int(math.ceil(duration / agg - 1e-9)))
-
     linear_harvester = harv.model_kind == "linear_mpp"
     k_mpp = harv.k_mpp if linear_harvester else 0.0
     conv_eff = conv.efficiency
     C = sto.capacitance
     Cb = sto.buffer_capacitance
+    bins = _Bins(int(math.ceil(duration / agg - 1e-9)),
+                 2.0 / (sto.leak_resistance * (C + Cb)))
     R = sto.esr
     v_max = mppt.storage_v_max
     p_off = app.p_off_residual
@@ -742,10 +745,14 @@ def _run_full(trace: IrradianceTrace, events: EventTrace | None,
 # kind, that wait for _write_rows.
 _SPAN_MIN_BINS = 4
 _SPAN_MAX_BINS = 4096
-# Queued records for _write_rows: a stepped bin's index and its _Bins
-# columns, 10 doubles; a span's, 16.
+# Queued rows as doubles: a stepped bin's index and _Bins columns; a span's
+# segment: first bin, bin count, first-bin length; e0, slope, v0, 2 / (C +
+# Cb) of _segment_at; harvest, tracker-loss, converter and load powers; the
+# last bin's converter and load energies; on (0/1), label.
+_Segment = namedtuple("_Segment", "lo n d0 e0 slope v0 two_over_c p_mpp p_ml "
+                      "p_conv p_load conv_last load_last on label")
 _pack_row = struct.Struct("10d").pack
-_pack_span = struct.Struct("16d").pack
+_pack_span = struct.Struct(f"{len(_Segment._fields)}d").pack
 # A span's ESR loss is frozen at its start voltage, and i^2 R goes as
 # 1 / v^2: the span also ends where the voltage has moved by this share,
 # which keeps the frozen loss within 0.5% of the stepped one.
@@ -768,23 +775,22 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     opened at ``t``, over whole quiescent bins to at most ``stop``.
 
     While the app is off or idle and the converter state holds, a constant
-    irradiance sample makes the storage input ``p_in``, the draw and its ESR
-    loss (frozen at the span's start voltage) constant. The stored energy
-    ``E = (C + Cb) v^2 / 2`` then follows ``dE/dt = p_in - p_out - a E``
-    with the leak rate ``a = 2 / (R_leak (C + Cb))``; at ``storage_v_max``
-    with a surplus, the storage holds and the tracker curtails the surplus.
-    A span ends at the last bin edge before the storage voltage reaches a
-    level at which the tracker mode, saturation, converter, checkpoint or
-    off-residual draw would change, or moves by ``_SPAN_ESR_DRIFT`` while
-    an ESR loss is frozen, and before the given stop time or the next
-    sampling launch. The leak is booked from the exact solution; the
-    last bin's draw takes up what the storage actually supplied, as the
-    per-step loop books it, so the ledger closes.
+    irradiance sample makes the span one constant-rate segment: constant
+    storage input, draw and ESR loss (frozen at the start voltage); at
+    ``storage_v_max`` with a surplus, the storage holds and the tracker
+    curtails the surplus. The span ends at the last bin edge before the
+    voltage reaches a level where the tracker mode, saturation, converter,
+    checkpoint or off-residual draw would change, or moves by
+    ``_SPAN_ESR_DRIFT`` under a frozen ESR loss (:func:`_first_crossing`),
+    and before ``stop`` or the next sampling launch. :func:`_segment_at`
+    gives its end state and leak as it gives its rows. The last bin's draw
+    takes up what the storage actually supplied, as the per-step loop books
+    it, so the ledger closes.
 
-    Queues the span's rows on ``bins``, adds its energies to ``ledger``
-    and counts its time off ``app_state.t_until_sample`` while idle.
-    Returns ``(n_bins, v_cap, v_bus, mode, de_rate, i_out)``, or None when
-    fewer than ``_SPAN_MIN_BINS`` whole bins qualify.
+    Queues the segment on ``bins``, adds its energies to ``ledger`` and
+    counts its time off ``app_state.t_until_sample`` while idle. Returns
+    ``(n_bins, v_cap, v_bus, mode, de_rate, i_out)``, or None when fewer
+    than ``_SPAN_MIN_BINS`` whole bins qualify.
     """
     t_bin = t0 + bin_idx * agg
     on = app_state.phase == PHASE_IDLE
@@ -797,16 +803,17 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
         return None
     harv, mppt, sto, conv = ess.harvester, ess.mppt, ess.storage, ess.converter
 
-    mode = mppt_next_mode(mppt, mode, v_cap)
     p_mpp = p_in = 0.0
-    if g > 0.0:
+    if g > 0.0:  # mppt_step moves the latch as mppt_next_mode would
         if harv.model_kind == "linear_mpp":
             p_mpp = harv.k_mpp * g
-        elif mode == MODE_BYPASS:
+        elif mppt_next_mode(mppt, mode, v_cap) == MODE_BYPASS:
             return None  # the IV surface's power depends on v_cap
         else:
             p_mpp = harvester_mpp_power(harv, g)
         p_in, _, mode = mppt_step(mppt, mode, v_cap, p_mpp)
+    else:
+        mode = mppt_next_mode(mppt, mode, v_cap)
 
     levels = [mppt.bypass_engage_v, mppt.bypass_release_v,
               mppt.cold_start_below_v, mppt.storage_v_max]
@@ -843,54 +850,30 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
 
     C, Cb = sto.capacitance, sto.buffer_capacitance
     c_eff = C + Cb
-    a = 2.0 / (sto.leak_resistance * c_eff)
-    e0 = 0.5 * c_eff * v_cap * v_cap
+    half_c = 0.5 * c_eff
+    a = bins.leak_rate
+    e0 = half_c * v_cap * v_cap
     slope = p_in - p_drawn - p_esr - a * e0  # dE/dt at the start
     if slope > 0.0 and v_cap >= mppt.storage_v_max:
         # Saturated: the storage holds, the tracker curtails the surplus.
         p_in -= slope
         slope = 0.0
         mode = MODE_SATURATED
-    # E moves monotonically, so the nearest level ahead is reached first.
-    if slope > 0.0:
-        ahead = [x for x in levels if x >= v_cap]
-        level = min(ahead) if ahead else None
-    elif slope < 0.0:
-        ahead = [x for x in levels if x <= v_cap]
-        level = max(ahead) if ahead else None
-    else:
-        level = None
-    if level is not None:
-        # Reached within the n bins when |gap| < |slope| * phi(n agg).
-        gap = 0.5 * c_eff * level * level - e0
-        horizon = n * agg
-        if abs(gap) < abs(slope) * (
-                horizon if a == 0.0 else -math.expm1(-a * horizon) / a):
-            q = gap / slope
-            s_level = q if a == 0.0 else -math.log1p(-a * q) / a
-            n = min(n, math.floor((t + s_level - t_bin) / agg))
-            if n < _SPAN_MIN_BINS:
-                return None
+    s_level = _first_crossing(e0, slope, v_cap, a, half_c, levels, n * agg)
+    if s_level is not None:
+        n = min(n, math.floor((t + s_level - t_bin) / agg))
+        if n < _SPAN_MIN_BINS:
+            return None
 
-    # E(s) = e0 + slope * phi(s), phi(s) = (1 - exp(-a s)) / a, at the
-    # bin ends; the first bin may have opened a hair after its edge. The end
-    # state takes the last two as _write_rows does (np.expm1 on a scalar
-    # rounds as on an array; math.expm1 does not).
+    # The end state at the last two bin ends, as _write_rows writes them
+    # (the first bin may open a hair late); leak = a * integral of E.
     d0 = t_bin + agg - t
     span = d0 + (n - 1) * agg
-    s_prev = (n - 2) * agg + d0
-    if a == 0.0:
-        phi_prev, phi_end, leak = s_prev, span, 0.0
-    else:
-        phi_prev = float(-np.expm1(-a * s_prev) / a)
-        phi_end = float(-np.expm1(-a * span) / a)
-        leak = a * e0 * span + slope * (span - phi_end)
     two_over_c = 2.0 / c_eff
-    if slope == 0.0:
-        v_prev = v_end = v_cap
-    else:
-        v_prev = math.sqrt(max((e0 + slope * phi_prev) * two_over_c, 0.0))
-        v_end = math.sqrt(max((e0 + slope * phi_end) * two_over_c, 0.0))
+    v_prev = _segment_at(e0, slope, v_cap, a, two_over_c,
+                         (n - 2) * agg + d0)[1]
+    phi_end, v_end = _segment_at(e0, slope, v_cap, a, two_over_c, span)
+    leak = a * e0 * span + slope * (span - phi_end)
     # Leave the bus as a step over the last bin would: the load current
     # set at its start voltage, and a buffered bus one step behind.
     i_end = solve_load_current(v_prev, R, p_drawn)
@@ -916,7 +899,7 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
         load_last = supplied
         conv_last = 0.0
     _queue_rows(bins, agg, n)
-    bins.spans += _pack_span(bin_idx, n, d0, e0, slope, v_cap, a, two_over_c,
+    bins.spans += _pack_span(bin_idx, n, d0, e0, slope, v_cap, two_over_c,
                              p_mpp, p_ml, p_conv, p_load, conv_last,
                              load_last, on, PHASE_INDEX[app_state.phase])
     de_rate = 0.5 * C * (v_end * v_end - v_prev * v_prev) / agg
@@ -930,6 +913,40 @@ def _advance_span(ess: EssConfig, app: AppSpec, ledger: EnergyLedger,
     if on:
         app_state.t_until_sample -= span
     return n, v_end, v_bus_end, mode, de_rate, i_end
+
+
+def _first_crossing(e0, slope, v0, a, half_c, levels, horizon):
+    """The offset at which a segment from voltage ``v0`` first reaches one of
+    ``levels``, or None past ``horizon``. E is monotonic, so that is the
+    nearest level ahead; ``math.expm1`` decides whether it is reached, and
+    ``math.log1p`` inverts ``E(s)`` for the offset."""
+    ahead = ([x for x in levels if x >= v0] if slope > 0.0 else
+             [x for x in levels if x <= v0] if slope < 0.0 else None)
+    if not ahead:
+        return None
+    level = min(ahead) if slope > 0.0 else max(ahead)
+    gap = half_c * level * level - e0
+    if not abs(gap) < abs(slope) * (
+            horizon if a == 0.0 else -math.expm1(-a * horizon) / a):
+        return None
+    q = gap / slope
+    return q if a == 0.0 else -math.log1p(-a * q) / a
+
+
+def _segment_at(e0, slope, v0, a, two_over_c, s):
+    """A constant-rate segment's ``(phi(s), v(s))`` at offsets ``s``: ``E =
+    e0 + slope * phi`` solves ``dE/dt = slope - a (E - e0)``, with ``phi =
+    (1 - exp(-a s)) / a`` (``s`` if ``a == 0``), ``v = sqrt(E * two_over_c)``
+    and ``v0`` while a saturated segment (``slope == 0``) holds. ``s`` is a
+    float (an end state) or an array with one row's parameters per offset:
+    ``np.expm1`` rounds both alike, ``math.expm1`` would not."""
+    one = type(s) is float
+    phi = s if a == 0.0 else np.expm1(-a * s) / -a
+    phi = float(phi) if one else phi  # float arithmetic: same bits, faster
+    v_sq = (e0 + slope * phi) * two_over_c
+    if one:
+        return phi, (v0 if slope == 0.0 else math.sqrt(max(v_sq, 0.0)))
+    return phi, np.where(slope == 0.0, v0, np.sqrt(np.maximum(v_sq, 0.0)))
 
 
 def _queue_rows(bins: _Bins, agg: float, n: int) -> None:
@@ -947,10 +964,9 @@ def _write_rows(bins: _Bins, agg: float) -> None:
     summed them, and dark chunks as their closing voltages and load sums; a
     dark bin's storage column sums ``-e_load`` per step, which is the
     negated load sum exactly. A zero sum stays unwritten, so a column's
-    pages stay untouched while nothing enters it. Spans are written in one
-    numpy pass: rate x bin length (``d0`` for the first bin) but the last
-    bin's queued draw, and voltages by the float operations of
-    :func:`_advance_span`'s end state.
+    pages stay untouched while nothing enters it. Segments are written in
+    one numpy pass: rate x bin length (``d0`` for the first bin) but the
+    last bin's queued draw, and voltages by :func:`_segment_at`.
     """
     bins.n += bins.pending
     bins.ensure(bins.n)
@@ -972,30 +988,28 @@ def _write_rows(bins: _Bins, agg: float) -> None:
         bins.sdelta[nz] = -soc
     if not spans:
         return
-    (lo, n, d0, e0, slope, v0, a, two_over_c, p_mpp, p_ml, p_conv, p_load,
-     conv_last, load_last, on, label) = np.frombuffer(spans).reshape(-1, 16).T
-    n = n.astype(np.intp)
+    seg = _Segment._make(
+        np.frombuffer(spans).reshape(-1, len(_Segment._fields)).T)
+    n = seg.n.astype(np.intp)  # np.repeat(x, n): each row's value of x
     last = np.cumsum(n) - 1
     first = last - (n - 1)
-    span_of = np.repeat(np.arange(len(n)), n)  # each row's span
-    k = np.arange(last[-1] + 1) - first[span_of]  # each row's bin in its span
-    s = k * agg + d0[span_of]
-    a = a[span_of]
-    phi = np.divide(-np.expm1(-a * s), a, out=s.copy(), where=a != 0.0)
-    v = np.sqrt(np.maximum((e0[span_of] + slope[span_of] * phi)
-                           * two_over_c[span_of], 0.0))
-    rows = lo.astype(np.intp)[span_of] + k
-    bins.volt_v[rows] = np.where(slope[span_of] == 0.0, v0[span_of], v)
-    bins.labels[rows] = label[span_of]
-    h, m, c, ld = p_mpp * agg, p_ml * agg, p_conv * agg, p_load * agg
-    h0, m0, c0, ld0 = p_mpp * d0, p_ml * d0, p_conv * d0, p_load * d0
+    k = np.arange(last[-1] + 1) - np.repeat(first, n)  # each row's bin
+    rows = np.repeat(seg.lo.astype(np.intp), n) + k
+    e0, slope, v0, two_over_c, d0 = (np.repeat(x, n) for x in (
+        seg.e0, seg.slope, seg.v0, seg.two_over_c, seg.d0))
+    bins.volt_v[rows] = _segment_at(e0, slope, v0, bins.leak_rate,
+                                    two_over_c, k * agg + d0)[1]
+    bins.labels[rows] = np.repeat(seg.label, n)
+    rates = (seg.p_mpp, seg.p_ml, seg.p_conv, seg.p_load, seg.on)
+    h, m, c, ld, on = (p * agg for p in rates)
+    h0, m0, c0, ld0, on0 = (p * seg.d0 for p in rates)
+    conv_last, load_last = seg.conv_last, seg.load_last
     for col, mid, head, tail in (
             (bins.harvest, h, h0, h), (bins.mppt, m, m0, m),
             (bins.conv, c, c0, conv_last), (bins.soc, ld, ld0, load_last),
             (bins.sdelta, h - m - c - ld, h0 - m0 - c0 - ld0,
-             h - m - conv_last - load_last),
-            (bins.on_s, on * agg, on * d0, on * agg)):
-        x = mid[span_of]
+             h - m - conv_last - load_last), (bins.on_s, on, on0, on)):
+        x = np.repeat(mid, n)
         x[first], x[last] = head, tail
         col[rows] = x
 
@@ -1025,9 +1039,9 @@ def _step_dark_span(ess: EssConfig, app: AppSpec, dt_step: float,
     computes the tracker's latch (:func:`mppt_next_mode`) inline, and on a
     buffered chain (ESR and buffer both non-zero) also the bus current and
     :func:`storage_step`'s two-branch update, the decay factor again only
-    when the step length changes. The inlined arithmetic
-    mirrors ``storage_step``'s expressions in its order of operations, with
-    no charger input (its ``e_in`` of 0.0 adds nothing); a change to
+    when the step length changes. The inlined arithmetic mirrors
+    ``storage_step``'s expressions in its order of operations, with no
+    charger input (its ``e_in`` of 0.0 adds nothing); a change to
     ``storage_step`` must be made here too, and the dark differential test
     fails until it is. A store that the step exhausts, a demand beyond the
     short-circuit current, and the chains without ESR or without a buffer
@@ -1184,34 +1198,20 @@ def _package(ledger: EnergyLedger, bins: _Bins, app_state: AppState,
     # The bin columns are handed out as views: nothing else holds them.
     n = bins.n
     profile = EnergyStackProfile(
-        step_len=agg,
-        harvest=bins.harvest[:n],
-        mppt_loss=bins.mppt[:n],
-        converter_loss=bins.conv[:n],
-        soc_energy=bins.soc[:n],
-        sensor_energy=bins.sensor[:n],
-        storage_delta=bins.sdelta[:n],
-    )
+        step_len=agg, harvest=bins.harvest[:n], mppt_loss=bins.mppt[:n],
+        converter_loss=bins.conv[:n], soc_energy=bins.soc[:n],
+        sensor_energy=bins.sensor[:n], storage_delta=bins.sdelta[:n])
     activity = ActivityProfile(step_len=agg,
                                on_off=bins.on_s[:n] >= 0.5 * agg,
                                labels=bins.labels[:n])
     log = np.asarray(event_log, dtype=float).reshape(-1, 2)
     return SimResult(
-        ledger=ledger,
-        profile=profile,
-        activity=activity,
-        throughput_bytes=total_bytes,
-        boots=app_state.boots,
+        ledger=ledger, profile=profile, activity=activity,
+        throughput_bytes=total_bytes, boots=app_state.boots,
         events_offered=app_state.events_offered,
         events_detected=app_state.events_detected,
         events_detected_at_event=detected_at_event,
-        events_observed=observed_total,
-        on_time_s=on_time,
-        duration_s=duration,
-        wall_time_s=0.0,
-        v_cap_final=v_cap,
-        converter_on_final=conv_on,
-        voltage_v=bins.volt_v[:n],
-        event_log=log,
-        stats=stats,
-    )
+        events_observed=observed_total, on_time_s=on_time,
+        duration_s=duration, wall_time_s=0.0, v_cap_final=v_cap,
+        converter_on_final=conv_on, voltage_v=bins.volt_v[:n],
+        event_log=log, stats=stats)

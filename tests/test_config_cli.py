@@ -834,6 +834,60 @@ def test_unknown_config_block_exits_2_naming_it(tmp_path, capsys, key, hint):
     assert not (tmp_path / "o").exists()
 
 
+_HARVESTER = {"kind": "linear_mpp", "k_mpp": 1e-4}
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("ess", {"harvester": {"kmpp": 5e-3}},
+     "ess.harvester.kmpp: unknown key (k_mpp?)"),
+    ("ess", {"harvester": {"kind": "linear"}},
+     "ess.harvester.kind: 'linear' is neither linear_mpp nor iv_surface"),
+    ("ess", {"harvester": {"kind": "iv_surface", "k_mpp": 5e-3}},
+     "ess.harvester.k_mpp: unknown key"),
+    ("ess", {"harvester": _HARVESTER, "storge": {}},
+     "ess.storge: unknown key (storage?)"),
+    ("ess", {"harvester": _HARVESTER, "storage": {"capacitnce": 1.0}},
+     "ess.storage.capacitnce: unknown key (capacitance?)"),
+    ("ess", {"harvester": _HARVESTER, "mppt": {"bypass_engage": 1.6}},
+     "ess.mppt.bypass_engage: unknown key (bypass_engage_v?)"),
+    ("ess", {"harvester": _HARVESTER, "converter": {"v_onn": 2.0}},
+     "ess.converter.v_onn: unknown key (v_on?)"),
+    ("app", {"preset": "TMP1", "p_idel": 1e-5},
+     "app.p_idel: unknown key (p_idle?)"),
+    ("sim", {"dt_quiescnt": 0.2}, "sim.dt_quiescnt: unknown key (dt_quiescent?)"),
+], ids=["harvester_key", "harvester_kind", "harvester_key_of_other_kind",
+        "ess", "storage", "mppt", "converter", "app_preset_override", "sim"])
+def test_unknown_nested_key_exits_2_naming_its_path(tmp_path, capsys, block,
+                                                    value, message):
+    # Each of these was dropped, or surfaced as a constructor's TypeError.
+    cfg = write_fixture_config(tmp_path, extra={block: value})
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _strict_json(path):
+    """``path``'s JSON, read by a parser that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_cmd_compare_writes_a_whole_grid_window_as_null(one_run, tmp_path):
+    _, res = one_run
+    for window in ("inf", "60"):
+        out = tmp_path / window
+        assert main(["compare", "--baseline", str(res), "--scaled", str(res),
+                     "--out", str(out), "--window", window]) == 0
+        rep = _strict_json(out / "report.json")
+        assert rep["ape_dtw"]["window_s"] == (None if window == "inf"
+                                               else 60.0)
+    for name in ("plan.json", "result.json"):
+        _strict_json(res / name)
+
+
 def test_readme_config_loads():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:

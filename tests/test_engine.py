@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from ehsim.ess import (ConverterModel, EssConfig, HarvesterModel, MpptModel,
                        StorageModel)
 from ehsim.scaling import build_experiment
 from ehsim.traces import EventTrace, IrradianceTrace, synthetic_solar_trace
+import span_oracle
 from test_engine_differential import _make_inputs
 
 
@@ -623,13 +625,58 @@ def test_step_loop_output_bytes_are_pinned(tmp_path, name):
                 max_size=64))
 @settings(max_examples=200, deadline=None)
 def test_scalar_expm1_matches_the_array_call(magnitudes):
-    """A span's end state takes ``np.expm1`` of a Python float at its last
-    two bin ends, and its rows take one array call: the end state equals
-    the last row written only while the two agree bit for bit. They must:
-    ``math.expm1`` would not do, as it differs from the array call in the
-    last bit in 45 787 of 2 000 000 draws on an AVX-512 host."""
+    """The integrator (``engine._segment_at``) takes ``np.expm1`` of a
+    Python float at a span's last two bin ends for its end state, and of an
+    array for its rows: the end state equals the last row written only
+    while the two agree bit for bit. They must: ``math.expm1`` would not
+    do, as it differs from the array call in the last bit in 45 787 of
+    2 000 000 draws on an AVX-512 host."""
     x = [-m for m in magnitudes]
     assert [float(np.expm1(v)) for v in x] == np.expm1(np.array(x)).tolist()
+
+
+@given(spans=st.lists(st.tuples(
+           st.floats(0.0, 50.0),  # e0
+           st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),  # slope
+           st.floats(0.0, 5.0),  # v0, held while the slope is 0
+           st.floats(1e-3, 1e3),  # two_over_c
+           st.floats(1e-9, 1.0),  # d0, as a share of a bin
+           st.integers(2, 2000)), min_size=1, max_size=6),  # n
+       # a s spans 1e-3 to 5, where math.expm1 and np.expm1 part most
+       a=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+       agg=st.sampled_from([0.05, 0.2, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_segment_integrator_matches_the_span_oracle(spans, a, agg):
+    """The rows ``_write_rows`` writes for queued segments, and a span's
+    end state and leak as ``_advance_span`` takes them from the
+    integrator, equal the two forms the integrator replaced bit for bit;
+    the end state is the last two rows. Large falling slopes drain the
+    store below zero, where the voltage is clamped to 0."""
+    e0, slope, v0, tc, share, n = (np.array(c, dtype=float)
+                                   for c in zip(*spans))
+    d0 = share * agg
+    lo = np.cumsum(n) - n
+    bins = engine._Bins(int(n.sum()), a)
+    for rec in zip(lo, n, d0, e0, slope, v0, tc):
+        bins.spans += engine._pack_span(*engine._Segment(
+            *rec, p_mpp=0.0, p_ml=0.0, p_conv=0.0, p_load=0.0, conv_last=0.0,
+            load_last=0.0, on=0.0, label=0.0))
+    bins.pending = int(n.sum())
+    engine._write_rows(bins, agg)
+    rows = span_oracle.row_voltages(e0, slope, v0, np.full(len(n), a), tc,
+                                    d0, n, agg)
+    assert bins.volt_v[:len(rows)].tobytes() == rows.tobytes()
+    last = (lo + n - 1).astype(int)
+    for i, (e, sl, v, c, d, k) in enumerate(spans):
+        d *= agg
+        span = d + (k - 1) * agg
+        v_prev = engine._segment_at(e, sl, v, a, c, (k - 2) * agg + d)[1]
+        phi_end, v_end = engine._segment_at(e, sl, v, a, c, span)
+        leak = a * e * span + sl * (span - phi_end)  # as _advance_span books
+        got = struct.pack("3d", v_prev, v_end, leak)
+        assert got == struct.pack("3d", *span_oracle.end_state(
+            e, sl, v, a, c, d, k, agg))
+        assert got[:16] == rows[last[i] - 1:last[i] + 1].tobytes()
 
 
 @pytest.mark.parametrize("name", ["window_st-sp-sn_5", "span_drain_regrow",
@@ -647,10 +694,11 @@ def test_pending_rows_stay_within_the_flush_bound(tmp_path, monkeypatch,
 
     def counting_write(bins, agg):
         steps = np.frombuffer(bins.steps).reshape(-1, 10)
-        spans = np.frombuffer(bins.spans).reshape(-1, 16)
+        spans = engine._Segment._make(np.frombuffer(bins.spans).reshape(
+            -1, len(engine._Segment._fields)).T)
         queued.append((len(steps),
                        sum(len(volts) for _, _, volts in bins.dark),
-                       int(spans[:, 1].sum())))
+                       int(spans.n.sum())))
         assert sum(queued[-1]) == bins.pending
         write(bins, agg)
 
